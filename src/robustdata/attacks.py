@@ -11,7 +11,11 @@ rather than its clamped value: the clamp has zero gradient wherever the
 model is confident, which would silently mask the attack. On a linear
 model the margin direction reproduces the closed-form worst case
 delta = -eps * sign(y*w) exactly, so the attained hinge loss equals
-max(0, 1 - y*w.x + eps*||w||_1) from any starting point.
+max(0, 1 - y*w.x + eps*||w||_1) from any starting point. That input
+gradient is -y*w for every row, so it is returned in closed form without
+a tape (after checking X and w are finite, as tape leaves would); the
+tape form of -sum(y * (X @ w)) is kept in the tests as the bit-exact
+reference.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
-from .errors import ContractError, ParameterError
+from .errors import ContractError, NonFiniteError, ParameterError
 from .models import LinearClassifier, class_indices, default_loss_kind
 from .rng import RngStream
 
@@ -83,12 +87,17 @@ def project_to_ball(x: np.ndarray, center: np.ndarray, cfg: AttackConfig) -> np.
 
 def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray, loss_kind: str) -> np.ndarray:
     """Per-row gradient of the attack objective w.r.t. the inputs."""
+    if loss_kind == "hinge":
+        # d/dX of the unclamped surrogate -sum(y * (X @ w)) is -y w^T, whatever X is
+        if len(params_arrays) != 1:
+            raise ParameterError("hinge loss applies to the linear classifier")
+        (w,) = params_arrays
+        if not (np.isfinite(X).all() and np.isfinite(w).all()):
+            raise NonFiniteError("tensor contains NaN or Inf")
+        return np.outer(-np.asarray(y, dtype=np.float64), w).reshape(np.shape(X))
     leaf = Tensor(X)
     params = [Tensor(p) for p in params_arrays]
-    if loss_kind == "hinge":
-        margins = ad.mul(ad.constant(y.astype(np.float64)), model.decision_graph(params, leaf))
-        objective = ad.neg(ad.tsum(margins))  # unclamped margin surrogate
-    elif loss_kind == "cross_entropy":
+    if loss_kind == "cross_entropy":
         logits = model.decision_graph(params, leaf)
         classes = class_indices(y, model.num_classes)
         onehot = np.zeros((classes.size, model.num_classes))

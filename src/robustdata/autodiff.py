@@ -31,7 +31,7 @@ class Tensor:
 
     def __init__(self, data, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor contains NaN or Inf")
         self.data = arr
         self._parents: tuple[Tensor, ...] = _parents
@@ -223,7 +223,8 @@ def reshape(a: Tensor, shape: Shape) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ContractError("transpose expects a 2-D tensor")
-    return Tensor(a.data.T.copy(), (a,), lambda g: (transpose(g),))
+    # a view is safe: no array is written in place while a tape built on it is in use
+    return Tensor(a.data.T, (a,), lambda g: (transpose(g),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -24,7 +24,6 @@ from .attacks import closed_form_linear_robust_accuracy, robust_accuracy
 from .config import ExperimentConfig
 from .datafile import read_dataset, write_dataset
 from .dataset import Dataset, subsample
-from .errors import ParameterError
 from .evaluation import (
     EvalPlan,
     atomic_write_text,
@@ -413,7 +412,9 @@ def cli_run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, ParameterError, ValueError) as exc:
+    # I/O errors, bad configs and data (ParameterError, FormatError, ... are ValueErrors)
+    # and diverged runs (NonFiniteError is a FloatingPointError) all exit 1
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

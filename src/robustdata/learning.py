@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attacks import AttackConfig, pgd_attack
 from .dataset import Dataset
-from .errors import ContractError, ParameterError
+from .errors import ContractError, NonFiniteError, ParameterError
 from .models import TrainConfig, batch_loss_graph, default_loss_kind, sgd_train
 from .rng import RngStream
 
@@ -97,46 +97,49 @@ def learn_robust_dataset(
     shuffle = rng.child(1)
     trace: list[EpochTrace] = []
 
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = shuffle.permutation(n)
         clean_losses, adv_losses, update_norms = [], [], []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            b_nat, yb = x_natural[idx], y[idx]
-            if b_nat.shape != x_rob[idx].shape:
-                raise ContractError("natural/robust batch misalignment")
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
+            try:
+                idx = order[start : start + cfg.batch_size]
+                b_nat, yb = x_natural[idx], y[idx]
+                if b_nat.shape != x_rob[idx].shape:
+                    raise ContractError("natural/robust batch misalignment")
 
-            # step 1: one-step parameter estimate on the robust batch
-            data_leaf = Tensor(x_rob[idx])
-            theta_prev = [Tensor(p) for p in params]
-            train_out = batch_loss_graph(model, theta_prev, data_leaf, yb, loss_kind, cfg.lam)
-            theta_grads = ad.backward(train_out, theta_prev)
-            params = [t.data - cfg.gamma * g.data for t, g in zip(theta_prev, theta_grads)]
-            model.set_params(params)
+                # step 1: one-step parameter estimate on the robust batch
+                data_leaf = Tensor(x_rob[idx])
+                theta_prev = [Tensor(p) for p in params]
+                train_out = batch_loss_graph(model, theta_prev, data_leaf, yb, loss_kind, cfg.lam)
+                theta_grads = ad.backward(train_out, theta_prev)
+                params = [t.data - cfg.gamma * g.data for t, g in zip(theta_prev, theta_grads)]
+                model.set_params(params)
 
-            # step 2: adversarial examples of the natural batch (constants below)
-            x_adv = pgd_attack(model, b_nat, yb, attack_cfg, loss_kind)
+                # step 2: adversarial examples of the natural batch (constants below)
+                x_adv = pgd_attack(model, b_nat, yb, attack_cfg, loss_kind)
 
-            # step 3: signed meta-gradient update of the robust batch
-            g_point = params if cfg.mode == META_GRADIENT else [t.data for t in theta_prev]
-            adv_leaves = [Tensor(p) for p in g_point]
-            adv_out = batch_loss_graph(model, adv_leaves, Tensor(x_adv), yb, loss_kind, cfg.lam)
-            g_adv = ad.backward(adv_out, adv_leaves)
+                # step 3: signed meta-gradient update of the robust batch
+                g_point = params if cfg.mode == META_GRADIENT else [t.data for t in theta_prev]
+                adv_leaves = [Tensor(p) for p in g_point]
+                adv_out = batch_loss_graph(model, adv_leaves, Tensor(x_adv), yb, loss_kind, cfg.lam)
+                g_adv = ad.backward(adv_out, adv_leaves)
 
-            inner = ad.constant(0.0)
-            for tg, g in zip(theta_grads, g_adv):
-                inner = ad.add(inner, ad.tsum(ad.mul(tg, ad.constant(g.data))))
-            meta = -cfg.gamma * ad.backward(inner, [data_leaf])[0].data
+                inner = ad.constant(0.0)
+                for tg, g in zip(theta_grads, g_adv):
+                    inner = ad.add(inner, ad.tsum(ad.mul(tg, ad.constant(g.data))))
+                meta = -cfg.gamma * ad.backward(inner, [data_leaf])[0].data
 
-            step = -cfg.beta * np.sign(meta)
-            updated = x_rob[idx] + step
-            if value_range is not None:
-                np.clip(updated, value_range[0], value_range[1], out=updated)
-            update_norms.append(float(np.linalg.norm(updated - x_rob[idx])))
-            x_rob[idx] = updated
+                step = -cfg.beta * np.sign(meta)
+                updated = x_rob[idx] + step
+                if value_range is not None:
+                    np.clip(updated, value_range[0], value_range[1], out=updated)
+                update_norms.append(float(np.linalg.norm(updated - x_rob[idx])))
+                x_rob[idx] = updated
 
-            clean_losses.append(train_out.item())
-            adv_losses.append(adv_out.item())
+                clean_losses.append(train_out.item())
+                adv_losses.append(adv_out.item())
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"learner diverged at epoch {epoch}, batch {batch}: {exc}") from exc
         trace.append(
             EpochTrace(
                 float(np.mean(clean_losses)),

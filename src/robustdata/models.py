@@ -5,8 +5,12 @@ hinge-trained) and a small fully-connected network with rectifier hidden
 layers (cross-entropy). Both expose the same small surface:
 
   * params() / set_params()      parameter arrays in layer order
-  * decision_graph(params, X)    margins or logits on the tape
+  * targets(labels)              labels in the form the loss expects
   * predict(X)                   labels, plain numpy
+  * layer_sizes                  widths recorded in checkpoints
+
+Only the network builds its logits on the tape (decision_graph); the
+linear margins y * w.x are written out in hinge_loss_graph directly.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
@@ -50,10 +54,6 @@ class LinearClassifier:
     def set_params(self, params: Sequence[np.ndarray]) -> None:
         (w,) = params
         self.w = np.asarray(w, dtype=np.float64)
-
-    def decision_graph(self, params: Sequence[Tensor], X: Tensor) -> Tensor:
-        (w,) = params
-        return ad.matmul(X, w)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         return X @ self.w

@@ -2,16 +2,25 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from robustdata import attacks
+from robustdata import autodiff as ad
 from robustdata.attacks import (
     AttackConfig,
+    attack_gradient,
     closed_form_linear_robust_accuracy,
     pgd_attack,
     project_to_ball,
     robust_accuracy,
 )
+from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
-from robustdata.errors import ContractError, ParameterError
+from robustdata.errors import ContractError, NonFiniteError, ParameterError
+from robustdata.evaluation import model_factory
+from robustdata.learning import RobustLearnConfig, learn_robust_dataset
 from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, hinge_objective, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
@@ -184,6 +193,84 @@ def test_pgd_random_start_stays_feasible():
     cfg = AttackConfig(norm="linf", eps=0.3, steps=3, random_start=True)
     x_adv = pgd_attack(model, X, y, cfg, rng=RngStream(5))
     assert np.max(np.abs(x_adv - X)) <= 0.3 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# closed-form hinge attack gradient
+# ---------------------------------------------------------------------------
+
+
+def tape_hinge_gradient(w, X, y):
+    """Reference: d/dX of the unclamped surrogate -sum(y * (X @ w)) on the tape."""
+    leaf = Tensor(X)
+    margins = ad.mul(ad.constant(np.asarray(y, dtype=np.float64)), ad.matmul(leaf, Tensor(w)))
+    return ad.backward(ad.neg(ad.tsum(margins)), [leaf])[0].data
+
+
+def tape_attack_gradient(model, params_arrays, X, y, loss_kind):
+    assert loss_kind == "hinge"
+    (w,) = params_arrays
+    return tape_hinge_gradient(w, X, y)
+
+
+# exact zeros are drawn often, so -y * 0 must match the tape's signed zero
+finite_entries = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def hinge_cases(draw):
+    d = draw(st.integers(1, 32))
+    w = draw(hnp.arrays(np.float64, d, elements=finite_entries))
+    if draw(st.booleans()):  # one point as a 1-D row with a scalar label
+        X = draw(hnp.arrays(np.float64, d, elements=finite_entries))
+        y = np.int64(draw(st.sampled_from([-1, 1])))
+    else:
+        B = draw(st.integers(1, 64))
+        X = draw(hnp.arrays(np.float64, (B, d), elements=finite_entries))
+        y = draw(hnp.arrays(np.int64, B, elements=st.sampled_from([-1, 1])))
+    return w, X, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(hinge_cases())
+def test_closed_form_hinge_gradient_matches_tape(case):
+    w, X, y = case
+    got = attack_gradient(LinearClassifier(w), [w], X, y, "hinge")
+    ref = tape_hinge_gradient(w, X, y)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))  # signed zeros too
+
+
+def test_closed_form_hinge_gradient_rejects_multi_param():
+    w = np.array([1.0, 0.0])
+    with pytest.raises(ParameterError):
+        attack_gradient(LinearClassifier(w), [w, w], np.ones((3, 2)), np.array([1, -1, 1]), "hinge")
+
+
+def test_learner_unchanged_with_tape_hinge_gradient(monkeypatch):
+    rng = RngStream(4)
+    train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 600, rng.child(1))
+    cfg = RobustLearnConfig(epochs=2, gamma=0.05, beta=0.01, attack=AttackConfig(norm="linf", eps=0.8, steps=10))
+    factory = model_factory("linear", 21)
+    closed, closed_trace = learn_robust_dataset(train, factory, cfg, RngStream(9))
+    monkeypatch.setattr(attacks, "attack_gradient", tape_attack_gradient)
+    taped, taped_trace = learn_robust_dataset(train, factory, cfg, RngStream(9))
+    assert np.array_equal(closed.features, taped.features)
+    assert closed_trace == taped_trace
+
+
+def test_pgd_hinge_rejects_non_finite_rows_and_weights():
+    model = LinearClassifier(np.array([1.0, -1.0, 0.5]))
+    X = np.zeros((4, 3))
+    y = np.array([1, -1, 1, -1])
+    cfg = AttackConfig(norm="linf", eps=0.3, steps=3)
+    X[2] = np.nan
+    with pytest.raises(NonFiniteError):
+        pgd_attack(model, X, y, cfg)
+    model.set_params([np.array([1.0, np.inf, 0.5])])  # set_params does not validate
+    with pytest.raises(NonFiniteError):
+        pgd_attack(model, np.zeros((4, 3)), y, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,23 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def test_config_directory_exits_one(tmp_path, capsys):
+    code = cli_run(["learn", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_learner_exits_one(tmp_path, capsys):
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["robust_learn"]["gamma"] = 1e300
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(config))
+    code = cli_run(["learn", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "epoch 0, batch 0" in capsys.readouterr().err
+
+
 def test_theory_verify_default_passes(tmp_path, config_path):
     out = str(tmp_path / "out")
     code = cli_run(["theory-verify", "--config", config_path, "--seed", "0", "--out", out])

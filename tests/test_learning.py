@@ -3,7 +3,7 @@ import pytest
 
 from robustdata.attacks import AttackConfig, closed_form_linear_robust_accuracy
 from robustdata.dataset import Dataset, subsample
-from robustdata.errors import ParameterError
+from robustdata.errors import NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
 from robustdata.learning import (
     ALTERNATING,
@@ -44,6 +44,14 @@ def test_config_validation():
         learner_config(beta=-0.1)
     with pytest.raises(ParameterError):
         learner_config(mode="bogus")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_divergence_names_epoch_and_batch():
+    train, _ = task(n=300)
+    factory = model_factory("linear", D + 1)
+    with pytest.raises(NonFiniteError, match=r"epoch 0, batch 0"):
+        learn_robust_dataset(train, factory, learner_config(gamma=1e300, epochs=1), RngStream(0))
 
 
 def test_beta_zero_freezes_data():
