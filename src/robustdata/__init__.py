@@ -1,7 +1,7 @@
 """Robust dataset learning: make natural training yield robust classifiers."""
 
 from .attacks import AttackConfig, pgd_attack, project_to_ball, robust_accuracy
-from .autodiff import Tensor, finite_diff_check, grad, sample_gaussian, unrolled_grad
+from .autodiff import Tensor, finite_diff_check, grad, unrolled_grad
 from .config import ExperimentConfig
 from .datafile import read_dataset, write_dataset
 from .dataset import Dataset, subsample
@@ -19,8 +19,6 @@ from .models import (
     accuracy,
     cross_entropy,
     hinge_objective,
-    load_checkpoint,
-    save_checkpoint,
     sgd_train,
 )
 from .rng import RngStream
@@ -59,15 +57,12 @@ __all__ = [
     "grad",
     "hinge_objective",
     "learn_robust_dataset",
-    "load_checkpoint",
     "optimal_linf_perturbation",
     "pgd_attack",
     "project_to_ball",
     "read_dataset",
     "robust_accuracy",
     "sample",
-    "sample_gaussian",
-    "save_checkpoint",
     "sgd_train",
     "subsample",
     "symmetric_sum_check",

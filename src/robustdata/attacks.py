@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
 from .errors import ContractError, NonFiniteError, ParameterError
-from .models import LinearClassifier, class_indices, default_loss_kind
+from .models import LinearClassifier, default_loss_kind, true_class_log_probs
 from .rng import RngStream
 
 LINF = "linf"
@@ -95,20 +95,11 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray, loss_kin
         if not (np.isfinite(X).all() and np.isfinite(w).all()):
             raise NonFiniteError("tensor contains NaN or Inf")
         return np.outer(-np.asarray(y, dtype=np.float64), w).reshape(np.shape(X))
+    if loss_kind != "cross_entropy":
+        raise ParameterError(f"unknown attack loss kind {loss_kind!r}")
     leaf = Tensor(X)
     params = [Tensor(p) for p in params_arrays]
-    if loss_kind == "cross_entropy":
-        logits = model.decision_graph(params, leaf)
-        classes = class_indices(y, model.num_classes)
-        onehot = np.zeros((classes.size, model.num_classes))
-        onehot[np.arange(classes.size), classes] = 1.0
-        shift = ad.constant(logits.data.max(axis=1, keepdims=True))
-        z = ad.add(logits, ad.neg(shift))
-        lse = ad.tlog(ad.tsum(ad.texp(z), axis=1, keepdims=True))
-        log_probs = ad.add(z, ad.neg(lse))
-        objective = ad.neg(ad.tsum(ad.mul(log_probs, ad.constant(onehot))))
-    else:
-        raise ParameterError(f"unknown attack loss kind {loss_kind!r}")
+    objective = ad.neg(ad.tsum(true_class_log_probs(model, params, leaf, y)))
     return ad.backward(objective, [leaf])[0].data
 
 

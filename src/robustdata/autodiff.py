@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, NonFiniteError, ParameterError
-from .rng import RngStream
 
 Shape = tuple[int, ...]
 
@@ -47,9 +46,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor({self.data!r})"
@@ -304,31 +300,32 @@ def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Ten
 
 def unrolled_grad(
     train_loss: Callable[[Sequence[Tensor], Tensor], Tensor],
-    adv_loss: Callable[[Sequence[Tensor]], Tensor],
+    adv_grad: Callable[[list[np.ndarray]], Sequence[np.ndarray]],
     params: Sequence[Tensor],
     data: Tensor,
     lr: float,
-) -> Tensor:
-    """Gradient of adv_loss(params - lr * d(train_loss)/d(params)) w.r.t. data.
+) -> tuple[np.ndarray, list[np.ndarray], Tensor]:
+    """Gradient w.r.t. data of an adversarial loss through one descent step.
 
-    Computed as -lr * d/d(data) < d(train_loss)/d(params), g > where
-    g = d(adv_loss)/d(params) evaluated at the one-step-updated parameters
-    and treated as constant. The train-loss gradient is kept on the tape,
+    Takes the step updated = params - lr * d(train_loss)/d(params), calls
+    adv_grad(updated) for g (one array per parameter, treated as constant)
+    and returns (meta, updated, train_out), where
+    meta = -lr * d/d(data) < d(train_loss)/d(params), g >. When g is the
+    adversarial-loss gradient at `updated`, meta is the derivative of that
+    loss through the step. The train-loss gradient is kept on the tape,
     which is where the second-order dependence on `data` lives.
     """
     if lr <= 0:
         raise ParameterError(f"lr must be positive, got {lr}")
     train_out = train_loss(params, data)
     param_grads = backward(train_out, params)
-
-    updated = [Tensor(p.data - lr * g.data) for p, g in zip(params, param_grads)]
-    g_at_updated = backward(adv_loss(updated), updated)
+    updated = [p.data - lr * g.data for p, g in zip(params, param_grads)]
 
     inner = constant(0.0)
-    for pg, g in zip(param_grads, g_at_updated):
-        inner = add(inner, tsum(mul(pg, constant(g.data))))
-    meta = backward(inner, [data])[0]
-    return Tensor(-lr * meta.data)
+    for pg, g in zip(param_grads, adv_grad(updated)):
+        inner = add(inner, tsum(mul(pg, constant(g))))
+    meta = -lr * backward(inner, [data])[0].data
+    return meta, updated, train_out
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +388,3 @@ def finite_diff_check(objective: Callable[[Tensor], Tensor], point: Tensor, step
     comparable = rel[~mask]
     max_err = float(comparable.max()) if comparable.size else 0.0
     return FiniteDiffReport(max_err, rel, mask)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def sample_gaussian(rng: RngStream, mean: float, std: float, shape) -> Tensor:
-    """I.i.d. normal draws as a constant tensor; advances the stream once."""
-    return Tensor(rng.normal(mean, std, shape))

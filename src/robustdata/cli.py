@@ -22,11 +22,10 @@ import numpy as np
 
 from .attacks import closed_form_linear_robust_accuracy, robust_accuracy
 from .config import ExperimentConfig
-from .datafile import read_dataset, write_dataset
+from .datafile import atomic_write, read_dataset, write_dataset
 from .dataset import Dataset, subsample
 from .evaluation import (
     EvalPlan,
-    atomic_write_text,
     evaluate_dataset,
     figure2_toy,
     model_factory,
@@ -37,9 +36,8 @@ from .learning import (
     adversarially_train_reference,
     baseline_adv_dataset,
     learn_robust_dataset,
-    natural_twin,
 )
-from .models import accuracy
+from .models import accuracy, sgd_train
 from .rng import RngStream
 from .theory import (
     DistributionSpec,
@@ -125,20 +123,26 @@ def _load_or_generate(args, cfg: ExperimentConfig, rng: RngStream) -> Dataset:
 
 
 def _test_set(dataset: Dataset, cfg: ExperimentConfig, rng: RngStream) -> Dataset:
-    """Clean-distribution test data; generation parameters travel in provenance."""
+    """Clean-distribution test data; generation parameters travel in provenance.
+
+    Only general-symmetric data records a tail law; every other dataset,
+    robust-star included, is tested on the gaussian model.
+    """
     section = cfg.section("distribution")
     prov = dataset.provenance
+    law = prov.get("law")
     spec = DistributionSpec(
         d=int(prov.get("d", section["d"])),
         mu=float(prov.get("mu", section["mu"])),
         p=float(prov.get("p", section["p"])),
-        mode=GAUSSIAN,
+        mode=GENERAL_SYMMETRIC if law else GAUSSIAN,
+        law=law or "gaussian",
     )
     return sample(spec, section["n_test"], rng.child(101))
 
 
 def _write_kv_report(path, lines: list[str]) -> None:
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _print(lines: list[str]) -> None:
@@ -165,7 +169,7 @@ def cmd_theory_verify(args) -> int:
     train = sample(spec, dist["n_train"], rng.child(1))
     test = sample(spec, dist["n_test"], rng.child(2))
     factory = model_factory("linear", spec.d + 1)
-    svm, _ = natural_twin(factory, train, cfg.train_config(seed))
+    svm, _ = sgd_train(factory(seed), train, cfg.train_config(seed))
 
     nat = accuracy(svm, test)
     rob_pgd = robust_accuracy(svm, test, cfg.attack_config(), rng.child(3))
@@ -195,7 +199,7 @@ def cmd_theory_verify(args) -> int:
 
     star_spec = DistributionSpec(d=spec.d, mu=spec.mu, p=spec.p, mode=ROBUST_STAR)
     star_train = sample(star_spec, dist["n_train"], rng.child(4))
-    star_svm, _ = natural_twin(factory, star_train, cfg.train_config(seed))
+    star_svm, _ = sgd_train(factory(seed), star_train, cfg.train_config(seed))
     star_nat = accuracy(star_svm, test)
     star_rob = robust_accuracy(star_svm, test, cfg.attack_config().with_eps(0.5), rng.child(5))
     lines += [f"theorem2.natural_acc={star_nat:.4f}", f"theorem2.robust_acc={star_rob:.4f}"]
@@ -236,7 +240,7 @@ def cmd_theory_verify(args) -> int:
         gen_spec = DistributionSpec(d=spec.d, mu=spec.mu, p=spec.p, mode=GENERAL_SYMMETRIC, law=law)
         gen_train = sample(gen_spec, dist["n_train"], rng.child(8))
         gen_test = sample(gen_spec, dist["n_test"], rng.child(9))
-        gen_svm, _ = natural_twin(factory, gen_train, cfg.train_config(seed))
+        gen_svm, _ = sgd_train(factory(seed), gen_train, cfg.train_config(seed))
         gen_rob = closed_form_linear_robust_accuracy(gen_svm, gen_test, eps)
         star_rob_gen = closed_form_linear_robust_accuracy(star_svm, gen_test, min(eps, 0.9))
         lines += [
@@ -285,7 +289,7 @@ def cmd_learn(args) -> int:
     writer.writerow(["epoch", "clean_loss", "adv_loss", "update_norm"])
     for i, t in enumerate(trace):
         writer.writerow([i, repr(t.clean_loss), repr(t.adv_loss), repr(t.update_norm)])
-    atomic_write_text(os.path.join(args.out, "learn_trace.csv"), buf.getvalue())
+    atomic_write(os.path.join(args.out, "learn_trace.csv"), buf.getvalue().encode())
     print(f"wrote {os.path.join(args.out, 'robust_dataset.rds')}")
     return 0
 
@@ -300,7 +304,7 @@ def cmd_baseline(args) -> int:
     attack = cfg.attack_config()
 
     if args.kind == "natural":
-        source, _ = natural_twin(factory, x_nat, cfg.train_config(seed))
+        source, _ = sgd_train(factory(seed), x_nat, cfg.train_config(seed))
     else:
         source, _ = adversarially_train_reference(factory, x_nat, attack, cfg.train_config(seed), rng.child(300))
     adv = baseline_adv_dataset(source, x_nat, attack, rng.child(301))

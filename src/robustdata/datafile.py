@@ -20,16 +20,17 @@ import tempfile
 import numpy as np
 
 from .dataset import Dataset
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 MAGIC = b"RDS1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIIBdd")
 
 
-def _atomic_write(path, blob: bytes) -> None:
+def atomic_write(path, blob: bytes) -> None:
+    """Write-temp-then-rename so partial artifacts never appear."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rds-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)
@@ -41,7 +42,10 @@ def _atomic_write(path, blob: bytes) -> None:
 
 
 def write_dataset(path, dataset: Dataset) -> None:
-    meta = json.dumps(_plain(dataset.provenance), sort_keys=True, separators=(",", ":")).encode()
+    i4 = np.iinfo(np.int32)
+    if dataset.n and (dataset.labels.min() < i4.min or dataset.labels.max() > i4.max):
+        raise DataError(f"labels must fit in int32, got [{dataset.labels.min()}, {dataset.labels.max()}]")
+    meta = json.dumps(json_plain(dataset.provenance), sort_keys=True, separators=(",", ":")).encode()
     flag = 1 if dataset.value_range is not None else 0
     lo, hi = dataset.value_range if dataset.value_range is not None else (0.0, 0.0)
     k = int(np.unique(dataset.labels).size)
@@ -52,7 +56,7 @@ def write_dataset(path, dataset: Dataset) -> None:
     blob += np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes()
     blob += struct.pack("<I", len(meta))
     blob += meta
-    _atomic_write(path, bytes(blob))
+    atomic_write(path, bytes(blob))
 
 
 def read_dataset(path) -> Dataset:
@@ -94,11 +98,12 @@ def read_dataset(path) -> Dataset:
     return Dataset(features.astype(np.float64), labels, value_range, provenance)
 
 
-def _plain(obj):
+def json_plain(obj):
+    """`obj` with numpy scalars and arrays, tuples and non-string keys made plain JSON."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): json_plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [json_plain(v) for v in obj]
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

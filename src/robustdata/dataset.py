@@ -54,15 +54,6 @@ class Dataset:
     def classes(self) -> np.ndarray:
         return np.unique(self.labels)
 
-    def replace_features(self, features: np.ndarray, provenance: Optional[dict] = None) -> "Dataset":
-        """Same labels and range, new feature matrix (labels stay untouched)."""
-        return Dataset(
-            features,
-            self.labels.copy(),
-            self.value_range,
-            dict(self.provenance if provenance is None else provenance),
-        )
-
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx], self.value_range, dict(self.provenance))
 

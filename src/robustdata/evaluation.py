@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attacks import AttackConfig, robust_accuracy
+from .datafile import atomic_write, json_plain
 from .dataset import Dataset
 from .errors import ParameterError
 from .learning import adversarially_train_reference, attack_for_dataset, baseline_adv_dataset
@@ -27,20 +26,6 @@ from .models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, sgd_
 from .rng import RngStream
 
 REPORT_COLUMNS = ["arch", "seed", "budget", "natural_acc", "robust_acc", "seconds"]
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write-temp-then-rename so partial artifacts never appear."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def parse_arch(arch: str) -> tuple[str, list[int]]:
@@ -112,11 +97,11 @@ class RunReport:
             writer.writerow(
                 [c["arch"], c["seed"], repr(c["budget"]), repr(c["natural_acc"]), repr(c["robust_acc"]), f"{c['seconds']:.3f}"]
             )
-        atomic_write_text(path, buf.getvalue())
+        atomic_write(path, buf.getvalue().encode())
 
     def write_json(self, path) -> None:
         doc = {"provenance": self.provenance, "cells": self.sorted_cells()}
-        atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization: everything except wall times."""
@@ -133,7 +118,7 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
             "architectures": list(plan.architectures),
             "budgets": list(plan.budgets),
             "train_seed_base": plan.train.seed,
-            "dataset_provenance": _json_safe(plan.dataset.provenance),
+            "dataset_provenance": json_plain(plan.dataset.provenance),
         }
     )
     num_classes = max(2, int(plan.test.classes().size))
@@ -172,18 +157,6 @@ def transfer_matrix(
     """Cross grid of natural/robust accuracy across architectures and seeds."""
     plan = EvalPlan(dataset, test, architectures, seeds, [attack_cfg.eps], attack_cfg, train)
     return evaluate_dataset(plan, rng)
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -267,5 +240,5 @@ def figure2_toy(
             writer.writerow(["adv", repr(row[0]), repr(row[1]), label])
         writer.writerow(["line_robust", repr(w_rob[0]), repr(w_rob[1]), 0])
         writer.writerow(["line_retrained", repr(w_ret[0]), repr(w_ret[1]), 0])
-        atomic_write_text(csv_path, buf.getvalue())
+        atomic_write(csv_path, buf.getvalue().encode())
     return result

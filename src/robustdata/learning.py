@@ -10,6 +10,10 @@ One learning run keeps a single classifier alive and, per mini-batch:
      meta-gradient is the derivative of the adversarial loss through the
      step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>.
 
+Steps 1 and 3 are one call of `autodiff.unrolled_grad`, the function the
+acceptance gate checks against finite differences; step 2 is its
+callback.
+
 The adversarial examples are constants with respect to the data: the
 meta-gradient flows only through the parameter update. In the default
 meta-gradient mode g is the adversarial-loss gradient at the updated
@@ -20,8 +24,9 @@ gamma -> 0. Labels are never modified.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +52,6 @@ class RobustLearnConfig:
     theta0_seed: int = 0
     mode: str = META_GRADIENT
     lam: float = 1e-3  # ridge coefficient of the classifier objective
-    value_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -90,7 +94,7 @@ def learn_robust_dataset(
     x_rob = x_natural.copy()
     n = x_nat.n
 
-    value_range = cfg.value_range if cfg.value_range is not None else x_nat.value_range
+    value_range = x_nat.value_range
     attack_cfg = attack_for_dataset(cfg.attack, x_nat)
 
     params = [p.copy() for p in model.params()]
@@ -107,28 +111,25 @@ def learn_robust_dataset(
                 if b_nat.shape != x_rob[idx].shape:
                     raise ContractError("natural/robust batch misalignment")
 
-                # step 1: one-step parameter estimate on the robust batch
-                data_leaf = Tensor(x_rob[idx])
-                theta_prev = [Tensor(p) for p in params]
-                train_out = batch_loss_graph(model, theta_prev, data_leaf, yb, loss_kind, cfg.lam)
-                theta_grads = ad.backward(train_out, theta_prev)
-                params = [t.data - cfg.gamma * g.data for t, g in zip(theta_prev, theta_grads)]
-                model.set_params(params)
+                def train_loss(theta, data):
+                    return batch_loss_graph(model, theta, data, yb, loss_kind, cfg.lam)
 
-                # step 2: adversarial examples of the natural batch (constants below)
-                x_adv = pgd_attack(model, b_nat, yb, attack_cfg, loss_kind)
+                def adv_grad(updated):
+                    # step 2: adversarial examples of the natural batch against the
+                    # step-1 estimate (constants below); g is taken at that estimate,
+                    # or at the pre-step parameters in the alternating mode
+                    model.set_params(updated)
+                    x_adv = pgd_attack(model, b_nat, yb, attack_cfg, loss_kind)
+                    leaves = [Tensor(p) for p in (updated if cfg.mode == META_GRADIENT else params)]
+                    adv_out = batch_loss_graph(model, leaves, Tensor(x_adv), yb, loss_kind, cfg.lam)
+                    adv_losses.append(adv_out.item())
+                    return [g.data for g in ad.backward(adv_out, leaves)]
 
-                # step 3: signed meta-gradient update of the robust batch
-                g_point = params if cfg.mode == META_GRADIENT else [t.data for t in theta_prev]
-                adv_leaves = [Tensor(p) for p in g_point]
-                adv_out = batch_loss_graph(model, adv_leaves, Tensor(x_adv), yb, loss_kind, cfg.lam)
-                g_adv = ad.backward(adv_out, adv_leaves)
-
-                inner = ad.constant(0.0)
-                for tg, g in zip(theta_grads, g_adv):
-                    inner = ad.add(inner, ad.tsum(ad.mul(tg, ad.constant(g.data))))
-                meta = -cfg.gamma * ad.backward(inner, [data_leaf])[0].data
-
+                # steps 1 and 3: one gradient step on the robust batch, then the
+                # signed meta-gradient update of that batch through the step
+                meta, params, train_out = ad.unrolled_grad(
+                    train_loss, adv_grad, [Tensor(p) for p in params], Tensor(x_rob[idx]), cfg.gamma
+                )
                 step = -cfg.beta * np.sign(meta)
                 updated = x_rob[idx] + step
                 if value_range is not None:
@@ -137,7 +138,6 @@ def learn_robust_dataset(
                 x_rob[idx] = updated
 
                 clean_losses.append(train_out.item())
-                adv_losses.append(adv_out.item())
             except NonFiniteError as exc:
                 raise NonFiniteError(f"learner diverged at epoch {epoch}, batch {batch}: {exc}") from exc
         trace.append(
@@ -190,44 +190,17 @@ def adversarially_train_reference(
     train_cfg: TrainConfig,
     rng: RngStream,
 ) -> tuple[object, list[float]]:
-    """PGD adversarial training: each batch is attacked before the SGD step.
+    """PGD adversarial training: sgd_train with each batch attacked before its step.
 
-    Shuffling follows train_cfg.seed exactly as in sgd_train, so with a
-    vanishing attack budget the trajectory coincides with natural training;
-    `rng` only feeds the attack (random starts, when enabled).
+    With a vanishing attack budget the trajectory coincides with natural
+    training; `rng` only feeds the attack's random starts (when enabled),
+    one child stream per batch.
     """
     model = model_factory(train_cfg.seed)
-    loss_kind = default_loss_kind(model)
-    y = model.targets(dataset.labels)
     attack_cfg = attack_for_dataset(attack_cfg, dataset)
+    batches = itertools.count()
 
-    params = [p.copy() for p in model.params()]
-    velocity = [np.zeros_like(p) for p in params]
-    shuffle = RngStream(train_cfg.seed)
-    trace: list[float] = []
+    def perturb(X, y):
+        return pgd_attack(model, X, y, attack_cfg, rng=rng.child(next(batches)))
 
-    for _ in range(train_cfg.epochs):
-        order = shuffle.permutation(dataset.n)
-        epoch_losses = []
-        for start in range(0, dataset.n, train_cfg.batch_size):
-            idx = order[start : start + train_cfg.batch_size]
-            model.set_params(params)
-            x_adv = pgd_attack(model, dataset.features[idx], y[idx], attack_cfg, loss_kind)
-            leaves = [Tensor(p) for p in params]
-            out = batch_loss_graph(model, leaves, Tensor(x_adv), y[idx], loss_kind, train_cfg.weight_decay)
-            grads = ad.backward(out, leaves)
-            for p, v, g in zip(params, velocity, grads):
-                v *= train_cfg.momentum
-                v += g.data
-                p -= train_cfg.lr * v
-            epoch_losses.append(out.item())
-        trace.append(float(np.mean(epoch_losses)))
-
-    model.set_params(params)
-    return model, trace
-
-
-def natural_twin(model_factory: Callable[[int], object], dataset: Dataset, train_cfg: TrainConfig):
-    """Naturally trained counterpart used as the control in comparisons."""
-    model = model_factory(train_cfg.seed)
-    return sgd_train(model, dataset, train_cfg)
+    return sgd_train(model, dataset, train_cfg, perturb)

@@ -7,7 +7,7 @@ layers (cross-entropy). Both expose the same small surface:
   * params() / set_params()      parameter arrays in layer order
   * targets(labels)              labels in the form the loss expects
   * predict(X)                   labels, plain numpy
-  * layer_sizes                  widths recorded in checkpoints
+  * layer_sizes                  [input, hidden..., output] widths
 
 Only the network builds its logits on the tape (decision_graph); the
 linear margins y * w.x are written out in hinge_loss_graph directly.
@@ -18,20 +18,16 @@ enters the objective itself, so its gradient is exactly 2*lambda*w.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
-from .errors import DataError, FormatError, ParameterError
+from .errors import DataError, ParameterError
 from .rng import RngStream
-
-CHECKPOINT_MAGIC = b"RDM1"
-CHECKPOINT_VERSION = 1
 
 
 class LinearClassifier:
@@ -66,9 +62,6 @@ class LinearClassifier:
         if bad.size:
             raise DataError(f"linear classifier expects labels in {{-1,+1}}, got {bad.tolist()}")
         return labels
-
-    def clone(self) -> "LinearClassifier":
-        return LinearClassifier(self.w.copy())
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -150,9 +143,6 @@ class MlpClassifier:
     def targets(self, labels: np.ndarray) -> np.ndarray:
         return class_indices(labels, self.num_classes)
 
-    def clone(self) -> "MlpClassifier":
-        return MlpClassifier([W.copy() for W in self.weights], [b.copy() for b in self.biases])
-
 
 def class_indices(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Map labels to [0, num_classes); binary {-1,+1} maps to {0,1}."""
@@ -201,8 +191,8 @@ def hinge_loss_graph(w: Tensor, X: Tensor, y: np.ndarray, lam: float) -> Tensor:
     return ad.add(hinge, ad.mul(ad.constant(lam), ad.tsum(ad.mul(w, w))))
 
 
-def cross_entropy_graph(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, y: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the true class."""
+def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, y: np.ndarray) -> Tensor:
+    """Log-softmax of the logits, kept at each row's true class and zero elsewhere."""
     logits = model.decision_graph(params, X)
     classes = class_indices(y, model.num_classes)
     onehot = np.zeros((classes.size, model.num_classes))
@@ -211,7 +201,12 @@ def cross_entropy_graph(model: MlpClassifier, params: Sequence[Tensor], X: Tenso
     z = ad.add(logits, ad.neg(shift))
     lse = ad.tlog(ad.tsum(ad.texp(z), axis=1, keepdims=True))
     log_probs = ad.add(z, ad.neg(lse))
-    return ad.neg(ad.mean(ad.tsum(ad.mul(log_probs, ad.constant(onehot)), axis=1)))
+    return ad.mul(log_probs, ad.constant(onehot))
+
+
+def cross_entropy_graph(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, y: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the true class."""
+    return ad.neg(ad.mean(ad.tsum(true_class_log_probs(model, params, X, y), axis=1)))
 
 
 def hinge_objective(model: LinearClassifier, batch: Dataset, lam: float) -> float:
@@ -252,11 +247,15 @@ def default_loss_kind(model) -> str:
 # ---------------------------------------------------------------------------
 
 
-def sgd_train(model, dataset: Dataset, cfg: TrainConfig, loss: str | None = None):
-    """Train in place by mini-batch SGD with momentum; returns (model, per-epoch loss trace)."""
+def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | None = None):
+    """Train in place by mini-batch SGD with momentum; returns (model, per-epoch loss trace).
+
+    With a hook, every batch is replaced by perturb(X, y) before its step;
+    the model holds the current parameters when the hook is called.
+    """
     if dataset.n == 0:
         raise DataError("cannot train on an empty dataset")
-    loss = loss or default_loss_kind(model)
+    loss = default_loss_kind(model)
     y_all = model.targets(dataset.labels)
 
     params = [p.copy() for p in model.params()]
@@ -269,10 +268,12 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, loss: str | None = None
         epoch_losses = []
         for start in range(0, dataset.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
+            X, y = dataset.features[idx], y_all[idx]
+            if perturb is not None:
+                model.set_params(params)
+                X = perturb(X, y)
             leaves = [Tensor(p) for p in params]
-            out = batch_loss_graph(
-                model, leaves, Tensor(dataset.features[idx]), y_all[idx], loss, cfg.weight_decay
-            )
+            out = batch_loss_graph(model, leaves, Tensor(X), y, loss, cfg.weight_decay)
             grads = ad.backward(out, leaves)
             for p, v, g in zip(params, velocity, grads):
                 v *= cfg.momentum
@@ -291,57 +292,3 @@ def accuracy(model, dataset: Dataset) -> float:
         raise DataError("accuracy of an empty dataset is undefined")
     pred = model.predict(dataset.features)
     return float(np.mean(pred == dataset.labels))
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(model, path) -> None:
-    """Magic 'RDM1', u16 version, u32 layer-size list, little-endian f64 parameters."""
-    sizes = model.layer_sizes
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<H", CHECKPOINT_VERSION)
-    blob += struct.pack("<I", len(sizes))
-    blob += struct.pack(f"<{len(sizes)}I", *sizes)
-    for p in model.params():
-        blob += np.ascontiguousarray(p, dtype="<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(blob)
-
-
-def load_checkpoint(path):
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}", 0)
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", 4)
-    (n_sizes,) = struct.unpack_from("<I", blob, 6)
-    sizes = list(struct.unpack_from(f"<{n_sizes}I", blob, 10))
-    offset = 10 + 4 * n_sizes
-
-    def read_array(shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        end = offset + 8 * count
-        if end > len(blob):
-            raise FormatError("checkpoint truncated", offset)
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset = end
-        return arr.astype(np.float64)
-
-    if len(sizes) == 1:
-        model = LinearClassifier(read_array((sizes[0],)))
-    else:
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(read_array((fan_in, fan_out)))
-            biases.append(read_array((fan_out,)))
-        model = MlpClassifier(weights, biases)
-    if offset != len(blob):
-        raise FormatError("trailing bytes after parameters", offset)
-    return model

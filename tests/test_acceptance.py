@@ -34,9 +34,8 @@ from robustdata.learning import (
     adversarially_train_reference,
     baseline_adv_dataset,
     learn_robust_dataset,
-    natural_twin,
 )
-from robustdata.models import MlpClassifier, TrainConfig, accuracy, batch_loss_graph
+from robustdata.models import MlpClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import (
     DistributionSpec,
@@ -70,7 +69,7 @@ def lemma1_setup():
     spec = DistributionSpec(d=100, mu=0.4, p=0.9)
     train = sample(spec, 20000, rng.child(1))
     test = sample(spec, 10000, rng.child(2))
-    model, _ = natural_twin(model_factory("linear", 101), train, NATURAL_TRAIN)
+    model, _ = sgd_train(model_factory("linear", 101)(NATURAL_TRAIN.seed), train, NATURAL_TRAIN)
     nat = accuracy(model, test)
     rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.8, steps=10), rng.child(3))
     return dict(spec=spec, model=model, test=test, natural=nat, robust=rob, seconds=time.perf_counter() - start)
@@ -84,7 +83,7 @@ def theorem2_setup():
     star = DistributionSpec(d=100, mu=0.4, p=0.9, mode=ROBUST_STAR)
     train = sample(star, 20000, rng.child(4))
     test = sample(spec, 10000, rng.child(2))
-    model, _ = natural_twin(model_factory("linear", 101), train, SMALL_LR_TRAIN)
+    model, _ = sgd_train(model_factory("linear", 101)(SMALL_LR_TRAIN.seed), train, SMALL_LR_TRAIN)
     nat = accuracy(model, test)
     rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.5, steps=10), rng.child(5))
     return dict(model=model, natural=nat, robust=rob, seconds=time.perf_counter() - start)
@@ -110,7 +109,7 @@ def end_to_end(mu: float, seed: int = 0, n_test: int = 10000):
 
 def fresh_robust_accuracy(task, dataset, seed: int = 0, use_attack: bool = False) -> float:
     cfg = TrainConfig(lr=0.002, momentum=0.9, weight_decay=1e-3, epochs=40, batch_size=128, seed=seed)
-    model, _ = natural_twin(task["factory"], dataset, cfg)
+    model, _ = sgd_train(task["factory"](cfg.seed), dataset, cfg)
     if use_attack:
         return robust_accuracy(model, task["test"], task["attack"], RngStream(1000 + seed))
     return closed_form_linear_robust_accuracy(model, task["test"], task["eps"])
@@ -220,7 +219,11 @@ def test_criterion_07_meta_gradient_correctness():
     def adv_loss(ps):
         return batch_loss_graph(mlp, ps, Tensor(X_adv), y, "cross_entropy", 0.0)
 
-    meta = unrolled_grad(train_loss, adv_loss, [Tensor(p) for p in params0], Tensor(X0), lr)
+    def adv_grad(updated):  # the learner's callback, with PGD's output fixed at X_adv
+        leaves = [Tensor(p) for p in updated]
+        return [g.data for g in backward(adv_loss(leaves), leaves)]
+
+    meta, _, _ = unrolled_grad(train_loss, adv_grad, [Tensor(p) for p in params0], Tensor(X0), lr)
 
     def composed(Xv):
         leaves = [Tensor(p) for p in params0]
@@ -235,8 +238,8 @@ def test_criterion_07_meta_gradient_correctness():
             e = np.zeros_like(X0)
             e[i, j] = h
             numeric[i, j] = (composed(X0 + e) - composed(X0 - e)) / (2 * h)
-    denom = np.maximum(np.maximum(np.abs(meta.data), np.abs(numeric)), 1e-8)
-    unrolled_err = float(np.max(np.abs(meta.data - numeric) / denom))
+    denom = np.maximum(np.maximum(np.abs(meta), np.abs(numeric)), 1e-8)
+    unrolled_err = float(np.max(np.abs(meta - numeric) / denom))
 
     first_order = finite_diff_check(
         lambda Xv: train_loss([Tensor(p) for p in params0], Xv), Tensor(X0), 1e-5
@@ -329,7 +332,7 @@ def test_criterion_09_table1_ordering(consistent_task):
     # The robust source trains below 2p-1 = 0.8 where the adversarial hinge
     # still carries a signal
     gen_attack = AttackConfig(norm="linf", eps=task["eps"] / 4, steps=10)
-    src_nat, _ = natural_twin(task["factory"], task["train"], SMALL_LR_TRAIN)
+    src_nat, _ = sgd_train(task["factory"](SMALL_LR_TRAIN.seed), task["train"], SMALL_LR_TRAIN)
     adv_nat = baseline_adv_dataset(src_nat, task["train"], gen_attack, rng.child(6))
     src_rob, _ = adversarially_train_reference(
         task["factory"], task["train"], AttackConfig(norm="linf", eps=0.6, steps=10), SMALL_LR_TRAIN, rng.child(7)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustdata import autodiff as ad
-from robustdata.autodiff import Tensor, backward, finite_diff_check, grad, sample_gaussian, unrolled_grad
+from robustdata.autodiff import Tensor, backward, finite_diff_check, grad, unrolled_grad
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.rng import RngStream
 
@@ -122,6 +122,16 @@ def test_non_finite_rejected():
 # ---------------------------------------------------------------------------
 
 
+def adv_grad_of(adv):
+    """unrolled_grad's adv_grad: the gradient of `adv` at the updated parameters."""
+
+    def adv_grad(updated):
+        leaves = [Tensor(p) for p in updated]
+        return [g.data for g in backward(adv(leaves), leaves)]
+
+    return adv_grad
+
+
 def test_unrolled_grad_scalar_chain():
     # train = (theta - x)^2, adv = theta^2, theta=1, x=0, lr=0.1:
     # theta+ = 0.8, d theta+/dx = 0.2, d adv/dx = 2 * 0.8 * 0.2 = 0.32
@@ -131,8 +141,10 @@ def test_unrolled_grad_scalar_chain():
     def adv(ps):
         return ad.power(ps[0], 2.0)
 
-    meta = unrolled_grad(train, adv, [Tensor(1.0)], Tensor(0.0), 0.1)
-    assert meta.data == pytest.approx(0.32, abs=1e-12)
+    meta, updated, train_out = unrolled_grad(train, adv_grad_of(adv), [Tensor(1.0)], Tensor(0.0), 0.1)
+    assert meta == pytest.approx(0.32, abs=1e-12)
+    assert updated[0] == pytest.approx(0.8, abs=1e-12)
+    assert train_out.item() == 1.0
 
 
 def test_unrolled_grad_constant_adv_loss_is_zero():
@@ -142,13 +154,13 @@ def test_unrolled_grad_constant_adv_loss_is_zero():
     def adv(ps):
         return ad.constant(7.0)
 
-    meta = unrolled_grad(train, adv, [Tensor(np.ones(4))], Tensor(np.ones(4)), 0.5)
-    np.testing.assert_array_equal(meta.data, np.zeros(4))
+    meta, _, _ = unrolled_grad(train, adv_grad_of(adv), [Tensor(np.ones(4))], Tensor(np.ones(4)), 0.5)
+    np.testing.assert_array_equal(meta, np.zeros(4))
 
 
 def test_unrolled_grad_rejects_bad_lr():
     with pytest.raises(ParameterError):
-        unrolled_grad(lambda p, d: ad.mul(p[0], d), lambda p: p[0], [Tensor(1.0)], Tensor(1.0), 0.0)
+        unrolled_grad(lambda p, d: ad.mul(p[0], d), lambda u: u, [Tensor(1.0)], Tensor(1.0), 0.0)
 
 
 def test_unrolled_grad_matches_finite_differences_on_mlp():
@@ -173,7 +185,7 @@ def test_unrolled_grad_matches_finite_differences_on_mlp():
     def adv(ps):
         return net(ps, ad.constant(X_adv))
 
-    meta = unrolled_grad(train, adv, [Tensor(p) for p in params0], Tensor(X0), lr)
+    meta, _, _ = unrolled_grad(train, adv_grad_of(adv), [Tensor(p) for p in params0], Tensor(X0), lr)
 
     def composed(Xv):
         leaves = [Tensor(p) for p in params0]
@@ -188,8 +200,8 @@ def test_unrolled_grad_matches_finite_differences_on_mlp():
             e = np.zeros_like(X0)
             e[i, j] = h
             numeric[i, j] = (composed(X0 + e) - composed(X0 - e)) / (2 * h)
-    denom = np.maximum(np.maximum(np.abs(meta.data), np.abs(numeric)), 1e-8)
-    assert np.max(np.abs(meta.data - numeric) / denom) <= 1e-4
+    denom = np.maximum(np.maximum(np.abs(meta), np.abs(numeric)), 1e-8)
+    assert np.max(np.abs(meta - numeric) / denom) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +301,19 @@ def test_fuzz_hessian_vector_products_against_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# rng and sampling
+# rng
 # ---------------------------------------------------------------------------
 
 
-def test_sample_gaussian_zero_std():
-    assert np.array_equal(sample_gaussian(RngStream(1), 0.0, 0.0, (3,)).data, np.zeros(3))
-    assert np.array_equal(sample_gaussian(RngStream(1), 5.0, 0.0, (2,)).data, np.full(2, 5.0))
-
-
-def test_sample_gaussian_law_of_large_numbers():
-    draws = sample_gaussian(RngStream(7), 0.0, 1.0, (10**6,)).data
+def test_rng_normal_draws():
+    s = RngStream(1)
+    np.testing.assert_array_equal(s.normal(5.0, 0.0, (2,)), np.full(2, 5.0))
+    assert s.counter == 1  # a zero-std draw still advances the stream
+    with pytest.raises(ParameterError):
+        s.normal(0.0, -1.0, (3,))
+    draws = RngStream(7).normal(0.0, 1.0, (10**6,))
     assert abs(draws.mean()) <= 0.005
     assert abs(draws.std() - 1.0) <= 0.005
-
-
-def test_sample_gaussian_rejects_negative_std():
-    with pytest.raises(ParameterError):
-        sample_gaussian(RngStream(1), 0.0, -1.0, (3,))
 
 
 def test_rng_state_determinism():

@@ -1,11 +1,13 @@
 import json
 import os
 
-
 import pytest
 
-from robustdata.cli import cli_run
+from robustdata.cli import _test_set, cli_run
+from robustdata.config import ExperimentConfig
 from robustdata.datafile import read_dataset
+from robustdata.rng import RngStream
+from robustdata.theory import sample
 
 SMALL_CONFIG = {
     "distribution": {"d": 20, "mu": 0.4, "p": 0.9, "n_train": 2000, "n_test": 2000},
@@ -52,6 +54,23 @@ def test_diverging_learner_exits_one(tmp_path, capsys):
     code = cli_run(["learn", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "epoch 0, batch 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, law, expected",
+    [
+        ("general-symmetric", "uniform", ("general-symmetric", "uniform")),
+        ("general-symmetric", "laplace", ("general-symmetric", "laplace")),
+        ("robust-star", "gaussian", ("gaussian", None)),
+        ("gaussian", "gaussian", ("gaussian", None)),
+    ],
+)
+def test_test_set_follows_training_law(mode, law, expected):
+    cfg = ExperimentConfig({"distribution": dict(SMALL_CONFIG["distribution"], mode=mode, law=law)})
+    train = sample(cfg.distribution_spec(), 50, RngStream(0))
+    train.provenance["mode"] = "meta-gradient"  # the learner records its own mode here
+    test = _test_set(train, cfg, RngStream(0))
+    assert (test.provenance["mode"], test.provenance["law"]) == expected
 
 
 def test_theory_verify_default_passes(tmp_path, config_path):

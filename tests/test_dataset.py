@@ -32,12 +32,6 @@ def test_non_finite_features_rejected():
         Dataset(np.array([[np.nan]]), np.array([1]))
 
 
-def test_replace_features_keeps_labels():
-    ds = make_balanced()
-    out = ds.replace_features(ds.features * 2.0)
-    np.testing.assert_array_equal(out.labels, ds.labels)
-
-
 def test_subsample_full_fraction_is_identity():
     ds = make_balanced()
     out = subsample(ds, 1.0, RngStream(1))

@@ -15,7 +15,7 @@ from robustdata.evaluation import (
     two_gaussians,
 )
 from robustdata.learning import RobustLearnConfig, learn_robust_dataset
-from robustdata.models import TrainConfig
+from robustdata.models import TrainConfig, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -152,9 +152,8 @@ def test_transfer_self_reproduces_learning_time_evaluation(synthetic_learned):
     atk = AttackConfig(norm="linf", eps=0.8, steps=10)
     report = transfer_matrix(learned, ["linear"], [0], atk, RngStream(9), TRAIN, test)
     from robustdata.attacks import robust_accuracy
-    from robustdata.learning import natural_twin
 
-    model, _ = natural_twin(model_factory("linear", 21), learned, TRAIN)
+    model, _ = sgd_train(model_factory("linear", 21)(TRAIN.seed), learned, TRAIN)
     direct = robust_accuracy(model, test, atk, RngStream(10))
     assert report.cell("linear", 0, 0.8)["robust_acc"] == pytest.approx(direct, abs=0.01)
 
@@ -213,7 +212,7 @@ def test_retraining_on_robust_model_adv_data_is_non_robust_on_feature_model():
     train = sample(spec, 2000, rng.child(1))
     test = sample(spec, 4000, rng.child(2))
     from robustdata.attacks import closed_form_linear_robust_accuracy
-    from robustdata.learning import adversarially_train_reference, baseline_adv_dataset, natural_twin
+    from robustdata.learning import adversarially_train_reference, baseline_adv_dataset
 
     factory = model_factory("linear", 21)
     robust_src, _ = adversarially_train_reference(
@@ -221,7 +220,7 @@ def test_retraining_on_robust_model_adv_data_is_non_robust_on_feature_model():
     )
     rob_src = closed_form_linear_robust_accuracy(robust_src, test, 0.8)
     adv_data = baseline_adv_dataset(robust_src, train, AttackConfig(norm="linf", eps=0.8, steps=10), rng.child(4))
-    retrained, _ = natural_twin(factory, adv_data, TRAIN)
+    retrained, _ = sgd_train(factory(TRAIN.seed), adv_data, TRAIN)
     rob_retrained = closed_form_linear_robust_accuracy(retrained, test, 0.8)
     assert rob_src >= 0.8
     assert rob_retrained <= rob_src - 0.2

@@ -7,7 +7,7 @@ import pytest
 from robustdata.config import ExperimentConfig
 from robustdata.datafile import read_dataset, write_dataset
 from robustdata.dataset import Dataset
-from robustdata.errors import FormatError, ParameterError
+from robustdata.errors import DataError, FormatError, ParameterError
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -54,6 +54,16 @@ def test_single_row_file_size(tmp_path):
     header = 4 + 2 + 4 + 4 + 4 + 1 + 8 + 8
     meta = len(json.dumps({}, sort_keys=True, separators=(",", ":")).encode())
     assert path.stat().st_size == header + 8 + 4 + 4 + meta
+
+
+def test_labels_outside_int32_rejected_before_writing(tmp_path):
+    for label in (2**31, -(2**31) - 1):
+        with pytest.raises(DataError):
+            write_dataset(tmp_path / "d.rds", Dataset(np.zeros((2, 1)), np.array([1, label])))
+    assert list(tmp_path.iterdir()) == []
+    edges = Dataset(np.zeros((2, 1)), np.array([-(2**31), 2**31 - 1]))
+    write_dataset(tmp_path / "d.rds", edges)
+    np.testing.assert_array_equal(read_dataset(tmp_path / "d.rds").labels, edges.labels)
 
 
 def test_corrupt_magic_reports_offset_zero(tmp_path):

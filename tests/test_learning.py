@@ -11,9 +11,8 @@ from robustdata.learning import (
     adversarially_train_reference,
     baseline_adv_dataset,
     learn_robust_dataset,
-    natural_twin,
 )
-from robustdata.models import LinearClassifier, TrainConfig, accuracy
+from robustdata.models import LinearClassifier, TrainConfig, accuracy, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -54,6 +53,24 @@ def test_divergence_names_epoch_and_batch():
         learn_robust_dataset(train, factory, learner_config(gamma=1e300, epochs=1), RngStream(0))
 
 
+def test_learner_calls_the_checked_meta_gradient(monkeypatch):
+    # acceptance criterion 7 checks autodiff.unrolled_grad against finite
+    # differences; the learner must take its meta-gradient from that function
+    from robustdata import autodiff
+
+    calls = []
+    original = autodiff.unrolled_grad
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(autodiff, "unrolled_grad", counted)
+    train, _ = task(n=300)
+    learn_robust_dataset(train, model_factory("linear", D + 1), learner_config(epochs=2), RngStream(0))
+    assert len(calls) == 2 * 3  # epochs x batches of 128 over 300 rows
+
+
 def test_beta_zero_freezes_data():
     train, _ = task()
     factory = model_factory("linear", D + 1)
@@ -71,8 +88,8 @@ def test_vanishing_budget_keeps_clean_accuracy():
     factory = model_factory("linear", D + 1)
     tiny = AttackConfig(norm="linf", eps=1e-9, steps=3)
     learned, _ = learn_robust_dataset(train, factory, learner_config(attack=tiny, epochs=10), RngStream(2))
-    on_learned, _ = natural_twin(factory, learned, FRESH_TRAIN)
-    on_natural, _ = natural_twin(factory, train, FRESH_TRAIN)
+    on_learned, _ = sgd_train(factory(FRESH_TRAIN.seed), learned, FRESH_TRAIN)
+    on_natural, _ = sgd_train(factory(FRESH_TRAIN.seed), train, FRESH_TRAIN)
     assert accuracy(on_learned, test) >= accuracy(on_natural, test) - 0.01
 
 
@@ -155,8 +172,8 @@ def test_end_to_end_separation():
     train, test = task()
     factory = model_factory("linear", D + 1)
     learned, _ = learn_robust_dataset(train, factory, learner_config(), RngStream(12))
-    fresh, _ = natural_twin(factory, learned, FRESH_TRAIN)
-    control, _ = natural_twin(factory, train, FRESH_TRAIN)
+    fresh, _ = sgd_train(factory(FRESH_TRAIN.seed), learned, FRESH_TRAIN)
+    control, _ = sgd_train(factory(FRESH_TRAIN.seed), train, FRESH_TRAIN)
     rob_fresh = closed_form_linear_robust_accuracy(fresh, test, EPS)
     rob_control = closed_form_linear_robust_accuracy(control, test, EPS)
     assert rob_fresh >= 0.7
@@ -188,7 +205,7 @@ def test_baseline_constant_model_returns_input():
 
 def test_baseline_rows_stay_in_threat_ball():
     train, _ = task()
-    model, _ = natural_twin(model_factory("linear", D + 1), train, FRESH_TRAIN)
+    model, _ = sgd_train(model_factory("linear", D + 1)(FRESH_TRAIN.seed), train, FRESH_TRAIN)
     adv = baseline_adv_dataset(model, train, ATTACK, RngStream(16))
     assert np.max(np.abs(adv.features - train.features)) <= EPS + 1e-9
     assert adv.n == train.n
@@ -203,7 +220,7 @@ def test_adversarial_training_beats_natural_on_synthetic_task():
     factory = model_factory("linear", D + 1)
     at_attack = AttackConfig(norm="linf", eps=0.6, steps=10)
     at_model, trace = adversarially_train_reference(factory, train, at_attack, FRESH_TRAIN, RngStream(17))
-    control, _ = natural_twin(factory, train, FRESH_TRAIN)
+    control, _ = sgd_train(factory(FRESH_TRAIN.seed), train, FRESH_TRAIN)
     rob_at = closed_form_linear_robust_accuracy(at_model, test, EPS)
     rob_nat = closed_form_linear_robust_accuracy(control, test, EPS)
     assert rob_at >= 0.6
@@ -218,8 +235,22 @@ def test_adversarial_training_tiny_budget_matches_natural():
     factory = model_factory("linear", D + 1)
     tiny = AttackConfig(norm="linf", eps=1e-9, steps=3)
     at_model, _ = adversarially_train_reference(factory, train, tiny, FRESH_TRAIN, RngStream(18))
-    nat_model, _ = natural_twin(factory, train, FRESH_TRAIN)
+    nat_model, _ = sgd_train(factory(FRESH_TRAIN.seed), train, FRESH_TRAIN)
     np.testing.assert_allclose(at_model.w, nat_model.w, atol=1e-6)
+
+
+def test_adversarial_training_with_random_starts():
+    # rng feeds one child stream per batch: same stream, same model; another
+    # stream, other random starts and so another model
+    train, _ = task(n=300)
+    factory = model_factory("linear", D + 1)
+    attack = AttackConfig(norm="linf", eps=EPS, steps=3, random_start=True)
+    cfg = TrainConfig(lr=0.002, epochs=2, batch_size=128, seed=0)
+    a, _ = adversarially_train_reference(factory, train, attack, cfg, RngStream(1))
+    b, _ = adversarially_train_reference(factory, train, attack, cfg, RngStream(1))
+    c, _ = adversarially_train_reference(factory, train, attack, cfg, RngStream(2))
+    np.testing.assert_array_equal(a.w, b.w)
+    assert not np.array_equal(a.w, c.w)
 
 
 def test_subsample_trend_on_learned_dataset():
@@ -229,6 +260,6 @@ def test_subsample_trend_on_learned_dataset():
     robs = []
     for frac in (0.1, 0.2, 1.0):
         ds = learned if frac == 1.0 else subsample(learned, frac, RngStream(20))
-        fresh, _ = natural_twin(factory, ds, FRESH_TRAIN)
+        fresh, _ = sgd_train(factory(FRESH_TRAIN.seed), ds, FRESH_TRAIN)
         robs.append(closed_form_linear_robust_accuracy(fresh, test, EPS))
     assert robs[0] <= robs[1] <= robs[2]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustdata.dataset import Dataset
-from robustdata.errors import DataError, FormatError, ParameterError
+from robustdata.errors import DataError, ParameterError
 from robustdata.models import (
     LinearClassifier,
     MlpClassifier,
@@ -10,8 +10,6 @@ from robustdata.models import (
     accuracy,
     cross_entropy,
     hinge_objective,
-    load_checkpoint,
-    save_checkpoint,
     sgd_train,
 )
 from robustdata.rng import RngStream
@@ -203,38 +201,3 @@ def test_accuracy_empty_dataset_errors():
     ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int))
     with pytest.raises(DataError):
         accuracy(LinearClassifier(np.ones(1)), ds)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_roundtrip_linear(tmp_path):
-    model = LinearClassifier(np.array([1.5, -2.25, 0.0]))
-    path = tmp_path / "model.rdm"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert isinstance(loaded, LinearClassifier)
-    np.testing.assert_array_equal(loaded.w, model.w)
-    # byte-identical rewrite
-    save_checkpoint(loaded, tmp_path / "model2.rdm")
-    assert (tmp_path / "model.rdm").read_bytes() == (tmp_path / "model2.rdm").read_bytes()
-
-
-def test_checkpoint_roundtrip_mlp(tmp_path):
-    model = MlpClassifier.init([3, 8, 4, 2], RngStream(2))
-    path = tmp_path / "mlp.rdm"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert loaded.layer_sizes == [3, 8, 4, 2]
-    for a, b in zip(loaded.params(), model.params()):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.rdm"
-    path.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(FormatError) as err:
-        load_checkpoint(path)
-    assert err.value.offset == 0
