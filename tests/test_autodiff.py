@@ -305,15 +305,22 @@ def test_fuzz_hessian_vector_products_against_finite_differences():
 # ---------------------------------------------------------------------------
 
 
-def test_rng_normal_draws():
+def test_sample_gaussian_zero_std():
+    assert np.array_equal(RngStream(1).normal(0.0, 0.0, (3,)), np.zeros(3))
     s = RngStream(1)
     np.testing.assert_array_equal(s.normal(5.0, 0.0, (2,)), np.full(2, 5.0))
     assert s.counter == 1  # a zero-std draw still advances the stream
-    with pytest.raises(ParameterError):
-        s.normal(0.0, -1.0, (3,))
+
+
+def test_sample_gaussian_law_of_large_numbers():
     draws = RngStream(7).normal(0.0, 1.0, (10**6,))
     assert abs(draws.mean()) <= 0.005
     assert abs(draws.std() - 1.0) <= 0.005
+
+
+def test_sample_gaussian_rejects_negative_std():
+    with pytest.raises(ParameterError):
+        RngStream(1).normal(0.0, -1.0, (3,))
 
 
 def test_rng_state_determinism():
