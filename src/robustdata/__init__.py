@@ -5,7 +5,7 @@ from .autodiff import Tensor, finite_diff_check, grad, unrolled_grad
 from .config import ExperimentConfig
 from .datafile import read_dataset, write_dataset
 from .dataset import Dataset, subsample
-from .evaluation import EvalPlan, RunReport, evaluate_dataset, figure2_toy, transfer_matrix
+from .evaluation import EvalPlan, RunReport, evaluate_dataset, figure2_toy
 from .learning import (
     RobustLearnConfig,
     adversarially_train_reference,
@@ -66,7 +66,6 @@ __all__ = [
     "sgd_train",
     "subsample",
     "symmetric_sum_check",
-    "transfer_matrix",
     "unrolled_grad",
     "verify_weight_structure",
     "write_dataset",

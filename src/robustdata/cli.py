@@ -2,9 +2,9 @@
 
 Subcommands mirror the pipeline stages: `theory-verify` checks the
 analytical results numerically, `learn` produces a robust dataset,
-`baseline` produces the adversarial-data baselines, `evaluate` and
-`transfer` run the natural-training evaluation protocol, and `toy-fig2`
-reproduces the 2-D demonstration.
+`baseline` produces the adversarial-data baselines, `evaluate` runs the
+natural-training evaluation protocol over an architecture x seed x budget
+grid, and `toy-fig2` reproduces the 2-D demonstration.
 
 Exit codes: 0 success, 1 validation/I-O failure, 2 theory-verify check
 failure, 64 usage error.
@@ -24,13 +24,7 @@ from .attacks import closed_form_linear_robust_accuracy, robust_accuracy
 from .config import ExperimentConfig
 from .datafile import atomic_write, read_dataset, write_dataset
 from .dataset import Dataset, subsample
-from .evaluation import (
-    EvalPlan,
-    evaluate_dataset,
-    figure2_toy,
-    model_factory,
-    transfer_matrix,
-)
+from .evaluation import EvalPlan, evaluate_dataset, figure2_toy, model_factory
 from .learning import (
     RobustLearnConfig,
     adversarially_train_reference,
@@ -84,10 +78,6 @@ def build_parser() -> _Parser:
                    help="source classifier: naturally or adversarially trained")
 
     p = sub.add_parser("evaluate", help="naturally train on a dataset and attack the result")
-    common(p)
-    p.add_argument("--data", default=None, help="dataset file to evaluate (default: generate natural)")
-
-    p = sub.add_parser("transfer", help="architecture/seed transfer grid")
     common(p)
     p.add_argument("--data", default=None, help="dataset file to evaluate (default: generate natural)")
 
@@ -318,32 +308,20 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _eval_plan(args, cfg: ExperimentConfig, dataset: Dataset, rng: RngStream) -> EvalPlan:
-    ev = cfg.section("eval")
-    return EvalPlan(
-        dataset=dataset,
-        test=_test_set(dataset, cfg, rng),
-        architectures=ev["architectures"],
-        seeds=ev["seeds"],
-        budgets=ev["budgets"],
-        attack=cfg.attack_config(),
-        train=cfg.train_config(),
-    )
-
-
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args)
     rng = RngStream(seed)
     dataset = _load_or_generate(args, cfg, rng)
-    plan = _eval_plan(args, cfg, dataset, rng)
+    test = _test_set(dataset, cfg, rng)
+    ev = cfg.section("eval")
 
-    fractions = cfg.section("eval")["subsample_fractions"]
     os.makedirs(args.out, exist_ok=True)
-    for fraction in fractions:
+    for fraction in ev["subsample_fractions"]:
         ds = dataset if fraction == 1.0 else subsample(dataset, fraction, rng.child(400))
-        plan_f = EvalPlan(ds, plan.test, plan.architectures, plan.seeds, plan.budgets, plan.attack, plan.train)
-        report = evaluate_dataset(plan_f, rng.child(401))
+        plan = EvalPlan(ds, test, ev["architectures"], ev["seeds"], ev["budgets"],
+                        cfg.attack_config(), cfg.train_config())
+        report = evaluate_dataset(plan, rng.child(401))
         report.provenance["config_hash"] = cfg.config_hash()
         report.provenance["seed"] = seed
         report.provenance["subsample_fraction"] = fraction
@@ -355,34 +333,6 @@ def cmd_evaluate(args) -> int:
                 f"arch={cell['arch']} seed={cell['seed']} budget={cell['budget']:g} "
                 f"natural={cell['natural_acc']:.4f} robust={cell['robust_acc']:.4f}"
             )
-    return 0
-
-
-def cmd_transfer(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args)
-    rng = RngStream(seed)
-    dataset = _load_or_generate(args, cfg, rng)
-    ev = cfg.section("eval")
-    report = transfer_matrix(
-        dataset,
-        ev["architectures"],
-        ev["seeds"],
-        cfg.attack_config(),
-        rng.child(500),
-        cfg.train_config(),
-        _test_set(dataset, cfg, rng),
-    )
-    report.provenance["config_hash"] = cfg.config_hash()
-    report.provenance["seed"] = seed
-    os.makedirs(args.out, exist_ok=True)
-    report.write_csv(os.path.join(args.out, "transfer.csv"))
-    report.write_json(os.path.join(args.out, "transfer.json"))
-    for cell in report.sorted_cells():
-        print(
-            f"arch={cell['arch']} seed={cell['seed']} budget={cell['budget']:g} "
-            f"natural={cell['natural_acc']:.4f} robust={cell['robust_acc']:.4f}"
-        )
     return 0
 
 
@@ -402,7 +352,6 @@ _COMMANDS = {
     "learn": cmd_learn,
     "baseline": cmd_baseline,
     "evaluate": cmd_evaluate,
-    "transfer": cmd_transfer,
     "toy-fig2": cmd_toy_fig2,
 }
 

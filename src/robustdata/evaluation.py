@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .learning import adversarially_train_reference, attack_for_dataset, baselin
 from .models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, sgd_train
 from .rng import RngStream
 
-REPORT_COLUMNS = ["arch", "seed", "budget", "natural_acc", "robust_acc", "seconds"]
+REPORT_COLUMNS = ["arch", "seed", "budget", "natural_acc", "robust_acc", "train_seconds", "attack_seconds"]
+_TIMINGS = ("train_seconds", "attack_seconds")
 
 
 def parse_arch(arch: str) -> tuple[str, list[int]]:
@@ -73,12 +74,12 @@ class RunReport:
     cells: list[dict] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
-    def add_cell(self, arch: str, seed: int, budget: float, natural_acc: float, robust_acc: float, seconds: float):
+    def add_cell(self, arch: str, seed: int, budget: float, natural_acc: float, robust_acc: float,
+                 train_seconds: float, attack_seconds: float):
         if robust_acc > natural_acc + 1e-12:
             raise ParameterError("robust accuracy cannot exceed natural accuracy")
-        self.cells.append(
-            dict(arch=arch, seed=seed, budget=budget, natural_acc=natural_acc, robust_acc=robust_acc, seconds=seconds)
-        )
+        self.cells.append(dict(arch=arch, seed=seed, budget=budget, natural_acc=natural_acc, robust_acc=robust_acc,
+                               train_seconds=train_seconds, attack_seconds=attack_seconds))
 
     def sorted_cells(self) -> list[dict]:
         return sorted(self.cells, key=lambda c: (c["arch"], c["seed"], c["budget"]))
@@ -94,9 +95,8 @@ class RunReport:
         writer = csv.writer(buf)
         writer.writerow(REPORT_COLUMNS)
         for c in self.sorted_cells():
-            writer.writerow(
-                [c["arch"], c["seed"], repr(c["budget"]), repr(c["natural_acc"]), repr(c["robust_acc"]), f"{c['seconds']:.3f}"]
-            )
+            writer.writerow([c["arch"], c["seed"], repr(c["budget"]), repr(c["natural_acc"]), repr(c["robust_acc"])]
+                            + [f"{c[k]:.3f}" for k in _TIMINGS])
         atomic_write(path, buf.getvalue().encode())
 
     def write_json(self, path) -> None:
@@ -105,13 +105,16 @@ class RunReport:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization: everything except wall times."""
-        cells = [{k: v for k, v in c.items() if k != "seconds"} for c in self.sorted_cells()]
+        cells = [{k: v for k, v in c.items() if k not in _TIMINGS} for c in self.sorted_cells()]
         doc = {"provenance": self.provenance, "cells": cells}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
-    """Train naturally per (arch, seed), then attack on the clean test set."""
+    """Train naturally per (arch, seed), then attack on the clean test set.
+
+    With `budgets=[attack.eps]` this is the architecture x seed transfer grid.
+    """
     report = RunReport(
         provenance={
             "seeds": list(plan.seeds),
@@ -125,38 +128,16 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
     for arch in plan.architectures:
         for seed in plan.seeds:
             start = time.perf_counter()
-            cfg = TrainConfig(
-                lr=plan.train.lr,
-                momentum=plan.train.momentum,
-                weight_decay=plan.train.weight_decay,
-                epochs=plan.train.epochs,
-                batch_size=plan.train.batch_size,
-                seed=seed,
-            )
             model = make_model(arch, plan.dataset.width, num_classes, seed)
-            sgd_train(model, plan.dataset, cfg)
+            sgd_train(model, plan.dataset, replace(plan.train, seed=seed))
             natural = accuracy(model, plan.test)
-            elapsed = time.perf_counter() - start
+            train_seconds = time.perf_counter() - start
             for budget in plan.budgets:
-                t0 = time.perf_counter()
+                start = time.perf_counter()
                 attack = attack_for_dataset(plan.attack.with_eps(budget), plan.test)
                 robust = robust_accuracy(model, plan.test, attack, rng.child(seed))
-                report.add_cell(arch, seed, budget, natural, robust, elapsed + time.perf_counter() - t0)
+                report.add_cell(arch, seed, budget, natural, robust, train_seconds, time.perf_counter() - start)
     return report
-
-
-def transfer_matrix(
-    dataset: Dataset,
-    architectures: list[str],
-    seeds: list[int],
-    attack_cfg: AttackConfig,
-    rng: RngStream,
-    train: TrainConfig,
-    test: Dataset,
-) -> RunReport:
-    """Cross grid of natural/robust accuracy across architectures and seeds."""
-    plan = EvalPlan(dataset, test, architectures, seeds, [attack_cfg.eps], attack_cfg, train)
-    return evaluate_dataset(plan, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ One learning run keeps a single classifier alive and, per mini-batch:
      the updated classifier,
   3. moves the robust batch by -beta * sign(meta-gradient), where the
      meta-gradient is the derivative of the adversarial loss through the
-     step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>.
+     step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>, and
+     clips it to the attack's box (`attack_for_dataset`).
 
 Steps 1 and 3 are one call of `autodiff.unrolled_grad`, the function the
 acceptance gate checks against finite differences; step 2 is its
@@ -74,9 +75,16 @@ class EpochTrace:
 
 
 def attack_for_dataset(cfg: AttackConfig, dataset: Dataset) -> AttackConfig:
-    """Attack config with the dataset's value range as the clamp, if any."""
-    if cfg.clamp is None and dataset.value_range is not None:
-        return AttackConfig(cfg.norm, cfg.eps, cfg.alpha, cfg.steps, dataset.value_range, cfg.random_start)
+    """Attack config with the dataset's value range as the clamp, if any.
+
+    A configured clamp must lie inside the value range: rows clamped to a
+    wider box would leave the dataset's feasible set.
+    """
+    vr = dataset.value_range
+    if cfg.clamp is None and vr is not None:
+        return AttackConfig(cfg.norm, cfg.eps, cfg.alpha, cfg.steps, vr, cfg.random_start)
+    if cfg.clamp is not None and vr is not None and not vr[0] <= cfg.clamp[0] <= cfg.clamp[1] <= vr[1]:
+        raise ParameterError(f"attack clamp {cfg.clamp} is not inside the value range {vr}")
     return cfg
 
 
@@ -94,8 +102,9 @@ def learn_robust_dataset(
     x_rob = x_natural.copy()
     n = x_nat.n
 
-    value_range = x_nat.value_range
+    # one box for the data updates and the attack
     attack_cfg = attack_for_dataset(cfg.attack, x_nat)
+    box = attack_cfg.clamp
 
     params = [p.copy() for p in model.params()]
     shuffle = rng.child(1)
@@ -132,8 +141,8 @@ def learn_robust_dataset(
                 )
                 step = -cfg.beta * np.sign(meta)
                 updated = x_rob[idx] + step
-                if value_range is not None:
-                    np.clip(updated, value_range[0], value_range[1], out=updated)
+                if box is not None:
+                    np.clip(updated, box[0], box[1], out=updated)
                 update_norms.append(float(np.linalg.norm(updated - x_rob[idx])))
                 x_rob[idx] = updated
 
@@ -159,7 +168,7 @@ def learn_robust_dataset(
         seed=rng.seed,
         theta0_seed=cfg.theta0_seed,
     )
-    learned = Dataset(x_rob, x_nat.labels.copy(), value_range, provenance)
+    learned = Dataset(x_rob, x_nat.labels.copy(), x_nat.value_range, provenance)
     return learned, trace
 
 

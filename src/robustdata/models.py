@@ -7,7 +7,6 @@ layers (cross-entropy). Both expose the same small surface:
   * params() / set_params()      parameter arrays in layer order
   * targets(labels)              labels in the form the loss expects
   * predict(X)                   labels, plain numpy
-  * layer_sizes                  [input, hidden..., output] widths
 
 Only the network builds its logits on the tape (decision_graph); the
 linear margins y * w.x are written out in hinge_loss_graph directly.
@@ -63,10 +62,6 @@ class LinearClassifier:
             raise DataError(f"linear classifier expects labels in {{-1,+1}}, got {bad.tolist()}")
         return labels
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.w.size]
-
 
 class MlpClassifier:
     """Fully-connected net, rectifier hidden layers, linear output layer."""
@@ -100,10 +95,6 @@ class MlpClassifier:
     @property
     def num_classes(self) -> int:
         return self.weights[-1].shape[1]
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
 
     def params(self) -> list[np.ndarray]:
         out = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -135,11 +136,22 @@ def test_toy_fig2_artifacts(tmp_path):
     assert "toy.robust_robust_acc=" in report
 
 
-def test_transfer_artifacts(tmp_path, config_path):
+def test_transfer_artifacts(tmp_path):
+    # the architecture x seed transfer grid is `evaluate` with one budget;
+    # there is no separate `transfer` subcommand
+    assert cli_run(["transfer"]) == 64
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["train"]["epochs"] = 5
+    config["eval"] = {"architectures": ["linear", "mlp:8"], "seeds": [0, 1], "budgets": [0.8]}
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config))
     out = str(tmp_path / "tr")
-    assert cli_run(["transfer", "--config", config_path, "--seed", "0", "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "transfer.csv"))
-    assert os.path.exists(os.path.join(out, "transfer.json"))
+    assert cli_run(["evaluate", "--config", str(cfg_path), "--seed", "0", "--out", out]) == 0
+    with open(os.path.join(out, "report.csv")) as f:
+        rows = list(csv.reader(f))
+    assert [row[:3] for row in rows[1:]] == [
+        ["linear", "0", "0.8"], ["linear", "1", "0.8"], ["mlp:8", "0", "0.8"], ["mlp:8", "1", "0.8"]
+    ]
 
 
 def test_evaluate_with_mlp_architecture(tmp_path):

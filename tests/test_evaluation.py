@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,6 @@ from robustdata.evaluation import (
     make_model,
     model_factory,
     parse_arch,
-    transfer_matrix,
     two_gaussians,
 )
 from robustdata.learning import RobustLearnConfig, learn_robust_dataset
@@ -35,7 +35,7 @@ def test_parse_arch():
 def test_make_model_shapes():
     assert make_model("linear", 5, 2, 0).w.shape == (5,)
     mlp = make_model("mlp:8-4", 3, 2, 1)
-    assert mlp.layer_sizes == [3, 8, 4, 2]
+    assert [W.shape for W in mlp.weights] == [(3, 8), (8, 4), (4, 2)]
 
 
 def test_plan_validation():
@@ -96,15 +96,39 @@ def test_report_serialization(tmp_path):
     report.write_json(json_path)
     with open(csv_path) as f:
         rows = list(csv.reader(f))
-    assert rows[0] == ["arch", "seed", "budget", "natural_acc", "robust_acc", "seconds"]
+    assert rows[0] == ["arch", "seed", "budget", "natural_acc", "robust_acc", "train_seconds", "attack_seconds"]
     assert len(rows) == 2
     # canonical bytes exclude wall time and are reproducible
     assert report.canonical_bytes() == report.canonical_bytes()
     assert b"seconds" not in report.canonical_bytes()
 
 
+def test_training_time_is_counted_once_per_arch_and_seed(monkeypatch):
+    # a fake clock that only training and attacks advance: every budget cell of
+    # one (arch, seed) shares that run's training time and has its own attack time
+    import robustdata.evaluation as evaluation
+
+    now = [0.0]
+    train, attack = evaluation.sgd_train, evaluation.robust_accuracy
+
+    def timed(fn, cost):
+        def run(*args, **kwargs):
+            now[0] += cost
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(evaluation, "sgd_train", timed(train, 10.0))
+    monkeypatch.setattr(evaluation, "robust_accuracy", timed(attack, 1.0))
+    ds = two_gaussians(RngStream(5), 50)
+    plan = EvalPlan(ds, ds, ["linear"], [0, 1], [0.2, 0.5, 1.0], AttackConfig(norm="linf", eps=0.5, steps=2), TRAIN)
+    report = evaluate_dataset(plan, RngStream(6))
+    assert len(report.cells) == 6
+    assert [(c["train_seconds"], c["attack_seconds"]) for c in report.cells] == [(10.0, 1.0)] * 6
+
+
 # ---------------------------------------------------------------------------
-# transfer
+# transfer: the architecture x seed grid at the attack's own budget
 # ---------------------------------------------------------------------------
 
 
@@ -136,8 +160,8 @@ def test_learned_dataset_dominates_natural_at_every_budget(synthetic_learned):
 def test_transfer_matrix_grid(synthetic_learned):
     train, learned, test = synthetic_learned
     atk = AttackConfig(norm="linf", eps=0.8, steps=10)
-    report = transfer_matrix(learned, ["linear", "mlp:16"], [0, 1], atk, RngStream(8), TRAIN, test)
-    control = transfer_matrix(train, ["linear", "mlp:16"], [0, 1], atk, RngStream(8), TRAIN, test)
+    report = evaluate_dataset(EvalPlan(learned, test, ["linear", "mlp:16"], [0, 1], [atk.eps], atk, TRAIN), RngStream(8))
+    control = evaluate_dataset(EvalPlan(train, test, ["linear", "mlp:16"], [0, 1], [atk.eps], atk, TRAIN), RngStream(8))
     assert len(report.cells) == 4
     # on the architecture the dataset was learned with, the learned dataset
     # dominates the natural control for every (seed) cell
@@ -150,7 +174,7 @@ def test_transfer_matrix_grid(synthetic_learned):
 def test_transfer_self_reproduces_learning_time_evaluation(synthetic_learned):
     _, learned, test = synthetic_learned
     atk = AttackConfig(norm="linf", eps=0.8, steps=10)
-    report = transfer_matrix(learned, ["linear"], [0], atk, RngStream(9), TRAIN, test)
+    report = evaluate_dataset(EvalPlan(learned, test, ["linear"], [0], [atk.eps], atk, TRAIN), RngStream(9))
     from robustdata.attacks import robust_accuracy
 
     model, _ = sgd_train(model_factory("linear", 21)(TRAIN.seed), learned, TRAIN)
@@ -161,7 +185,7 @@ def test_transfer_self_reproduces_learning_time_evaluation(synthetic_learned):
 def test_transfer_seed_stability(synthetic_learned):
     _, learned, test = synthetic_learned
     atk = AttackConfig(norm="linf", eps=0.8, steps=10)
-    report = transfer_matrix(learned, ["linear"], [0, 1, 2, 3, 4], atk, RngStream(9), TRAIN, test)
+    report = evaluate_dataset(EvalPlan(learned, test, ["linear"], [0, 1, 2, 3, 4], [atk.eps], atk, TRAIN), RngStream(9))
     robs = [report.cell("linear", s, 0.8)["robust_acc"] for s in range(5)]
     assert max(robs) - min(robs) <= 0.05
 
@@ -173,7 +197,7 @@ def test_transfer_width_change_stays_close_on_toy():
     test = two_gaussians(rng.child(2), 1000)
     atk = AttackConfig(norm="linf", eps=1.0, steps=10)
     cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=40, batch_size=50, seed=0)
-    report = transfer_matrix(train, ["mlp:16", "mlp:32-32"], [0], atk, RngStream(8), cfg, test)
+    report = evaluate_dataset(EvalPlan(train, test, ["mlp:16", "mlp:32-32"], [0], [atk.eps], atk, cfg), RngStream(8))
     a = report.cell("mlp:16", 0, 1.0)["robust_acc"]
     b = report.cell("mlp:32-32", 0, 1.0)["robust_acc"]
     assert abs(a - b) <= 0.15

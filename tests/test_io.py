@@ -1,8 +1,12 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustdata.config import ExperimentConfig
 from robustdata.datafile import read_dataset, write_dataset
@@ -96,6 +100,48 @@ def test_truncation_detected(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
         read_dataset(path)
+
+
+def _fuzz_target(tmp: str) -> tuple[Path, bytes]:
+    """A 4x3 file with a value range, and its bytes."""
+    path = Path(tmp) / "fuzz.rds"
+    write_dataset(path, synthetic(n=4, m=3, value_range=(-2.0, 2.0)))
+    return path, path.read_bytes()
+
+
+def test_every_truncation_is_a_format_error():
+    with tempfile.TemporaryDirectory() as tmp:
+        path, blob = _fuzz_target(tmp)
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(0, len(blob) - 1))
+        def check(cut):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                read_dataset(path)
+
+        check()
+
+
+def test_single_bit_flips_load_or_raise_value_errors():
+    # a flip may give a valid file (a feature, label or provenance value changed);
+    # otherwise it is rejected with one of the errors the CLI turns into exit 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path, blob = _fuzz_target(tmp)
+
+        @settings(max_examples=500, deadline=None)
+        @given(st.integers(0, 8 * len(blob) - 1))
+        def check(bit):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded = read_dataset(path)
+            except (FormatError, DataError, ParameterError):
+                return
+            assert loaded.features.shape == (4, 3)
+
+        check()
 
 
 # ---------------------------------------------------------------------------

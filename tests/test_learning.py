@@ -9,6 +9,7 @@ from robustdata.learning import (
     ALTERNATING,
     RobustLearnConfig,
     adversarially_train_reference,
+    attack_for_dataset,
     baseline_adv_dataset,
     learn_robust_dataset,
 )
@@ -123,6 +124,37 @@ def test_value_range_respected_every_update():
     assert learned.features.min() >= 0.0
     assert learned.features.max() <= 1.0
     assert learned.value_range == (0.0, 1.0)
+
+
+def _wide_range_task(seed):
+    rng = RngStream(seed)
+    X = np.clip(rng.normal(0.0, 1.5, (256, 5)), -3.0, 3.0)
+    y = np.where(rng.uniform(0, 1, 256) < 0.5, 1, -1)
+    return Dataset(X, y, value_range=(-3.0, 3.0))
+
+
+def test_learner_clips_data_to_the_attack_clamp():
+    # the attack's clamp is the learner's one box: data updates stay inside it too
+    train = _wide_range_task(8)
+    assert train.features.min() < -1.0 and train.features.max() > 1.0
+    atk = AttackConfig(norm="linf", eps=0.1, steps=5, clamp=(-1.0, 1.0))
+    learned, _ = learn_robust_dataset(train, model_factory("linear", 5), learner_config(epochs=2, attack=atk), RngStream(9))
+    assert learned.features.min() >= -1.0
+    assert learned.features.max() <= 1.0
+    assert learned.value_range == (-3.0, 3.0)
+
+
+def test_clamp_outside_value_range_rejected():
+    train = _wide_range_task(10)
+    inside = AttackConfig(norm="linf", eps=0.1, steps=5, clamp=(-1.0, 1.0))
+    assert attack_for_dataset(inside, train) is inside
+    wide = AttackConfig(norm="linf", eps=0.1, steps=5, clamp=(-5.0, 5.0))
+    with pytest.raises(ParameterError, match="not inside the value range"):
+        attack_for_dataset(wide, train)
+    with pytest.raises(ParameterError):
+        baseline_adv_dataset(LinearClassifier(np.ones(5)), train, wide, RngStream(11))
+    with pytest.raises(ParameterError):
+        learn_robust_dataset(train, model_factory("linear", 5), learner_config(epochs=1, attack=wide), RngStream(12))
 
 
 def test_adversarial_loss_trace_decreases():

@@ -1,9 +1,11 @@
-"""The README's import block and `__all__` name only what the package has."""
+"""The README's import block, CLI table and `__all__` name only what the package has."""
 
+import argparse
 import re
 from pathlib import Path
 
 import robustdata
+from robustdata.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +23,10 @@ def test_every_exported_name_exists():
     namespace: dict = {}
     exec("from robustdata import *", namespace)
     assert set(robustdata.__all__) <= set(namespace)
+
+
+def test_readme_cli_table_matches_parser():
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([a-z0-9-]+)", section, re.MULTILINE)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(sub.choices)
