@@ -1,7 +1,7 @@
 """Robust dataset learning: make natural training yield robust classifiers."""
 
 from .attacks import AttackConfig, pgd_attack, project_to_ball, robust_accuracy
-from .autodiff import Tensor, finite_diff_check, grad, unrolled_grad
+from .autodiff import Tensor, unrolled_grad
 from .config import ExperimentConfig
 from .datafile import read_dataset, write_dataset
 from .dataset import Dataset, subsample
@@ -12,15 +12,7 @@ from .learning import (
     baseline_adv_dataset,
     learn_robust_dataset,
 )
-from .models import (
-    LinearClassifier,
-    MlpClassifier,
-    TrainConfig,
-    accuracy,
-    cross_entropy,
-    hinge_objective,
-    sgd_train,
-)
+from .models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, sgd_train
 from .rng import RngStream
 from .theory import (
     DistributionSpec,
@@ -50,12 +42,8 @@ __all__ = [
     "adversarially_train_reference",
     "baseline_adv_dataset",
     "closed_form_accuracies",
-    "cross_entropy",
     "evaluate_dataset",
     "figure2_toy",
-    "finite_diff_check",
-    "grad",
-    "hinge_objective",
     "learn_robust_dataset",
     "optimal_linf_perturbation",
     "pgd_attack",

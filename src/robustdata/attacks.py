@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
 from .errors import ContractError, NonFiniteError, ParameterError
-from .models import LinearClassifier, default_loss_kind, true_class_log_probs
+from .models import LinearClassifier, true_class_log_probs
 from .rng import RngStream
 
 LINF = "linf"
@@ -56,6 +56,8 @@ class AttackConfig:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
+        if self.clamp is not None and not self.clamp[0] <= self.clamp[1]:
+            raise ParameterError(f"invalid clamp {self.clamp}")
 
     def with_eps(self, eps: float) -> "AttackConfig":
         return AttackConfig(self.norm, eps, None, self.steps, self.clamp, self.random_start)
@@ -85,18 +87,16 @@ def project_to_ball(x: np.ndarray, center: np.ndarray, cfg: AttackConfig) -> np.
     return out
 
 
-def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray, loss_kind: str) -> np.ndarray:
-    """Per-row gradient of the attack objective w.r.t. the inputs."""
-    if loss_kind == "hinge":
+def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row gradient of the model's attack objective w.r.t. the inputs."""
+    if isinstance(model, LinearClassifier):
         # d/dX of the unclamped surrogate -sum(y * (X @ w)) is -y w^T, whatever X is
         if len(params_arrays) != 1:
-            raise ParameterError("hinge loss applies to the linear classifier")
+            raise ParameterError(f"the linear classifier has one weight vector, got {len(params_arrays)} arrays")
         (w,) = params_arrays
         if not (np.isfinite(X).all() and np.isfinite(w).all()):
             raise NonFiniteError("tensor contains NaN or Inf")
         return np.outer(-np.asarray(y, dtype=np.float64), w).reshape(np.shape(X))
-    if loss_kind != "cross_entropy":
-        raise ParameterError(f"unknown attack loss kind {loss_kind!r}")
     leaf = Tensor(X)
     params = [Tensor(p) for p in params_arrays]
     objective = ad.neg(ad.tsum(true_class_log_probs(model, params, leaf, y)))
@@ -108,11 +108,9 @@ def pgd_attack(
     x_nat: np.ndarray,
     y: np.ndarray,
     cfg: AttackConfig,
-    loss_kind: str | None = None,
     rng: Optional[RngStream] = None,
 ) -> np.ndarray:
     """Iterative ascent on the attack objective inside the threat ball."""
-    loss_kind = loss_kind or default_loss_kind(model)
     x_nat = np.asarray(x_nat, dtype=np.float64)
     y = np.asarray(y)
     x_adv = x_nat.copy()
@@ -124,7 +122,7 @@ def pgd_attack(
 
     params = model.params()
     for _ in range(cfg.steps):
-        g = attack_gradient(model, params, x_adv, y, loss_kind)
+        g = attack_gradient(model, params, x_adv, y)
         if cfg.norm == LINF:
             x_adv = x_adv + cfg.alpha * np.sign(g)
         else:

@@ -2,14 +2,13 @@
 
 Tensors are immutable float64 arrays that remember how they were computed.
 Backward passes are themselves expressed with Tensor operations, so the
-adjoints returned by `grad` live on a fresh tape and can be differentiated
-again (re-recording). That is exactly what `unrolled_grad` needs: the
-derivative of a loss through one gradient-descent parameter update.
+adjoints returned by `backward` live on a fresh tape and can be
+differentiated again (re-recording). That is exactly what `unrolled_grad`
+needs: the derivative of a loss through one gradient-descent parameter
+update. The primitives are the ones the package's losses are built from.
 
-Conventions fixed here and relied on by the rest of the package:
-  * relu'(0) = 0 (the flat side of the hinge wins at the kink),
-  * d|x|/dx = sign(x) with sign(0) = 0,
-  * sign() itself has zero derivative everywhere.
+Convention fixed here and relied on by the rest of the package:
+relu'(0) = 0 (the flat side of the hinge wins at the kink).
 """
 
 from __future__ import annotations
@@ -49,44 +48,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor({self.data!r})"
-
-    # arithmetic sugar; scalars and ndarrays are promoted to constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return mul(self, power(_as_tensor(other), -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(_as_tensor(other), power(self, -1.0))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, k):
-        return power(self, k)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(x) -> Tensor:
@@ -157,29 +118,6 @@ def tlog(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = (a.data > 0).astype(np.float64)  # strict: subgradient 0 at the kink
     return Tensor(a.data * mask, (a,), lambda g: (mul(g, constant(mask)),))
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    ma = (a.data > b.data).astype(np.float64)
-    mb = (b.data > a.data).astype(np.float64)
-
-    def vjp(g: Tensor):
-        return (
-            _unbroadcast(mul(g, constant(ma)), a.shape),
-            _unbroadcast(mul(g, constant(mb)), b.shape),
-        )
-
-    return Tensor(np.maximum(a.data, b.data), (a, b), vjp)
-
-
-def tabs(a: Tensor) -> Tensor:
-    s = np.sign(a.data)
-    return Tensor(np.abs(a.data), (a,), lambda g: (mul(g, constant(s)),))
-
-
-def sign(a: Tensor) -> Tensor:
-    """Elementwise sign with sign(0) = 0; derivative is zero everywhere."""
-    return Tensor(np.sign(a.data), (a,), lambda g: (None,))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -283,19 +221,9 @@ def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
         if g is None or node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None:
-                continue
             prev = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if prev is None else add(prev, pg)
     return [adjoint.get(id(t), constant(np.zeros(t.shape))) for t in inputs]
-
-
-def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Evaluate `objective(*inputs)` and return d(objective)/d(input) for each input."""
-    out = objective(*inputs)
-    if not isinstance(out, Tensor):
-        raise ContractError("objective must return a Tensor")
-    return backward(out, inputs)
 
 
 def unrolled_grad(
@@ -326,65 +254,3 @@ def unrolled_grad(
         inner = add(inner, tsum(mul(pg, constant(g))))
     meta = -lr * backward(inner, [data])[0].data
     return meta, updated, train_out
-
-
-# ---------------------------------------------------------------------------
-# numerical checking
-# ---------------------------------------------------------------------------
-
-
-class FiniteDiffReport:
-    """Outcome of a central-difference check of `grad` at one point."""
-
-    def __init__(self, max_rel_error: float, rel_errors: np.ndarray, non_comparable: np.ndarray):
-        self.max_rel_error = max_rel_error
-        self.rel_errors = rel_errors
-        self.non_comparable = non_comparable
-
-    @property
-    def n_non_comparable(self) -> int:
-        return int(self.non_comparable.sum())
-
-    def __repr__(self):
-        return (
-            f"FiniteDiffReport(max_rel_error={self.max_rel_error:.3e},"
-            f" non_comparable={self.n_non_comparable})"
-        )
-
-
-def finite_diff_check(objective: Callable[[Tensor], Tensor], point: Tensor, step: float) -> FiniteDiffReport:
-    """Compare grad(objective) against central finite differences at `point`.
-
-    Relative error uses denominator max(|analytic|, |numeric|, 1e-8).
-    Coordinates where forward and backward one-sided differences disagree
-    (a kink under the stencil) are flagged non-comparable and excluded
-    from the reported maximum.
-    """
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    analytic = grad(objective, [point])[0].data
-
-    flat = point.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    non_comparable = np.zeros(flat.shape, dtype=bool)
-    f0 = float(objective(Tensor(point.data)).data)
-    for i in range(flat.size):
-        e = np.zeros_like(flat)
-        e[i] = step
-        shaped = e.reshape(point.shape)
-        fp = float(objective(Tensor(point.data + shaped)).data)
-        fm = float(objective(Tensor(point.data - shaped)).data)
-        numeric[i] = (fp - fm) / (2 * step)
-        fwd = (fp - f0) / step
-        bwd = (f0 - fm) / step
-        scale = max(abs(fwd), abs(bwd), 1.0)
-        if abs(fwd - bwd) > 0.1 * scale:
-            non_comparable[i] = True
-
-    numeric = numeric.reshape(point.shape)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    rel = np.abs(analytic - numeric) / denom
-    mask = non_comparable.reshape(point.shape)
-    comparable = rel[~mask]
-    max_err = float(comparable.max()) if comparable.size else 0.0
-    return FiniteDiffReport(max_err, rel, mask)

@@ -36,7 +36,7 @@ from .autodiff import Tensor
 from .attacks import AttackConfig, pgd_attack
 from .dataset import Dataset
 from .errors import ContractError, NonFiniteError, ParameterError
-from .models import TrainConfig, batch_loss_graph, default_loss_kind, sgd_train
+from .models import TrainConfig, batch_loss_graph, sgd_train
 from .rng import RngStream
 
 META_GRADIENT = "meta-gradient"
@@ -96,7 +96,6 @@ def learn_robust_dataset(
 ) -> tuple[Dataset, list[EpochTrace]]:
     """Run the tri-level learner; returns the learned dataset and per-epoch trace."""
     model = model_factory(cfg.theta0_seed)
-    loss_kind = default_loss_kind(model)
     y = model.targets(x_nat.labels)
     x_natural = x_nat.features
     x_rob = x_natural.copy()
@@ -121,16 +120,16 @@ def learn_robust_dataset(
                     raise ContractError("natural/robust batch misalignment")
 
                 def train_loss(theta, data):
-                    return batch_loss_graph(model, theta, data, yb, loss_kind, cfg.lam)
+                    return batch_loss_graph(model, theta, data, yb, cfg.lam)
 
                 def adv_grad(updated):
                     # step 2: adversarial examples of the natural batch against the
                     # step-1 estimate (constants below); g is taken at that estimate,
                     # or at the pre-step parameters in the alternating mode
                     model.set_params(updated)
-                    x_adv = pgd_attack(model, b_nat, yb, attack_cfg, loss_kind)
+                    x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
                     leaves = [Tensor(p) for p in (updated if cfg.mode == META_GRADIENT else params)]
-                    adv_out = batch_loss_graph(model, leaves, Tensor(x_adv), yb, loss_kind, cfg.lam)
+                    adv_out = batch_loss_graph(model, leaves, Tensor(x_adv), yb, cfg.lam)
                     adv_losses.append(adv_out.item())
                     return [g.data for g in ad.backward(adv_out, leaves)]
 

@@ -8,8 +8,9 @@ layers (cross-entropy). Both expose the same small surface:
   * targets(labels)              labels in the form the loss expects
   * predict(X)                   labels, plain numpy
 
-Only the network builds its logits on the tape (decision_graph); the
-linear margins y * w.x are written out in hinge_loss_graph directly.
+The model's type picks its loss in batch_loss_graph. Only the network
+builds its logits on the tape (decision_graph); the linear margins
+y * w.x are written out there directly.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
@@ -175,13 +176,6 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def hinge_loss_graph(w: Tensor, X: Tensor, y: np.ndarray, lam: float) -> Tensor:
-    """mean(max(0, 1 - y * w.x)) + lam * ||w||^2 on the tape."""
-    margins = ad.mul(ad.constant(y), ad.matmul(X, w))
-    hinge = ad.mean(ad.relu(ad.add(ad.constant(1.0), ad.neg(margins))))
-    return ad.add(hinge, ad.mul(ad.constant(lam), ad.tsum(ad.mul(w, w))))
-
-
 def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, y: np.ndarray) -> Tensor:
     """Log-softmax of the logits, kept at each row's true class and zero elsewhere."""
     logits = model.decision_graph(params, X)
@@ -195,42 +189,25 @@ def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tens
     return ad.mul(log_probs, ad.constant(onehot))
 
 
-def cross_entropy_graph(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, y: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the true class."""
-    return ad.neg(ad.mean(ad.tsum(true_class_log_probs(model, params, X, y), axis=1)))
+def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, lam: float) -> Tensor:
+    """The model's training objective on the tape; `y` is model.targets(labels).
 
-
-def hinge_objective(model: LinearClassifier, batch: Dataset, lam: float) -> float:
-    """Soft-margin SVM objective of `model` on `batch`."""
-    y = model.targets(batch.labels)
-    loss = hinge_loss_graph(Tensor(model.w), Tensor(batch.features), y.astype(np.float64), lam)
-    return loss.item()
-
-def cross_entropy(model: MlpClassifier, batch: Dataset) -> float:
-    """Cross-entropy of `model` on `batch`."""
-    params = [Tensor(p) for p in model.params()]
-    return cross_entropy_graph(model, params, Tensor(batch.features), batch.labels).item()
-
-
-def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, loss: str, lam: float) -> Tensor:
-    """Dispatch to the model's training objective (ridge included)."""
-    if loss == "hinge":
-        if len(params) != 1:
-            raise ParameterError("hinge loss applies to the linear classifier")
-        return hinge_loss_graph(params[0], X, y.astype(np.float64), lam)
-    if loss == "cross_entropy":
-        data_term = cross_entropy_graph(model, params, X, y)
-        if lam > 0:
-            reg = ad.constant(0.0)
-            for i in range(0, len(params), 2):  # decay weights, not biases
-                reg = ad.add(reg, ad.tsum(ad.mul(params[i], params[i])))
-            data_term = ad.add(data_term, ad.mul(ad.constant(lam), reg))
-        return data_term
-    raise ParameterError(f"unknown loss kind {loss!r}")
-
-
-def default_loss_kind(model) -> str:
-    return "hinge" if isinstance(model, LinearClassifier) else "cross_entropy"
+    The linear classifier's is mean(max(0, 1 - y * w.x)) + lam * ||w||^2;
+    the network's is the mean negative log-softmax of the true class plus
+    lam times the squared weights (biases are not decayed).
+    """
+    if isinstance(model, LinearClassifier):
+        (w,) = params
+        margins = ad.mul(ad.constant(y.astype(np.float64)), ad.matmul(X, w))
+        hinge = ad.mean(ad.relu(ad.add(ad.constant(1.0), ad.neg(margins))))
+        return ad.add(hinge, ad.mul(ad.constant(lam), ad.tsum(ad.mul(w, w))))
+    data_term = ad.neg(ad.mean(ad.tsum(true_class_log_probs(model, params, X, y), axis=1)))
+    if lam > 0:
+        reg = ad.constant(0.0)
+        for i in range(0, len(params), 2):  # decay weights, not biases
+            reg = ad.add(reg, ad.tsum(ad.mul(params[i], params[i])))
+        data_term = ad.add(data_term, ad.mul(ad.constant(lam), reg))
+    return data_term
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +223,9 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
     """
     if dataset.n == 0:
         raise DataError("cannot train on an empty dataset")
-    loss = default_loss_kind(model)
     y_all = model.targets(dataset.labels)
 
-    params = [p.copy() for p in model.params()]
+    params = model.params()
     velocity = [np.zeros_like(p) for p in params]
     shuffle = RngStream(cfg.seed)
     trace: list[float] = []
@@ -264,12 +240,12 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                 model.set_params(params)
                 X = perturb(X, y)
             leaves = [Tensor(p) for p in params]
-            out = batch_loss_graph(model, leaves, Tensor(X), y, loss, cfg.weight_decay)
-            grads = ad.backward(out, leaves)
-            for p, v, g in zip(params, velocity, grads):
+            out = batch_loss_graph(model, leaves, Tensor(X), y, cfg.weight_decay)
+            for v, g in zip(velocity, ad.backward(out, leaves)):
                 v *= cfg.momentum
                 v += g.data
-                p -= cfg.lr * v
+            # out of place: the leaves wrap the old arrays
+            params = [p - cfg.lr * v for p, v in zip(params, velocity)]
             epoch_losses.append(out.item())
         trace.append(float(np.mean(epoch_losses)))
 

@@ -129,13 +129,11 @@ def optimal_linf_perturbation(w: np.ndarray, y: int, eps: float) -> np.ndarray:
     return -eps * np.sign(float(y) * np.asarray(w, dtype=np.float64))
 
 
-def closed_form_accuracies(
-    w: np.ndarray, spec: DistributionSpec, eps: float, tail_rtol: float = 0.25
-) -> tuple[float, float]:
+def closed_form_accuracies(w: np.ndarray, spec: DistributionSpec, eps: float) -> tuple[float, float]:
     """(natural, robust) accuracy of an equal-tail-weight linear classifier.
 
-    Tail weights may deviate from their mean by up to tail_rtol of the
-    weight scale; the mean is used as the common value c.
+    Tail weights may deviate from their mean by up to 0.25 of the weight
+    scale; the mean is used as the common value c.
     """
     if spec.mode != GAUSSIAN:
         raise ParameterError("closed forms cover the gaussian model only")
@@ -147,7 +145,7 @@ def closed_form_accuracies(
     if c < 0:
         raise ParameterError(f"tail weight must be nonnegative, got mean {c}")
     scale = max(abs(w1), abs(c), 1e-12)
-    if np.max(np.abs(tail - c)) > tail_rtol * scale:
+    if np.max(np.abs(tail - c)) > 0.25 * scale:
         raise ParameterError("tail weights deviate too much from a common value")
 
     d, mu, p = spec.d, spec.mu, spec.p
@@ -205,14 +203,6 @@ def monte_carlo_accuracies(
 
 
 @dataclass
-class WeightTolerances:
-    tail_cv: float = 0.2
-    nonneg_slack: float = 1e-3
-    ordering_slack: float = 0.1
-    vanish_ratio: float = 0.05
-
-
-@dataclass
 class WeightStructureReport:
     """Outcome of the four weight-structure checks plus measured statistics."""
 
@@ -237,14 +227,14 @@ class WeightStructureReport:
         return out
 
 
-def verify_weight_structure(
-    w: np.ndarray, d: int, tol: WeightTolerances = WeightTolerances()
-) -> WeightStructureReport:
+def verify_weight_structure(w: np.ndarray, d: int) -> WeightStructureReport:
     """Check a weight vector against the optimal-SVM structure results.
 
     Naturally trained weights should have equal, nonnegative tail weights
     with w1 < sqrt(d) * tail; robust-dataset weights should instead have a
-    vanishing tail and positive w1.
+    vanishing tail and positive w1. Tolerances: the tails' coefficient of
+    variation at most 0.2, a nonnegativity slack of 1e-3, w1 below 1.1 *
+    sqrt(d) * tail mean, and a vanishing tail at most 0.05 * |w1|.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.size != d + 1:
@@ -255,10 +245,10 @@ def verify_weight_structure(
     cv = tail_std / abs(tail_mean) if tail_mean != 0 else math.inf
 
     return WeightStructureReport(
-        tail_equal=cv <= tol.tail_cv,
-        nonnegative=bool(tail.min() >= -tol.nonneg_slack and w1 >= -tol.nonneg_slack),
-        ordering=bool(w1 < (1.0 + tol.ordering_slack) * math.sqrt(d) * tail_mean),
-        tail_vanishing=bool(np.max(np.abs(tail)) <= tol.vanish_ratio * abs(w1)),
+        tail_equal=cv <= 0.2,
+        nonnegative=bool(tail.min() >= -1e-3 and w1 >= -1e-3),
+        ordering=bool(w1 < 1.1 * math.sqrt(d) * tail_mean),
+        tail_vanishing=bool(np.max(np.abs(tail)) <= 0.05 * abs(w1)),
         w1=w1,
         tail_mean=tail_mean,
         tail_std=tail_std,

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from robustdata.attacks import AttackConfig, closed_form_linear_robust_accuracy, robust_accuracy
-from robustdata.autodiff import Tensor, backward, finite_diff_check, unrolled_grad
+from robustdata.autodiff import Tensor, backward, unrolled_grad
 from robustdata.cli import cli_run
 from robustdata.datafile import read_dataset, write_dataset
 from robustdata.dataset import subsample
@@ -47,6 +47,8 @@ from robustdata.theory import (
     sample,
     verify_weight_structure,
 )
+
+from gradcheck import finite_diff_check
 
 NATURAL_TRAIN = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, epochs=12, batch_size=128, seed=0)
 SMALL_LR_TRAIN = TrainConfig(lr=0.002, momentum=0.9, weight_decay=1e-3, epochs=40, batch_size=128, seed=0)
@@ -214,10 +216,10 @@ def test_criterion_07_meta_gradient_correctness():
     lr = 0.05
 
     def train_loss(ps, data):
-        return batch_loss_graph(mlp, ps, data, y, "cross_entropy", 0.0)
+        return batch_loss_graph(mlp, ps, data, y, 0.0)
 
     def adv_loss(ps):
-        return batch_loss_graph(mlp, ps, Tensor(X_adv), y, "cross_entropy", 0.0)
+        return batch_loss_graph(mlp, ps, Tensor(X_adv), y, 0.0)
 
     def adv_grad(updated):  # the learner's callback, with PGD's output fixed at X_adv
         leaves = [Tensor(p) for p in updated]

@@ -21,7 +21,7 @@ from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
 from robustdata.learning import RobustLearnConfig, learn_robust_dataset
-from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, hinge_objective, sgd_train
+from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -35,6 +35,13 @@ def test_config_validation():
         AttackConfig(norm="l1", eps=0.1)
     cfg = AttackConfig(eps=0.5)
     assert cfg.alpha == pytest.approx(0.05)
+
+
+def test_inverted_clamp_rejected():
+    # np.clip with low > high would set every coordinate to the second bound
+    with pytest.raises(ParameterError, match="invalid clamp"):
+        AttackConfig(eps=0.1, clamp=(1.0, -1.0))
+    assert AttackConfig(eps=0.1, clamp=(0.5, 0.5)).clamp == (0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +188,8 @@ def test_pgd_loss_does_not_decrease_single_step():
     y = np.where(rng.uniform(0, 1, 10) < 0.5, 1, -1)
     cfg = AttackConfig(norm="linf", eps=0.2, alpha=0.2, steps=1)
     x_adv = pgd_attack(model, X, y, cfg)
-    before = hinge_objective(model, Dataset(X, y), 0.0)
-    after = hinge_objective(model, Dataset(x_adv, y), 0.0)
+    before = batch_loss_graph(model, [Tensor(w)], Tensor(X), y, 0.0).item()
+    after = batch_loss_graph(model, [Tensor(w)], Tensor(x_adv), y, 0.0).item()
     assert after >= before - 1e-12
 
 
@@ -207,8 +214,8 @@ def tape_hinge_gradient(w, X, y):
     return ad.backward(ad.neg(ad.tsum(margins)), [leaf])[0].data
 
 
-def tape_attack_gradient(model, params_arrays, X, y, loss_kind):
-    assert loss_kind == "hinge"
+def tape_attack_gradient(model, params_arrays, X, y):
+    assert isinstance(model, LinearClassifier)
     (w,) = params_arrays
     return tape_hinge_gradient(w, X, y)
 
@@ -235,7 +242,7 @@ def hinge_cases(draw):
 @given(hinge_cases())
 def test_closed_form_hinge_gradient_matches_tape(case):
     w, X, y = case
-    got = attack_gradient(LinearClassifier(w), [w], X, y, "hinge")
+    got = attack_gradient(LinearClassifier(w), [w], X, y)
     ref = tape_hinge_gradient(w, X, y)
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
@@ -245,7 +252,7 @@ def test_closed_form_hinge_gradient_matches_tape(case):
 def test_closed_form_hinge_gradient_rejects_multi_param():
     w = np.array([1.0, 0.0])
     with pytest.raises(ParameterError):
-        attack_gradient(LinearClassifier(w), [w, w], np.ones((3, 2)), np.array([1, -1, 1]), "hinge")
+        attack_gradient(LinearClassifier(w), [w, w], np.ones((3, 2)), np.array([1, -1, 1]))
 
 
 def test_learner_unchanged_with_tape_hinge_gradient(monkeypatch):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from robustdata import autodiff as ad
-from robustdata.autodiff import Tensor, backward, finite_diff_check, grad, unrolled_grad
+from robustdata.autodiff import Tensor, backward, unrolled_grad
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.rng import RngStream
+
+from gradcheck import finite_diff_check, grad
 
 
 def test_grad_square():
@@ -80,26 +82,6 @@ def test_second_order_by_rerecording():
     first = backward(ad.power(x, 3.0), [x])[0]
     second = backward(first, [x])[0]
     assert second.data == pytest.approx(12.0)
-
-
-def test_sign_has_zero_gradient():
-    x = Tensor(np.array([-1.0, 0.0, 2.0]))
-    g = grad(lambda t: ad.tsum(ad.mul(ad.sign(t), ad.constant(np.ones(3)))), [x])[0]
-    np.testing.assert_array_equal(g.data, np.zeros(3))
-
-
-def test_abs_gradient_is_sign_with_zero_at_origin():
-    x = Tensor(np.array([-2.0, 0.0, 3.0]))
-    g = grad(lambda t: ad.tsum(ad.tabs(t)), [x])[0]
-    np.testing.assert_array_equal(g.data, [-1.0, 0.0, 1.0])
-
-
-def test_maximum_gradient_routes_to_larger_side_and_ties_get_zero():
-    a = Tensor(np.array([2.0, 1.0, 5.0]))
-    b = Tensor(np.array([1.0, 1.0, 7.0]))
-    ga, gb = grad(lambda x, y: ad.tsum(ad.maximum(x, y)), [a, b])
-    np.testing.assert_array_equal(ga.data, [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(gb.data, [0.0, 0.0, 1.0])
 
 
 def test_non_finite_rejected():
@@ -264,7 +246,7 @@ def random_smooth_expression(rng: RngStream, x: Tensor) -> Tensor:
         h = ad.power(ad.add(ad.mul(h, h), ad.constant(0.5)), 1.5)
     else:
         h = ad.mul(h, ad.texp(ad.neg(ad.mul(h, ad.constant(0.1)))))
-    return ad.tsum(ad.mul(h, b)) / x.size
+    return ad.mul(ad.tsum(ad.mul(h, b)), ad.constant(1.0 / x.size))
 
 
 def test_fuzz_first_order_against_finite_differences():

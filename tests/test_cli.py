@@ -46,6 +46,17 @@ def test_config_directory_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_inverted_attack_clamp_exits_one(tmp_path, capsys):
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["attack"]["clamp"] = [1.0, -1.0]
+    config["robust_learn"]["epochs"] = 1
+    path = tmp_path / "clamp.json"
+    path.write_text(json.dumps(config))
+    code = cli_run(["learn", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "invalid clamp" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_diverging_learner_exits_one(tmp_path, capsys):
     config = json.loads(json.dumps(SMALL_CONFIG))
