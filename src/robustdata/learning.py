@@ -114,38 +114,39 @@ def learn_robust_dataset(
         clean_losses, adv_losses, update_norms = [], [], []
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             try:
-                idx = order[start : start + cfg.batch_size]
-                b_nat, yb = x_natural[idx], y[idx]
-                if b_nat.shape != x_rob[idx].shape:
-                    raise ContractError("natural/robust batch misalignment")
+                with np.errstate(all="ignore"):  # NonFiniteError is the only report
+                    idx = order[start : start + cfg.batch_size]
+                    b_nat, yb = x_natural[idx], y[idx]
+                    if b_nat.shape != x_rob[idx].shape:
+                        raise ContractError("natural/robust batch misalignment")
 
-                def train_loss(theta, data):
-                    return batch_loss_graph(model, theta, data, yb, cfg.lam)
+                    def train_loss(theta, data):
+                        return batch_loss_graph(model, theta, data, yb, cfg.lam)
 
-                def adv_grad(updated):
-                    # step 2: adversarial examples of the natural batch against the
-                    # step-1 estimate (constants below); g is taken at that estimate,
-                    # or at the pre-step parameters in the alternating mode
-                    model.set_params(updated)
-                    x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
-                    leaves = [Tensor(p) for p in (updated if cfg.mode == META_GRADIENT else params)]
-                    adv_out = batch_loss_graph(model, leaves, Tensor(x_adv), yb, cfg.lam)
-                    adv_losses.append(adv_out.item())
-                    return [g.data for g in ad.backward(adv_out, leaves)]
+                    def adv_grad(updated):
+                        # step 2: adversarial examples of the natural batch against the
+                        # step-1 estimate (constants below); g is taken at that estimate,
+                        # or at the pre-step parameters in the alternating mode
+                        model.set_params(updated)
+                        x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
+                        leaves = [Tensor(p) for p in (updated if cfg.mode == META_GRADIENT else params)]
+                        adv_out = batch_loss_graph(model, leaves, Tensor(x_adv), yb, cfg.lam)
+                        adv_losses.append(adv_out.item())
+                        return [g.data for g in ad.backward(adv_out, leaves)]
 
-                # steps 1 and 3: one gradient step on the robust batch, then the
-                # signed meta-gradient update of that batch through the step
-                meta, params, train_out = ad.unrolled_grad(
-                    train_loss, adv_grad, [Tensor(p) for p in params], Tensor(x_rob[idx]), cfg.gamma
-                )
-                step = -cfg.beta * np.sign(meta)
-                updated = x_rob[idx] + step
-                if box is not None:
-                    np.clip(updated, box[0], box[1], out=updated)
-                update_norms.append(float(np.linalg.norm(updated - x_rob[idx])))
-                x_rob[idx] = updated
+                    # steps 1 and 3: one gradient step on the robust batch, then the
+                    # signed meta-gradient update of that batch through the step
+                    meta, params, train_out = ad.unrolled_grad(
+                        train_loss, adv_grad, [Tensor(p) for p in params], Tensor(x_rob[idx]), cfg.gamma
+                    )
+                    step = -cfg.beta * np.sign(meta)
+                    updated = x_rob[idx] + step
+                    if box is not None:
+                        np.clip(updated, box[0], box[1], out=updated)
+                    update_norms.append(float(np.linalg.norm(updated - x_rob[idx])))
+                    x_rob[idx] = updated
 
-                clean_losses.append(train_out.item())
+                    clean_losses.append(train_out.item())
             except NonFiniteError as exc:
                 raise NonFiniteError(f"learner diverged at epoch {epoch}, batch {batch}: {exc}") from exc
         trace.append(

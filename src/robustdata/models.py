@@ -14,6 +14,10 @@ y * w.x are written out there directly.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
+A linear step takes its loss and gradient from hinge_loss_and_grad, a
+closed form that is bit-identical to batch_loss_graph plus backward, so
+linear training builds no tape; the tape serves the network's steps and
+the learner's second-order step.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
-from .errors import DataError, ParameterError
+from .errors import DataError, NonFiniteError, ParameterError
 from .rng import RngStream
 
 
@@ -210,6 +214,37 @@ def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, 
     return data_term
 
 
+def hinge_loss_and_grad(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    """The linear objective of batch_loss_graph and its gradient in w, without a tape.
+
+    `y` holds the labels as float64. Every operation is the tape's, in the
+    tape's order, so both results are bit-identical to batch_loss_graph
+    plus backward; in particular the ridge gradient is lam*w added twice,
+    as the tape accumulates it, not 2*lam*w.
+
+    NonFiniteError is raised exactly where the tape raises it. The tape
+    checks its leaves, so X and w are checked first; every later value
+    reaches the loss or the gradient, which are checked last. A non-finite
+    margin makes slack*a inf or NaN (inf*0 is NaN) and so the loss, an
+    overflowing w*w makes the ridge term and the loss inf or NaN, and the
+    partial sums of the gradient carry any inf or NaN into it. The one
+    tape value not computed here, the adjoint of X (outer(c, w)), is
+    finite whenever w is, since |c| <= 1/B. numpy's floating-point
+    warnings are silenced: NonFiniteError is the only report.
+    """
+    if not (np.isfinite(X).all() and np.isfinite(w).all()):
+        raise NonFiniteError("tensor contains NaN or Inf")
+    with np.errstate(all="ignore"):
+        slack = 1.0 - y * (X @ w)
+        a = (slack > 0).astype(np.float64)  # relu'(0) = 0, as on the tape
+        loss = np.sum(slack * a) * (1.0 / len(y)) + lam * np.sum(w * w)
+        c = -((1.0 / len(y)) * a) * y
+        grad = (X.T @ c + lam * w) + lam * w
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+        raise NonFiniteError("tensor contains NaN or Inf")
+    return float(loss), grad
+
+
 # ---------------------------------------------------------------------------
 # training and evaluation
 # ---------------------------------------------------------------------------
@@ -219,35 +254,47 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
     """Train in place by mini-batch SGD with momentum; returns (model, per-epoch loss trace).
 
     With a hook, every batch is replaced by perturb(X, y) before its step;
-    the model holds the current parameters when the hook is called.
+    the model holds the current parameters when the hook is called. A
+    linear step is hinge_loss_and_grad; a network step is batch_loss_graph
+    and backward on the tape. numpy's floating-point warnings are silenced
+    here: a diverging run reports itself by NonFiniteError alone.
     """
     if dataset.n == 0:
         raise DataError("cannot train on an empty dataset")
     y_all = model.targets(dataset.labels)
+    linear = isinstance(model, LinearClassifier)
+    y_float = y_all.astype(np.float64) if linear else None
 
     params = model.params()
     velocity = [np.zeros_like(p) for p in params]
     shuffle = RngStream(cfg.seed)
     trace: list[float] = []
 
-    for _ in range(cfg.epochs):
-        order = shuffle.permutation(dataset.n)
-        epoch_losses = []
-        for start in range(0, dataset.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            X, y = dataset.features[idx], y_all[idx]
-            if perturb is not None:
-                model.set_params(params)
-                X = perturb(X, y)
-            leaves = [Tensor(p) for p in params]
-            out = batch_loss_graph(model, leaves, Tensor(X), y, cfg.weight_decay)
-            for v, g in zip(velocity, ad.backward(out, leaves)):
-                v *= cfg.momentum
-                v += g.data
-            # out of place: the leaves wrap the old arrays
-            params = [p - cfg.lr * v for p, v in zip(params, velocity)]
-            epoch_losses.append(out.item())
-        trace.append(float(np.mean(epoch_losses)))
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            order = shuffle.permutation(dataset.n)
+            epoch_losses = []
+            for start in range(0, dataset.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                X, y = dataset.features[idx], y_all[idx]
+                if perturb is not None:
+                    model.set_params(params)
+                    X = perturb(X, y)
+                if linear:
+                    loss, grad = hinge_loss_and_grad(X, y_float[idx], params[0], cfg.weight_decay)
+                    grads = [grad]
+                else:
+                    leaves = [Tensor(p) for p in params]
+                    out = batch_loss_graph(model, leaves, Tensor(X), y, cfg.weight_decay)
+                    grads = [g.data for g in ad.backward(out, leaves)]
+                    loss = out.item()
+                for v, g in zip(velocity, grads):
+                    v *= cfg.momentum
+                    v += g
+                # out of place: the step read the old arrays (w, or the tape leaves wrapping them)
+                params = [p - cfg.lr * v for p, v in zip(params, velocity)]
+                epoch_losses.append(loss)
+            trace.append(float(np.mean(epoch_losses)))
 
     model.set_params(params)
     return model, trace

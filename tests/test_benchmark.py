@@ -6,6 +6,7 @@
 reordering its arguments breaks the benchmark; this test shows it.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,16 @@ def test_benchmark_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.rstrip().endswith("0 failed")
+
+
+def test_benchmark_traces_the_evaluate_workload():
+    # linear sgd_train makes no batch_loss_graph calls; the evaluate trace must still parse
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", "evaluate", "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -57,7 +57,7 @@ def test_inverted_attack_clamp_exits_one(tmp_path, capsys):
     assert "invalid clamp" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_learner_exits_one(tmp_path, capsys):
     config = json.loads(json.dumps(SMALL_CONFIG))
     config["robust_learn"]["gamma"] = 1e300

@@ -46,7 +46,7 @@ def test_config_validation():
         learner_config(mode="bogus")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_names_epoch_and_batch():
     train, _ = task(n=300)
     factory = model_factory("linear", D + 1)

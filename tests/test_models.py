@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from robustdata import autodiff as ad
 from robustdata import models
 from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
-from robustdata.errors import DataError, ParameterError
-from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
+from robustdata.errors import DataError, NonFiniteError, ParameterError
+from robustdata.models import (
+    LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, hinge_loss_and_grad, sgd_train,
+)
 from robustdata.rng import RngStream
 
 from gradcheck import grad
@@ -69,8 +74,6 @@ def test_hinge_convex_in_w():
 
 
 def test_ridge_gradient_is_exactly_2_lambda_w():
-    from robustdata import autodiff as ad
-
     w0 = np.array([0.5, -1.5, 2.0])
     lam = 0.37
 
@@ -79,6 +82,59 @@ def test_ridge_gradient_is_exactly_2_lambda_w():
 
     g = grad(ridge, [Tensor(w0)])[0].data
     np.testing.assert_array_equal(g, 2 * lam * w0)
+
+
+def tape_hinge(X, y, w, lam):
+    """The tape's linear objective and its gradient in w: the reference for hinge_loss_and_grad."""
+    leaf = Tensor(w)
+    out = batch_loss_graph(LinearClassifier.zeros(w.size), [leaf], Tensor(X), y, lam)  # the model only picks the loss
+    return out.item(), ad.backward(out, [leaf])[0].data
+
+
+@st.composite
+def hinge_steps(draw):
+    B, d = draw(st.integers(1, 129)), draw(st.integers(1, 29))
+    rng = RngStream(draw(st.integers(0, 2**32)))  # hypothesis draws shapes and scales, the stream the entries
+    y = rng.rademacher(B).astype(np.int64)
+    if draw(st.booleans()):
+        # integer data and weights: many margins are exactly 1, so slack == 0 (the kink)
+        X = rng.integers(-2, 3, (B, d)).astype(np.float64)
+        w = rng.integers(-1, 2, d).astype(np.float64)
+    else:
+        X = rng.normal(0, 1, (B, d))
+        w = rng.normal(0, 1, d) * 10.0 ** draw(st.floats(-3, 3))
+    lam = draw(st.one_of(st.just(0.0), st.just(1e-3), st.floats(0, 10)))
+    return X, y, w, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(hinge_steps())
+@example((np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([1, -1]), np.array([1.0, 0.0]), 0.0))  # margins 1 and -2
+def test_closed_form_hinge_step_matches_tape(case):
+    X, y, w, lam = case
+    loss, g = hinge_loss_and_grad(X, y.astype(np.float64), w, lam)
+    ref_loss, ref_g = tape_hinge(X, y, w, lam)
+    assert loss == ref_loss
+    assert np.array_equal(g, ref_g)
+
+
+@pytest.mark.parametrize(
+    "X, w",
+    [
+        (np.array([[np.nan, 0.0], [1.0, 1.0]]), np.array([1.0, 1.0])),  # NaN in X
+        (np.ones((2, 2)), np.array([np.inf, 1.0])),  # infinite w
+        (np.zeros((2, 2)), np.array([1e200, 1.0])),  # w*w overflows, margins finite
+        (np.full((2, 2), 1e308), np.array([10.0, 1.0])),  # X @ w overflows, w*w finite
+    ],
+    ids=["nan-x", "inf-w", "ridge-overflow", "margin-overflow"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_hinge_raises_where_tape_does(X, w):
+    y = np.array([1, -1])
+    with pytest.raises(NonFiniteError):
+        hinge_loss_and_grad(X, y.astype(np.float64), w, 1e-3)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):  # the bare tape is no entry point
+        tape_hinge(X, y, w, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +199,47 @@ def test_sgd_rejects_empty_dataset():
 
 
 def test_sgd_leaves_every_step_tape_leaf_unchanged(monkeypatch):
-    # each step's tape leaves wrap the parameters it starts from; the update must not write into them
+    # each step's inputs wrap the parameters it starts from: the tape leaves of a
+    # network step, the w of a closed-form linear step; the update must not write into them
     seen = []
-    original = models.batch_loss_graph
+    original_graph, original_hinge = models.batch_loss_graph, models.hinge_loss_and_grad
 
-    def snapshotting(model, params, *args):
-        seen.extend((leaf, leaf.data.copy()) for leaf in params)
-        return original(model, params, *args)
+    def snapshotting_graph(model, params, *args):
+        seen.extend((leaf.data, leaf.data.copy()) for leaf in params)
+        return original_graph(model, params, *args)
 
-    monkeypatch.setattr(models, "batch_loss_graph", snapshotting)
+    def snapshotting_hinge(X, y, w, lam):
+        seen.append((w, w.copy()))
+        return original_hinge(X, y, w, lam)
+
+    monkeypatch.setattr(models, "batch_loss_graph", snapshotting_graph)
+    monkeypatch.setattr(models, "hinge_loss_and_grad", snapshotting_hinge)
     rng = RngStream(16)
     ds = binary_dataset(rng.normal(0, 1, (60, 3)), np.where(rng.uniform(0, 1, 60) < 0.5, 1, -1))
     cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, epochs=2, batch_size=20, seed=0)
     sgd_train(LinearClassifier.zeros(3), ds, cfg)
+    assert len(seen) == 6 * 1  # 6 closed-form steps, one weight vector each
     sgd_train(MlpClassifier.init([3, 4, 2], RngStream(2)), ds, cfg)
-    assert len(seen) == 6 * 1 + 6 * 4  # 6 steps each, 1 and 4 parameter arrays
-    assert all(np.array_equal(leaf.data, snapshot) for leaf, snapshot in seen)
+    assert len(seen) == 6 * 1 + 6 * 4  # and 6 tape steps with 4 leaves each
+    assert all(np.array_equal(data, snapshot) for data, snapshot in seen)
+
+
+def test_linear_sgd_builds_no_tape(monkeypatch):
+    created = []
+    init = Tensor.__init__
+
+    def counted(tensor, *args, **kwargs):
+        created.append(1)
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    rng = RngStream(17)
+    ds = binary_dataset(rng.normal(0, 1, (60, 3)), np.where(rng.uniform(0, 1, 60) < 0.5, 1, -1))
+    cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, epochs=2, batch_size=20, seed=0)
+    sgd_train(LinearClassifier.zeros(3), ds, cfg)
+    assert created == []
+    sgd_train(MlpClassifier.init([3, 4, 2], RngStream(2)), ds, cfg)
+    assert created  # the counter sees the network's tape
 
 
 def test_sgd_full_batch_permutation_invariance():
