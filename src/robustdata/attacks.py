@@ -20,8 +20,8 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .rng import RngStream
 
 LINF = "linf"
 L2 = "l2"
+CHUNK = 4096  # rows per pgd_attack call over a dataset; also keys the random-start streams
 
 
 @dataclass
@@ -60,7 +61,21 @@ class AttackConfig:
             raise ParameterError(f"invalid clamp {self.clamp}")
 
     def with_eps(self, eps: float) -> "AttackConfig":
-        return AttackConfig(self.norm, eps, None, self.steps, self.clamp, self.random_start)
+        return replace(self, eps=eps, alpha=None)
+
+
+def attack_for_dataset(cfg: AttackConfig, dataset: Dataset) -> AttackConfig:
+    """Attack config with the dataset's value range as the clamp, if any.
+
+    A configured clamp must lie inside the value range: rows clamped to a
+    wider box would leave the dataset's feasible set.
+    """
+    vr = dataset.value_range
+    if cfg.clamp is None and vr is not None:
+        return replace(cfg, clamp=vr)
+    if cfg.clamp is not None and vr is not None and not vr[0] <= cfg.clamp[0] <= cfg.clamp[1] <= vr[1]:
+        raise ParameterError(f"attack clamp {cfg.clamp} is not inside the value range {vr}")
+    return cfg
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -88,7 +103,7 @@ def project_to_ball(x: np.ndarray, center: np.ndarray, cfg: AttackConfig) -> np.
 
 
 def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row gradient of the model's attack objective w.r.t. the inputs."""
+    """Per-row gradient of the model's attack objective w.r.t. the inputs; `y` is model.targets(labels)."""
     if isinstance(model, LinearClassifier):
         # d/dX of the unclamped surrogate -sum(y * (X @ w)) is -y w^T, whatever X is
         if len(params_arrays) != 1:
@@ -113,7 +128,7 @@ def pgd_attack(
 ) -> np.ndarray:
     """Iterative ascent on the attack objective inside the threat ball."""
     x_nat = np.asarray(x_nat, dtype=np.float64)
-    y = np.asarray(y)
+    y = model.targets(np.asarray(y))
     x_adv = x_nat.copy()
 
     if cfg.random_start:
@@ -134,22 +149,25 @@ def pgd_attack(
     return x_adv
 
 
-def robust_accuracy(
-    model,
-    dataset: Dataset,
-    cfg: AttackConfig,
-    rng: Optional[RngStream] = None,
-    chunk: int = 4096,
-) -> float:
-    """Accuracy on per-point PGD adversarial examples."""
+def adversarial_chunks(model, dataset: Dataset, cfg: AttackConfig, rng: Optional[RngStream] = None) -> Iterator:
+    """(x_adv, targets) of CHUNK rows at a time, attacked inside the dataset's value range.
+
+    Labels are converted once; the chunk at row s draws its random start from rng.child(s).
+    """
+    cfg = attack_for_dataset(cfg, dataset)
+    targets = model.targets(dataset.labels)
+    for start in range(0, dataset.n, CHUNK):
+        y = targets[start : start + CHUNK]
+        sub_rng = rng.child(start) if rng is not None else None
+        yield pgd_attack(model, dataset.features[start : start + CHUNK], y, cfg, rng=sub_rng), y
+
+
+def robust_accuracy(model, dataset: Dataset, cfg: AttackConfig, rng: Optional[RngStream] = None) -> float:
+    """Accuracy on per-point PGD adversarial examples inside the dataset's value range."""
     if dataset.n == 0:
         raise ParameterError("robust accuracy of an empty dataset is undefined")
     correct = 0
-    for start in range(0, dataset.n, chunk):
-        X = dataset.features[start : start + chunk]
-        y = dataset.labels[start : start + chunk]
-        sub_rng = rng.child(start) if rng is not None else None
-        x_adv = pgd_attack(model, X, y, cfg, rng=sub_rng)
+    for x_adv, y in adversarial_chunks(model, dataset, cfg, rng):
         correct += int(np.sum(model.predict(x_adv) == y))
     return correct / dataset.n
 

@@ -21,7 +21,7 @@ from .attacks import AttackConfig, robust_accuracy
 from .datafile import atomic_write, json_plain
 from .dataset import Dataset
 from .errors import ParameterError
-from .learning import adversarially_train_reference, attack_for_dataset, baseline_adv_dataset
+from .learning import adversarially_train_reference, baseline_adv_dataset
 from .models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, sgd_train
 from .rng import RngStream
 
@@ -124,7 +124,9 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
             "dataset_provenance": json_plain(plan.dataset.provenance),
         }
     )
-    num_classes = max(2, int(plan.test.classes().size))
+    # the Dataset convention over both sets: {-1,+1} is binary, other labels are class indices
+    labels = np.concatenate([plan.dataset.labels, plan.test.labels])
+    num_classes = 2 if not np.any(np.abs(labels) != 1) else max(2, int(labels.max()) + 1)
     for arch in plan.architectures:
         for seed in plan.seeds:
             start = time.perf_counter()
@@ -134,8 +136,7 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
             train_seconds = time.perf_counter() - start
             for budget in plan.budgets:
                 start = time.perf_counter()
-                attack = attack_for_dataset(plan.attack.with_eps(budget), plan.test)
-                robust = robust_accuracy(model, plan.test, attack, rng.child(seed))
+                robust = robust_accuracy(model, plan.test, plan.attack.with_eps(budget), rng.child(seed))
                 report.add_cell(arch, seed, budget, natural, robust, train_seconds, time.perf_counter() - start)
     return report
 

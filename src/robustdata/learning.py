@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attacks import AttackConfig, pgd_attack
+from .attacks import AttackConfig, adversarial_chunks, attack_for_dataset, pgd_attack
 from .dataset import Dataset
 from .errors import ContractError, NonFiniteError, ParameterError
 from .models import TrainConfig, batch_loss_graph, sgd_train
@@ -72,20 +72,6 @@ class EpochTrace:
     clean_loss: float
     adv_loss: float
     update_norm: float
-
-
-def attack_for_dataset(cfg: AttackConfig, dataset: Dataset) -> AttackConfig:
-    """Attack config with the dataset's value range as the clamp, if any.
-
-    A configured clamp must lie inside the value range: rows clamped to a
-    wider box would leave the dataset's feasible set.
-    """
-    vr = dataset.value_range
-    if cfg.clamp is None and vr is not None:
-        return AttackConfig(cfg.norm, cfg.eps, cfg.alpha, cfg.steps, vr, cfg.random_start)
-    if cfg.clamp is not None and vr is not None and not vr[0] <= cfg.clamp[0] <= cfg.clamp[1] <= vr[1]:
-        raise ParameterError(f"attack clamp {cfg.clamp} is not inside the value range {vr}")
-    return cfg
 
 
 def learn_robust_dataset(
@@ -172,16 +158,9 @@ def learn_robust_dataset(
     return learned, trace
 
 
-def baseline_adv_dataset(
-    model, x_nat: Dataset, attack_cfg: AttackConfig, rng: RngStream, chunk: int = 4096
-) -> Dataset:
-    """Replace every row by its PGD adversarial example against `model`."""
-    attack_cfg = attack_for_dataset(attack_cfg, x_nat)
-    rows = []
-    for start in range(0, x_nat.n, chunk):
-        X = x_nat.features[start : start + chunk]
-        yb = x_nat.labels[start : start + chunk]
-        rows.append(pgd_attack(model, X, yb, attack_cfg, rng=rng.child(start)))
+def baseline_adv_dataset(model, x_nat: Dataset, attack_cfg: AttackConfig, rng: RngStream) -> Dataset:
+    """Replace every row by its PGD adversarial example against `model`, inside the value range."""
+    rows = [x_adv for x_adv, _ in adversarial_chunks(model, x_nat, attack_cfg, rng)]
     provenance = dict(
         x_nat.provenance,
         generator="adv-data",

@@ -5,8 +5,9 @@ hinge-trained) and a small fully-connected network with rectifier hidden
 layers (cross-entropy). Both expose the same small surface:
 
   * params() / set_params()      parameter arrays in layer order
-  * targets(labels)              labels in the form the loss expects
-  * predict(X)                   labels, plain numpy
+  * targets(labels)              labels in the form the loss expects; a binary
+                                 network takes {-1,+1} or {0,1} labels alike
+  * predict(X)                   labels in that target space, plain numpy
 
 The model's type picks its loss in batch_loss_graph. Only the network
 builds its logits on the tape (decision_graph); the linear margins
@@ -62,8 +63,8 @@ class LinearClassifier:
         return np.sign(self.margins(X)).astype(np.int64)
 
     def targets(self, labels: np.ndarray) -> np.ndarray:
-        bad = np.setdiff1d(np.unique(labels), [-1, 1])
-        if bad.size:
+        if np.any(np.abs(labels) != 1):
+            bad = np.setdiff1d(np.unique(labels), [-1, 1])
             raise DataError(f"linear classifier expects labels in {{-1,+1}}, got {bad.tolist()}")
         return labels
 
@@ -131,10 +132,7 @@ class MlpClassifier:
         return h
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.argmax(self.logits(X), axis=1)
-        if self.num_classes == 2:
-            return idx * 2 - 1  # back to {-1,+1} for binary tasks
-        return idx
+        return np.argmax(self.logits(X), axis=1)
 
     def targets(self, labels: np.ndarray) -> np.ndarray:
         return class_indices(labels, self.num_classes)
@@ -143,11 +141,10 @@ class MlpClassifier:
 def class_indices(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Map labels to [0, num_classes); binary {-1,+1} maps to {0,1}."""
     labels = np.asarray(labels)
-    uniq = np.unique(labels)
-    if num_classes == 2 and np.all(np.isin(uniq, [-1, 1])):
+    if num_classes == 2 and not np.any(np.abs(labels) != 1):
         return ((labels + 1) // 2).astype(np.int64)
-    if uniq.size and (uniq.min() < 0 or uniq.max() >= num_classes):
-        raise DataError(f"labels {uniq.tolist()} outside [0, {num_classes})")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise DataError(f"labels {np.unique(labels).tolist()} outside [0, {num_classes})")
     return labels.astype(np.int64)
 
 
@@ -180,10 +177,9 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, y: np.ndarray) -> Tensor:
-    """Log-softmax of the logits, kept at each row's true class and zero elsewhere."""
+def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, classes: np.ndarray) -> Tensor:
+    """Log-softmax of the logits, kept at each row's true class (model.targets) and zero elsewhere."""
     logits = model.decision_graph(params, X)
-    classes = class_indices(y, model.num_classes)
     onehot = np.zeros((classes.size, model.num_classes))
     onehot[np.arange(classes.size), classes] = 1.0
     shift = ad.constant(logits.data.max(axis=1, keepdims=True))  # stabilizer, constant on the tape
@@ -296,13 +292,16 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                 epoch_losses.append(loss)
             trace.append(float(np.mean(epoch_losses)))
 
+    # every earlier update was checked by the step that read it; the last is read by no step
+    if not all(np.isfinite(p).all() for p in params):
+        raise NonFiniteError("the last SGD update left non-finite parameters")
     model.set_params(params)
     return model, trace
 
 
 def accuracy(model, dataset: Dataset) -> float:
-    """Fraction of points whose prediction matches the label."""
+    """Fraction of points whose prediction matches the label, both in the model's target space."""
     if dataset.n == 0:
         raise DataError("accuracy of an empty dataset is undefined")
     pred = model.predict(dataset.features)
-    return float(np.mean(pred == dataset.labels))
+    return float(np.mean(pred == model.targets(dataset.labels)))

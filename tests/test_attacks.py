@@ -10,6 +10,7 @@ from robustdata import attacks
 from robustdata import autodiff as ad
 from robustdata.attacks import (
     AttackConfig,
+    attack_for_dataset,
     attack_gradient,
     closed_form_linear_robust_accuracy,
     pgd_attack,
@@ -342,12 +343,35 @@ def test_multiclass_mlp_attack_feasible_and_weaker_than_clean():
     assert np.max(np.abs(x_adv - X)) <= 0.5 + 1e-9
 
 
-def test_robust_accuracy_independent_of_chunking():
+def test_robust_accuracy_independent_of_chunking(monkeypatch):
     model, test = trained_svm()
     cfg = AttackConfig(norm="linf", eps=0.3, steps=5)
-    small = robust_accuracy(model, test, cfg, RngStream(0), chunk=7)
-    big = robust_accuracy(model, test, cfg, RngStream(0), chunk=4096)
+    big = robust_accuracy(model, test, cfg, RngStream(0))
+    monkeypatch.setattr(attacks, "CHUNK", 7)
+    small = robust_accuracy(model, test, cfg, RngStream(0))
     assert small == big
+
+
+def test_robust_accuracy_attacks_inside_the_value_range():
+    # unclamped, the attack leaves the [-0.5, 0.5] box and finds points the dataset cannot hold
+    rng = RngStream(61)
+    w = rng.normal(0, 1, (6,))
+    X = rng.uniform(-0.5, 0.5, (400, 6))
+    ds = Dataset(X, np.where(X @ w >= 0, 1, -1), value_range=(-0.5, 0.5))
+    model = LinearClassifier(w)
+    cfg = AttackConfig(norm="linf", eps=0.2, steps=10)
+    assert robust_accuracy(model, ds, cfg) == robust_accuracy(model, ds, attack_for_dataset(cfg, ds))
+
+
+def test_mlp_attack_same_for_signed_and_index_labels():
+    rng = RngStream(62)
+    model = MlpClassifier.init([4, 8, 2], rng)
+    X = rng.normal(0, 1, (30, 4))
+    signed = np.where(rng.uniform(0, 1, 30) < 0.5, 1, -1)
+    cfg = AttackConfig(norm="linf", eps=0.3, steps=6, random_start=True)
+    a = pgd_attack(model, X, signed, cfg, rng=RngStream(3))
+    b = pgd_attack(model, X, (signed + 1) // 2, cfg, rng=RngStream(3))
+    assert np.array_equal(a, b)
 
 
 def test_lemma1_regime_low_robust_accuracy():

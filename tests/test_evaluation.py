@@ -1,9 +1,11 @@
 import csv
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from robustdata.attacks import AttackConfig
+from robustdata.dataset import Dataset
 from robustdata.errors import ParameterError
 from robustdata.evaluation import (
     EvalPlan,
@@ -201,6 +203,36 @@ def test_transfer_width_change_stays_close_on_toy():
     a = report.cell("mlp:16", 0, 1.0)["robust_acc"]
     b = report.cell("mlp:32-32", 0, 1.0)["robust_acc"]
     assert abs(a - b) <= 0.15
+
+
+def test_mlp_evaluation_same_for_signed_and_index_labels():
+    rng = RngStream(18)
+    train = two_gaussians(rng.child(1), 100)
+    test = two_gaussians(rng.child(2), 300)
+    atk = AttackConfig(norm="linf", eps=0.5, steps=5)
+    cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3, epochs=10, batch_size=50, seed=0)
+
+    def cells(tr, te):
+        report = evaluate_dataset(EvalPlan(tr, te, ["mlp:8"], [0], [atk.eps], atk, cfg), RngStream(8))
+        return [(c["natural_acc"], c["robust_acc"]) for c in report.sorted_cells()]
+
+    def as_indices(ds):
+        return Dataset(ds.features, (ds.labels + 1) // 2)
+
+    signed = cells(train, test)
+    assert signed[0][0] > 0.9
+    assert cells(as_indices(train), as_indices(test)) == signed
+
+
+def test_class_count_from_training_and_test_labels():
+    # three training classes, two of them in the test set: the network still needs three outputs
+    rng = RngStream(19)
+    train = Dataset(rng.normal(0, 1, (60, 3)), np.arange(60) % 3)
+    test = Dataset(rng.normal(0, 1, (20, 3)), np.arange(20) % 2)
+    atk = AttackConfig(norm="linf", eps=0.1, steps=2)
+    cfg = TrainConfig(lr=0.05, epochs=2, batch_size=20)
+    report = evaluate_dataset(EvalPlan(train, test, ["mlp:4"], [0], [atk.eps], atk, cfg), RngStream(8))
+    assert len(report.cells) == 1
 
 
 # ---------------------------------------------------------------------------

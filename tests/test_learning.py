@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustdata.attacks import AttackConfig, closed_form_linear_robust_accuracy
+from robustdata.attacks import AttackConfig, attack_for_dataset, closed_form_linear_robust_accuracy
 from robustdata.dataset import Dataset, subsample
 from robustdata.errors import NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
@@ -9,7 +9,6 @@ from robustdata.learning import (
     ALTERNATING,
     RobustLearnConfig,
     adversarially_train_reference,
-    attack_for_dataset,
     baseline_adv_dataset,
     learn_robust_dataset,
 )

@@ -192,6 +192,14 @@ def test_sgd_rejects_zero_epochs():
         TrainConfig(epochs=0)
 
 
+def test_sgd_checks_the_last_update():
+    # one step of lr 1e10 on a feature of 1e300 overflows w[0]; no later step reads it
+    ds = binary_dataset([[1e300, 0.5], [-1e300, -0.5]], [1, -1])
+    cfg = TrainConfig(lr=1e10, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=2)
+    with pytest.raises(NonFiniteError):
+        sgd_train(LinearClassifier.zeros(2), ds, cfg)
+
+
 def test_sgd_rejects_empty_dataset():
     ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(DataError):
