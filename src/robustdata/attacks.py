@@ -3,8 +3,8 @@
 The PGD update follows the sign-of-gradient rule under l-infinity and a
 normalized-gradient step under l2, with projection back to the threat
 ball after every step and a final clamp to the value range when one is
-configured. Attacks start at the natural point; a random start inside
-the ball exists but is off by default.
+configured. Attacks start at the natural point and draw no randomness,
+so an attack's output depends only on the model, the rows and the config.
 
 Attack gradients for hinge-trained models use the raw margin 1 - y*f(x)
 rather than its clamped value: the clamp has zero gradient wherever the
@@ -28,13 +28,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
-from .errors import ContractError, NonFiniteError, ParameterError
+from .errors import ContractError, DataError, NonFiniteError, ParameterError
 from .models import LinearClassifier, true_class_log_probs
-from .rng import RngStream
 
 LINF = "linf"
 L2 = "l2"
-CHUNK = 4096  # rows per pgd_attack call over a dataset; also keys the random-start streams
+CHUNK = 4096  # rows per pgd_attack call over a dataset
 
 
 @dataclass
@@ -44,7 +43,6 @@ class AttackConfig:
     alpha: Optional[float] = None  # defaults to eps / 10
     steps: int = 10
     clamp: Optional[tuple[float, float]] = None
-    random_start: bool = False
 
     def __post_init__(self):
         if self.norm not in (LINF, L2):
@@ -119,23 +117,11 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.nd
         return ad.backward(objective, [leaf])[0].data
 
 
-def pgd_attack(
-    model,
-    x_nat: np.ndarray,
-    y: np.ndarray,
-    cfg: AttackConfig,
-    rng: Optional[RngStream] = None,
-) -> np.ndarray:
-    """Iterative ascent on the attack objective inside the threat ball."""
+def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+    """Iterative ascent on the attack objective inside the threat ball, from the natural point."""
     x_nat = np.asarray(x_nat, dtype=np.float64)
     y = model.targets(np.asarray(y))
     x_adv = x_nat.copy()
-
-    if cfg.random_start:
-        if rng is None:
-            raise ParameterError("random_start requires an RngStream")
-        x_adv = project_to_ball(x_adv + rng.uniform(-cfg.eps, cfg.eps, x_nat.shape), x_nat, cfg)
-
     params = model.params()
     for _ in range(cfg.steps):
         g = attack_gradient(model, params, x_adv, y)
@@ -149,25 +135,24 @@ def pgd_attack(
     return x_adv
 
 
-def adversarial_chunks(model, dataset: Dataset, cfg: AttackConfig, rng: Optional[RngStream] = None) -> Iterator:
+def adversarial_chunks(model, dataset: Dataset, cfg: AttackConfig) -> Iterator:
     """(x_adv, targets) of CHUNK rows at a time, attacked inside the dataset's value range.
 
-    Labels are converted once; the chunk at row s draws its random start from rng.child(s).
+    Labels are converted once. An empty dataset is a DataError.
     """
+    if dataset.n == 0:
+        raise DataError("cannot attack an empty dataset")
     cfg = attack_for_dataset(cfg, dataset)
     targets = model.targets(dataset.labels)
     for start in range(0, dataset.n, CHUNK):
         y = targets[start : start + CHUNK]
-        sub_rng = rng.child(start) if rng is not None else None
-        yield pgd_attack(model, dataset.features[start : start + CHUNK], y, cfg, rng=sub_rng), y
+        yield pgd_attack(model, dataset.features[start : start + CHUNK], y, cfg), y
 
 
-def robust_accuracy(model, dataset: Dataset, cfg: AttackConfig, rng: Optional[RngStream] = None) -> float:
+def robust_accuracy(model, dataset: Dataset, cfg: AttackConfig) -> float:
     """Accuracy on per-point PGD adversarial examples inside the dataset's value range."""
-    if dataset.n == 0:
-        raise ParameterError("robust accuracy of an empty dataset is undefined")
     correct = 0
-    for x_adv, y in adversarial_chunks(model, dataset, cfg, rng):
+    for x_adv, y in adversarial_chunks(model, dataset, cfg):
         correct += int(np.sum(model.predict(x_adv) == y))
     return correct / dataset.n
 

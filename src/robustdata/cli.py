@@ -162,7 +162,7 @@ def cmd_theory_verify(args) -> int:
     svm, _ = sgd_train(factory(seed), train, cfg.train_config(seed))
 
     nat = accuracy(svm, test)
-    rob_pgd = robust_accuracy(svm, test, cfg.attack_config(), rng.child(3))
+    rob_pgd = robust_accuracy(svm, test, cfg.attack_config())
     rob_closed = closed_form_linear_robust_accuracy(svm, test, eps)
     lines += [
         f"lemma1.natural_acc={nat:.4f}",
@@ -191,7 +191,7 @@ def cmd_theory_verify(args) -> int:
     star_train = sample(star_spec, dist["n_train"], rng.child(4))
     star_svm, _ = sgd_train(factory(seed), star_train, cfg.train_config(seed))
     star_nat = accuracy(star_svm, test)
-    star_rob = robust_accuracy(star_svm, test, cfg.attack_config().with_eps(0.5), rng.child(5))
+    star_rob = robust_accuracy(star_svm, test, cfg.attack_config().with_eps(0.5))
     lines += [f"theorem2.natural_acc={star_nat:.4f}", f"theorem2.robust_acc={star_rob:.4f}"]
     checks.append(("theorem2.natural_acc", abs(star_nat - spec.p) <= 0.02))
     checks.append(("theorem2.robust_acc", abs(star_rob - spec.p) <= 0.02))
@@ -296,8 +296,8 @@ def cmd_baseline(args) -> int:
     if args.kind == "natural":
         source, _ = sgd_train(factory(seed), x_nat, cfg.train_config(seed))
     else:
-        source, _ = adversarially_train_reference(factory, x_nat, attack, cfg.train_config(seed), rng.child(300))
-    adv = baseline_adv_dataset(source, x_nat, attack, rng.child(301))
+        source, _ = adversarially_train_reference(factory, x_nat, attack, cfg.train_config(seed))
+    adv = baseline_adv_dataset(source, x_nat, attack)
     adv.provenance["config_hash"] = cfg.config_hash()
     adv.provenance["source_classifier"] = args.kind
 

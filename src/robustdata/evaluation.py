@@ -114,6 +114,8 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
     """Train naturally per (arch, seed), then attack on the clean test set.
 
     With `budgets=[attack.eps]` this is the architecture x seed transfer grid.
+    `rng` is unused: each model is initialised from its plan seed and the
+    attacks draw no randomness. The parameter stays for existing callers.
     """
     report = RunReport(
         provenance={
@@ -136,7 +138,7 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
             train_seconds = time.perf_counter() - start
             for budget in plan.budgets:
                 start = time.perf_counter()
-                robust = robust_accuracy(model, plan.test, plan.attack.with_eps(budget), rng.child(seed))
+                robust = robust_accuracy(model, plan.test, plan.attack.with_eps(budget))
                 report.add_cell(arch, seed, budget, natural, robust, train_seconds, time.perf_counter() - start)
     return report
 
@@ -196,8 +198,8 @@ def figure2_toy(
     train_cfg = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, epochs=40, batch_size=50, seed=0)
 
     factory = model_factory("linear", 2)
-    robust_model, _ = adversarially_train_reference(factory, train, attack, train_cfg, rng.child(12))
-    adv_data = baseline_adv_dataset(robust_model, train, attack, rng.child(13))
+    robust_model, _ = adversarially_train_reference(factory, train, attack, train_cfg)
+    adv_data = baseline_adv_dataset(robust_model, train, attack)
     retrained, _ = sgd_train(factory(0), adv_data, train_cfg)
 
     w_rob, w_ret = robust_model.w, retrained.w
@@ -206,9 +208,9 @@ def figure2_toy(
         robust_model_w=w_rob.copy(),
         retrained_model_w=w_ret.copy(),
         robust_natural_acc=accuracy(robust_model, test),
-        robust_robust_acc=robust_accuracy(robust_model, test, attack, rng.child(14)),
+        robust_robust_acc=robust_accuracy(robust_model, test, attack),
         retrained_natural_acc=accuracy(retrained, test),
-        retrained_robust_acc=robust_accuracy(retrained, test, attack, rng.child(15)),
+        retrained_robust_acc=robust_accuracy(retrained, test, attack),
         angle_degrees=float(np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))),
     )
 

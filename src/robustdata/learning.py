@@ -25,7 +25,6 @@ gamma -> 0. Labels are never modified.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -158,9 +157,9 @@ def learn_robust_dataset(
     return learned, trace
 
 
-def baseline_adv_dataset(model, x_nat: Dataset, attack_cfg: AttackConfig, rng: RngStream) -> Dataset:
+def baseline_adv_dataset(model, x_nat: Dataset, attack_cfg: AttackConfig) -> Dataset:
     """Replace every row by its PGD adversarial example against `model`, inside the value range."""
-    rows = [x_adv for x_adv, _ in adversarial_chunks(model, x_nat, attack_cfg, rng)]
+    rows = [x_adv for x_adv, _ in adversarial_chunks(model, x_nat, attack_cfg)]
     provenance = dict(
         x_nat.provenance,
         generator="adv-data",
@@ -176,19 +175,17 @@ def adversarially_train_reference(
     dataset: Dataset,
     attack_cfg: AttackConfig,
     train_cfg: TrainConfig,
-    rng: RngStream,
 ) -> tuple[object, list[float]]:
     """PGD adversarial training: sgd_train with each batch attacked before its step.
 
-    With a vanishing attack budget the trajectory coincides with natural
-    training; `rng` only feeds the attack's random starts (when enabled),
-    one child stream per batch.
+    The attack starts at the natural batch and draws no randomness, so the
+    run is fixed by `train_cfg.seed`. With a vanishing attack budget the
+    trajectory coincides with natural training.
     """
     model = model_factory(train_cfg.seed)
     attack_cfg = attack_for_dataset(attack_cfg, dataset)
-    batches = itertools.count()
 
     def perturb(X, y):
-        return pgd_attack(model, X, y, attack_cfg, rng=rng.child(next(batches)))
+        return pgd_attack(model, X, y, attack_cfg)
 
     return sgd_train(model, dataset, train_cfg, perturb)

@@ -5,7 +5,7 @@ with probability p) and d weakly correlated coordinates. Three sampling
 modes:
 
   * gaussian          x_i ~ N(mu * y, 1)           (the base model)
-  * general-symmetric x_i ~ mu_i * y + symmetric   (uniform/laplace/gaussian)
+  * general-symmetric x_i ~ mu * y + symmetric     (uniform/laplace/gaussian)
   * robust-star       x_i = 1                      (the analytically optimal
                                                     robust dataset: strong
                                                     feature kept, weak ones
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class DistributionSpec:
     p: float = 0.9
     mode: str = GAUSSIAN
     law: str = "gaussian"  # tail law for general-symmetric mode
-    law_means: Optional[Sequence[float]] = None  # per-coordinate means, default mu
 
     def __post_init__(self):
         if self.d < 1:
@@ -62,17 +61,8 @@ class DistributionSpec:
         if self.mode == GENERAL_SYMMETRIC:
             if self.law not in _LAW_KINDS:
                 raise ParameterError(f"unknown symmetric law {self.law!r}")
-            means = self.tail_means()
-            if np.any(np.abs(means) > 1.0):
-                raise ParameterError("symmetric tail means must satisfy |mu_i| <= 1")
-
-    def tail_means(self) -> np.ndarray:
-        if self.law_means is not None:
-            means = np.asarray(self.law_means, dtype=np.float64)
-            if means.shape != (self.d,):
-                raise ParameterError(f"law_means must have length d={self.d}")
-            return means
-        return np.full(self.d, float(self.mu))
+            if abs(self.mu) > 1.0:
+                raise ParameterError("symmetric tail mean must satisfy |mu| <= 1")
 
 
 def _centered_unit_variance(law: str, rng: RngStream, shape) -> np.ndarray:
@@ -96,12 +86,9 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Dataset:
 
     if spec.mode == ROBUST_STAR:
         tails = np.ones((n, spec.d))
-    elif spec.mode == GAUSSIAN:
-        tails = spec.mu * y[:, None] + rng.normal(0.0, 1.0, (n, spec.d))
-    else:
-        tails = spec.tail_means()[None, :] * y[:, None] + _centered_unit_variance(
-            spec.law, rng, (n, spec.d)
-        )
+    else:  # the gaussian mode is the general-symmetric one with a gaussian law
+        law = spec.law if spec.mode == GENERAL_SYMMETRIC else "gaussian"
+        tails = spec.mu * y[:, None] + _centered_unit_variance(law, rng, (n, spec.d))
 
     features = np.concatenate([x1[:, None], tails], axis=1)
     provenance = {
@@ -283,11 +270,10 @@ class SymmetricLaw:
 class SymmetricSumReport:
     skewness: float
     n: int
-    tolerance: float
 
     @property
     def symmetric(self) -> bool:
-        return abs(self.skewness) <= self.tolerance
+        return abs(self.skewness) <= 0.05
 
     def to_kv_lines(self, prefix: str = "symmetric_sum") -> list[str]:
         return [
@@ -297,14 +283,13 @@ class SymmetricSumReport:
         ]
 
 
-def symmetric_sum_check(
-    laws: Sequence[SymmetricLaw], n: int, rng: RngStream, tolerance: float = 0.05
-) -> SymmetricSumReport:
+def symmetric_sum_check(laws: Sequence[SymmetricLaw], n: int, rng: RngStream) -> SymmetricSumReport:
     """Empirical skewness of a sum of independent symmetric draws.
 
     A symmetric distribution has zero third central moment, and sums of
     independent symmetric distributions stay symmetric; the check
-    estimates the standardized skewness of the centered sum.
+    estimates the standardized skewness of the centered sum and calls the
+    sum symmetric when its absolute value is at most 0.05.
     """
     if not laws:
         raise ParameterError("need at least one law")
@@ -314,6 +299,6 @@ def symmetric_sum_check(
     centered = total - total.mean()
     std = centered.std()
     if std == 0:
-        return SymmetricSumReport(0.0, n, tolerance)
+        return SymmetricSumReport(0.0, n)
     skew = float(np.mean(centered**3) / std**3)
-    return SymmetricSumReport(skew, n, tolerance)
+    return SymmetricSumReport(skew, n)

@@ -73,7 +73,7 @@ def lemma1_setup():
     test = sample(spec, 10000, rng.child(2))
     model, _ = sgd_train(model_factory("linear", 101)(NATURAL_TRAIN.seed), train, NATURAL_TRAIN)
     nat = accuracy(model, test)
-    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.8, steps=10), rng.child(3))
+    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.8, steps=10))
     return dict(spec=spec, model=model, test=test, natural=nat, robust=rob, seconds=time.perf_counter() - start)
 
 
@@ -87,7 +87,7 @@ def theorem2_setup():
     test = sample(spec, 10000, rng.child(2))
     model, _ = sgd_train(model_factory("linear", 101)(SMALL_LR_TRAIN.seed), train, SMALL_LR_TRAIN)
     nat = accuracy(model, test)
-    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.5, steps=10), rng.child(5))
+    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.5, steps=10))
     return dict(model=model, natural=nat, robust=rob, seconds=time.perf_counter() - start)
 
 
@@ -113,7 +113,7 @@ def fresh_robust_accuracy(task, dataset, seed: int = 0, use_attack: bool = False
     cfg = TrainConfig(lr=0.002, momentum=0.9, weight_decay=1e-3, epochs=40, batch_size=128, seed=seed)
     model, _ = sgd_train(task["factory"](cfg.seed), dataset, cfg)
     if use_attack:
-        return robust_accuracy(model, task["test"], task["attack"], RngStream(1000 + seed))
+        return robust_accuracy(model, task["test"], task["attack"])
     return closed_form_linear_robust_accuracy(model, task["test"], task["eps"])
 
 
@@ -335,11 +335,11 @@ def test_criterion_09_table1_ordering(consistent_task):
     # still carries a signal
     gen_attack = AttackConfig(norm="linf", eps=task["eps"] / 4, steps=10)
     src_nat, _ = sgd_train(task["factory"](SMALL_LR_TRAIN.seed), task["train"], SMALL_LR_TRAIN)
-    adv_nat = baseline_adv_dataset(src_nat, task["train"], gen_attack, rng.child(6))
+    adv_nat = baseline_adv_dataset(src_nat, task["train"], gen_attack)
     src_rob, _ = adversarially_train_reference(
-        task["factory"], task["train"], AttackConfig(norm="linf", eps=0.6, steps=10), SMALL_LR_TRAIN, rng.child(7)
+        task["factory"], task["train"], AttackConfig(norm="linf", eps=0.6, steps=10), SMALL_LR_TRAIN
     )
-    adv_rob = baseline_adv_dataset(src_rob, task["train"], gen_attack, rng.child(8))
+    adv_rob = baseline_adv_dataset(src_rob, task["train"], gen_attack)
 
     rob = {
         "learned": fresh_robust_accuracy(task, task["learned"], use_attack=True),

@@ -194,15 +194,6 @@ def test_pgd_loss_does_not_decrease_single_step():
     assert after >= before - 1e-12
 
 
-def test_pgd_random_start_stays_feasible():
-    model = LinearClassifier(np.array([1.0, -1.0]))
-    X = np.zeros((4, 2))
-    y = np.array([1, -1, 1, -1])
-    cfg = AttackConfig(norm="linf", eps=0.3, steps=3, random_start=True)
-    x_adv = pgd_attack(model, X, y, cfg, rng=RngStream(5))
-    assert np.max(np.abs(x_adv - X)) <= 0.3 + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # closed-form hinge attack gradient
 # ---------------------------------------------------------------------------
@@ -299,7 +290,7 @@ def trained_svm(seed=0, d=30, n=4000):
 def test_vanishing_budget_equals_natural_accuracy():
     model, test = trained_svm()
     nat = accuracy(model, test)
-    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=1e-9, steps=3), RngStream(0))
+    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=1e-9, steps=3))
     assert rob == pytest.approx(nat, abs=1e-12)
 
 
@@ -307,7 +298,7 @@ def test_robust_never_exceeds_natural():
     model, test = trained_svm()
     nat = accuracy(model, test)
     for eps in (0.05, 0.2, 0.5):
-        rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=eps, steps=5), RngStream(0))
+        rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=eps, steps=5))
         assert rob <= nat + 1e-12
 
 
@@ -315,7 +306,7 @@ def test_budget_monotonicity():
     model, test = trained_svm()
     budgets = [0.05, 0.1, 0.2, 0.4, 0.8]
     robs = [
-        robust_accuracy(model, test, AttackConfig(norm="linf", eps=e, steps=10), RngStream(0))
+        robust_accuracy(model, test, AttackConfig(norm="linf", eps=e, steps=10))
         for e in budgets
     ]
     assert all(a >= b for a, b in zip(robs, robs[1:]))
@@ -324,7 +315,7 @@ def test_budget_monotonicity():
 def test_pgd_matches_closed_form_on_linear_model():
     model, test = trained_svm()
     for eps in (0.1, 0.3, 0.8):
-        rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=eps, steps=10), RngStream(0))
+        rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=eps, steps=10))
         closed = closed_form_linear_robust_accuracy(model, test, eps)
         assert rob == pytest.approx(closed, abs=2e-3)
 
@@ -336,7 +327,7 @@ def test_multiclass_mlp_attack_feasible_and_weaker_than_clean():
     y = model.predict(X)  # self-consistent labels: clean accuracy 1.0
     ds = Dataset(X, y)
     nat = accuracy(model, ds)
-    rob = robust_accuracy(model, ds, AttackConfig(norm="linf", eps=0.5, steps=10), RngStream(1))
+    rob = robust_accuracy(model, ds, AttackConfig(norm="linf", eps=0.5, steps=10))
     assert nat == 1.0
     assert rob <= nat
     x_adv = pgd_attack(model, X, y, AttackConfig(norm="linf", eps=0.5, steps=10))
@@ -346,9 +337,9 @@ def test_multiclass_mlp_attack_feasible_and_weaker_than_clean():
 def test_robust_accuracy_independent_of_chunking(monkeypatch):
     model, test = trained_svm()
     cfg = AttackConfig(norm="linf", eps=0.3, steps=5)
-    big = robust_accuracy(model, test, cfg, RngStream(0))
+    big = robust_accuracy(model, test, cfg)
     monkeypatch.setattr(attacks, "CHUNK", 7)
-    small = robust_accuracy(model, test, cfg, RngStream(0))
+    small = robust_accuracy(model, test, cfg)
     assert small == big
 
 
@@ -368,9 +359,9 @@ def test_mlp_attack_same_for_signed_and_index_labels():
     model = MlpClassifier.init([4, 8, 2], rng)
     X = rng.normal(0, 1, (30, 4))
     signed = np.where(rng.uniform(0, 1, 30) < 0.5, 1, -1)
-    cfg = AttackConfig(norm="linf", eps=0.3, steps=6, random_start=True)
-    a = pgd_attack(model, X, signed, cfg, rng=RngStream(3))
-    b = pgd_attack(model, X, (signed + 1) // 2, cfg, rng=RngStream(3))
+    cfg = AttackConfig(norm="linf", eps=0.3, steps=6)
+    a = pgd_attack(model, X, signed, cfg)
+    b = pgd_attack(model, X, (signed + 1) // 2, cfg)
     assert np.array_equal(a, b)
 
 
@@ -383,5 +374,5 @@ def test_lemma1_regime_low_robust_accuracy():
     model = LinearClassifier.zeros(101)
     sgd_train(model, train, TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, epochs=12, batch_size=128, seed=0))
     assert accuracy(model, test) >= 0.98
-    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.8, steps=10), rng.child(3))
+    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.8, steps=10))
     assert rob <= 0.02

@@ -180,7 +180,7 @@ def test_transfer_self_reproduces_learning_time_evaluation(synthetic_learned):
     from robustdata.attacks import robust_accuracy
 
     model, _ = sgd_train(model_factory("linear", 21)(TRAIN.seed), learned, TRAIN)
-    direct = robust_accuracy(model, test, atk, RngStream(10))
+    direct = robust_accuracy(model, test, atk)
     assert report.cell("linear", 0, 0.8)["robust_acc"] == pytest.approx(direct, abs=0.01)
 
 
@@ -272,10 +272,10 @@ def test_retraining_on_robust_model_adv_data_is_non_robust_on_feature_model():
 
     factory = model_factory("linear", 21)
     robust_src, _ = adversarially_train_reference(
-        factory, train, AttackConfig(norm="linf", eps=0.6, steps=10), TRAIN, rng.child(3)
+        factory, train, AttackConfig(norm="linf", eps=0.6, steps=10), TRAIN
     )
     rob_src = closed_form_linear_robust_accuracy(robust_src, test, 0.8)
-    adv_data = baseline_adv_dataset(robust_src, train, AttackConfig(norm="linf", eps=0.8, steps=10), rng.child(4))
+    adv_data = baseline_adv_dataset(robust_src, train, AttackConfig(norm="linf", eps=0.8, steps=10))
     retrained, _ = sgd_train(factory(TRAIN.seed), adv_data, TRAIN)
     rob_retrained = closed_form_linear_robust_accuracy(retrained, test, 0.8)
     assert rob_src >= 0.8
