@@ -13,9 +13,10 @@ model the margin direction reproduces the closed-form worst case
 delta = -eps * sign(y*w) exactly, so the attained hinge loss equals
 max(0, 1 - y*w.x + eps*||w||_1) from any starting point. That input
 gradient is -y*w for every row, so it is returned in closed form without
-a tape (after checking X and w are finite, as tape leaves would); the
-tape form of -sum(y * (X @ w)) is kept in the tests as the bit-exact
-reference.
+a tape (after checking X and w are finite, as tape leaves would), and
+pgd_attack computes a linear model's step once per attack, checking each
+later iterate finite itself. The tape form of -sum(y * (X @ w)) and the
+per-step PGD loop are kept in the tests as the bit-exact references.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ class AttackConfig:
     def __post_init__(self):
         if self.norm not in (LINF, L2):
             raise ParameterError(f"norm must be '{LINF}' or '{L2}', got {self.norm!r}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise ParameterError(f"eps must be positive and finite, got {self.eps}")
         if self.alpha is None:
             self.alpha = self.eps / 10.0
-        if self.alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
         if self.clamp is not None and not self.clamp[0] <= self.clamp[1]:
@@ -117,21 +118,35 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.nd
         return ad.backward(objective, [leaf])[0].data
 
 
+def _ascent_step(g: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+    if cfg.norm == LINF:
+        return cfg.alpha * np.sign(g)
+    norms = _row_norms(g)
+    return cfg.alpha * np.divide(g, norms, out=np.zeros_like(g), where=norms > 0)
+
+
 def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np.ndarray:
-    """Iterative ascent on the attack objective inside the threat ball, from the natural point."""
+    """Iterative ascent on the attack objective inside the threat ball, from the natural point.
+
+    A linear model's step is computed once per call; every iterate is still checked finite.
+    """
     x_nat = np.asarray(x_nat, dtype=np.float64)
     y = model.targets(np.asarray(y))
-    x_adv = x_nat.copy()
-    params = model.params()
+    params, linear = model.params(), isinstance(model, LinearClassifier)
+    lo, hi = (x_nat - cfg.eps, x_nat + cfg.eps) if cfg.norm == LINF else (None, None)
+    x_adv, step = x_nat, None
     for _ in range(cfg.steps):
-        g = attack_gradient(model, params, x_adv, y)
+        if step is None or not linear:
+            step = _ascent_step(attack_gradient(model, params, x_adv, y), cfg)
+        elif not np.isfinite(x_adv).all():  # what attack_gradient checks; w cannot change here
+            raise NonFiniteError("tensor contains NaN or Inf")
+        x_adv = x_adv + step  # a new array: x_nat is never written
         if cfg.norm == LINF:
-            x_adv = x_adv + cfg.alpha * np.sign(g)
+            np.clip(x_adv, lo, hi, out=x_adv)
+            if cfg.clamp is not None:
+                np.clip(x_adv, cfg.clamp[0], cfg.clamp[1], out=x_adv)
         else:
-            norms = _row_norms(g)
-            step = np.divide(g, norms, out=np.zeros_like(g), where=norms > 0)
-            x_adv = x_adv + cfg.alpha * step
-        x_adv = project_to_ball(x_adv, x_nat, cfg)
+            x_adv = project_to_ball(x_adv, x_nat, cfg)
     return x_adv
 
 

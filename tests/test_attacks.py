@@ -38,6 +38,14 @@ def test_config_validation():
     assert cfg.alpha == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("field", ["eps", "alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_eps_and_alpha_rejected(field, value):
+    # `value <= 0` is False for NaN and inf, so a positivity check alone lets them through
+    with pytest.raises(ParameterError, match=field):
+        AttackConfig(**{"eps": 0.1, field: value})
+
+
 def test_inverted_clamp_rejected():
     # np.clip with low > high would set every coordinate to the second bound
     with pytest.raises(ParameterError, match="invalid clamp"):
@@ -270,6 +278,128 @@ def test_pgd_hinge_rejects_non_finite_rows_and_weights():
     model.set_params([np.array([1.0, np.inf, 0.5])])  # set_params does not validate
     with pytest.raises(NonFiniteError):
         pgd_attack(model, np.zeros((4, 3)), y, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the PGD loop against its per-step reference
+# ---------------------------------------------------------------------------
+
+
+def per_step_pgd(model, x_nat, y, cfg):
+    """Reference: one attack_gradient call and one project_to_ball call per step."""
+    x_nat = np.asarray(x_nat, dtype=np.float64)
+    y = model.targets(np.asarray(y))
+    x_adv = x_nat.copy()
+    params = model.params()
+    for _ in range(cfg.steps):
+        g = attack_gradient(model, params, x_adv, y)
+        if cfg.norm == "linf":
+            x_adv = x_adv + cfg.alpha * np.sign(g)
+        else:
+            norms = np.linalg.norm(g, axis=1, keepdims=True)
+            step = np.divide(g, norms, out=np.zeros_like(g), where=norms > 0)
+            x_adv = x_adv + cfg.alpha * step
+        x_adv = project_to_ball(x_adv, x_nat, cfg)
+    return x_adv
+
+
+# exact and signed zeros are drawn often, so sign(0) steps and -0.0 rows are exercised
+signed_entries = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10, 10))
+
+
+@st.composite
+def pgd_cases(draw):
+    d = draw(st.integers(1, 6))
+    B = draw(st.integers(1, 16))
+    X = draw(hnp.arrays(np.float64, (B, d), elements=signed_entries))
+    y = draw(hnp.arrays(np.int64, B, elements=st.sampled_from([-1, 1])))
+    if draw(st.booleans()):
+        model = LinearClassifier(draw(hnp.arrays(np.float64, d, elements=st.one_of(st.just(0.0), st.floats(-3, 3)))))
+    else:
+        model = MlpClassifier.init([d, 8, 2], RngStream(draw(st.integers(0, 2**16))))
+    clamp = None
+    if draw(st.booleans()):  # a box inside the data, so the clamp binds
+        clamp = (float(np.quantile(X, 0.25)), float(np.quantile(X, 0.75)))
+    cfg = AttackConfig(
+        norm=draw(st.sampled_from(["linf", "l2"])),
+        eps=10.0 ** draw(st.floats(-3, 1)),
+        steps=draw(st.integers(1, 12)),
+        clamp=clamp,
+    )
+    return model, X, y, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(pgd_cases())
+def test_pgd_matches_per_step_reference(case):
+    model, X, y, cfg = case
+    got = pgd_attack(model, X, y, cfg)
+    ref = per_step_pgd(model, X, y, cfg)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# The per-step loop's outcomes on an overflow grid of a linear model: for each
+# (norm, clamp, eps, row value) that raised NonFiniteError, the smallest step
+# count of (1, 2, 10) that raised. Every other case returned an array.
+OVERFLOW_CLAMP = (-1e308, 1e308)
+PER_STEP_RAISES_FROM = {
+    ("linf", None, 1e308, 1e308): 10,
+    ("linf", None, 1e308, -1e308): 10,
+    ("linf", None, 1e308, 1.7e308): 2,
+    ("linf", None, 1e308, -1.7e308): 2,
+    ("linf", None, 1e308, 1.79e308): 2,
+    ("linf", None, 1.7e308, 1e308): 10,
+    ("linf", None, 1.7e308, -1e308): 10,
+    ("linf", None, 1.7e308, 1.7e308): 2,
+    ("linf", None, 1.7e308, -1.7e308): 2,
+    ("linf", None, 1.7e308, 1.79e308): 2,
+    ("l2", None, 1e308, 1.79e308): 2,
+    ("l2", None, 1.7e308, 1.7e308): 2,
+    ("l2", None, 1.7e308, -1.7e308): 2,
+    ("l2", None, 1.7e308, 1.79e308): 2,
+    ("l2", OVERFLOW_CLAMP, 1e308, 1.79e308): 2,
+    ("l2", OVERFLOW_CLAMP, 1.7e308, 1.7e308): 2,
+    ("l2", OVERFLOW_CLAMP, 1.7e308, -1.7e308): 2,
+    ("l2", OVERFLOW_CLAMP, 1.7e308, 1.79e308): 2,
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+@pytest.mark.parametrize("clamp", [None, OVERFLOW_CLAMP])
+def test_pgd_non_finite_parity(norm, clamp):
+    model = LinearClassifier(np.array([1.0, -2.0, 0.0]))
+    y = np.array([1, -1])
+    grid = itertools.product((1.0, 1e300, 1e308, 1.7e308), (0.0, 1e308, -1e308, 1.7e308, -1.7e308, 1.79e308), (1, 2, 10))
+    for eps, x, steps in grid:
+        cfg = AttackConfig(norm=norm, eps=eps, steps=steps, clamp=clamp)
+        X = np.full((2, 3), x)
+        if steps >= PER_STEP_RAISES_FROM.get((norm, clamp, eps, x), np.inf):
+            with pytest.raises(NonFiniteError):
+                pgd_attack(model, X, y, cfg)
+        else:
+            got, ref = pgd_attack(model, X, y, cfg), per_step_pgd(model, X, y, cfg)
+            assert np.array_equal(got, ref, equal_nan=True), (eps, x, steps)
+
+
+def test_linear_attack_takes_one_gradient(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return attack_gradient(*args)
+
+    monkeypatch.setattr(attacks, "attack_gradient", counted)
+    rng = RngStream(36)
+    X = rng.normal(0, 1, (12, 4))
+    y = np.where(rng.uniform(0, 1, 12) < 0.5, 1, -1)
+    for norm in ("linf", "l2"):
+        cfg = AttackConfig(norm=norm, eps=0.3, steps=7)
+        for model, expected in ((LinearClassifier(rng.normal(0, 1, (4,))), 1), (MlpClassifier.init([4, 8, 2], rng), 7)):
+            calls.clear()
+            pgd_attack(model, X, y, cfg)
+            assert len(calls) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,22 @@ def test_inverted_attack_clamp_exits_one(tmp_path, capsys):
     assert "invalid clamp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [("learn", "attack", "eps", float("nan")), ("evaluate", "eval", "budgets", [float("inf")])],
+    ids=["learn-nan-eps", "evaluate-inf-budget"],
+)
+def test_non_finite_attack_budget_exits_one(tmp_path, capsys, command, section, key, value):
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config[section][key] = value
+    config["robust_learn"]["epochs"] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))  # json writes NaN and Infinity, and reads them back
+    code = cli_run([command, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error: eps must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_learner_exits_one(tmp_path, capsys):
     config = json.loads(json.dumps(SMALL_CONFIG))
