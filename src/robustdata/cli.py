@@ -6,6 +6,9 @@ analytical results numerically, `learn` produces a robust dataset,
 natural-training evaluation protocol over an architecture x seed x budget
 grid, and `toy-fig2` reproduces the 2-D demonstration.
 
+`cli_run` resolves the config, the seed (--seed, else RDS_SEED, else 0)
+and the run's RngStream once and hands them to the subcommand.
+
 Exit codes: 0 success, 1 validation/I-O failure, 2 theory-verify check
 failure, 64 usage error.
 """
@@ -13,8 +16,6 @@ failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .attacks import closed_form_linear_robust_accuracy, robust_accuracy
 from .config import ExperimentConfig
-from .datafile import atomic_write, read_dataset, write_dataset
+from .datafile import atomic_write, read_dataset, write_csv, write_dataset
 from .dataset import Dataset, subsample
 from .evaluation import EvalPlan, evaluate_dataset, figure2_toy, model_factory
 from .learning import (
@@ -131,11 +132,9 @@ def _test_set(dataset: Dataset, cfg: ExperimentConfig, rng: RngStream) -> Datase
     return sample(spec, section["n_test"], rng.child(101))
 
 
-def _write_kv_report(path, lines: list[str]) -> None:
+def _report(path, lines: list[str]) -> None:
+    """Write key=value lines to `path` and print them."""
     atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
-def _print(lines: list[str]) -> None:
     for line in lines:
         print(line)
 
@@ -145,10 +144,7 @@ def _print(lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_theory_verify(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args)
-    rng = RngStream(seed)
+def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     dist = cfg.section("distribution")
     spec = cfg.distribution_spec()
     eps = cfg.attack_config().eps
@@ -245,52 +241,28 @@ def cmd_theory_verify(args) -> int:
     lines.append(f"verdict={'pass' if not failed else 'fail'}")
 
     os.makedirs(args.out, exist_ok=True)
-    _write_kv_report(os.path.join(args.out, "theory_report.txt"), lines)
-    _print(lines)
+    _report(os.path.join(args.out, "theory_report.txt"), lines)
     return 0 if not failed else 2
 
 
-def cmd_learn(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args)
-    rng = RngStream(seed)
+def cmd_learn(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     x_nat = _load_or_generate(args, cfg, rng)
-
-    rl = cfg.section("robust_learn")
-    learn_cfg = RobustLearnConfig(
-        epochs=rl["epochs"],
-        gamma=rl["gamma"],
-        beta=rl["beta"],
-        attack=cfg.attack_config(),
-        batch_size=rl["batch_size"],
-        theta0_seed=seed,
-        mode=rl["mode"],
-        lam=rl["lam"],
-    )
-    arch = cfg.section("model")["arch"]
-    factory = model_factory(arch, x_nat.width)
+    learn_cfg = RobustLearnConfig(**cfg.section("robust_learn"), attack=cfg.attack_config(), theta0_seed=seed)
+    factory = model_factory(cfg.section("model")["arch"], x_nat.width)
     learned, trace = learn_robust_dataset(x_nat, factory, learn_cfg, rng.child(200))
     learned.provenance["config_hash"] = cfg.config_hash()
 
     os.makedirs(args.out, exist_ok=True)
     write_dataset(os.path.join(args.out, "robust_dataset.rds"), learned)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epoch", "clean_loss", "adv_loss", "update_norm"])
-    for i, t in enumerate(trace):
-        writer.writerow([i, repr(t.clean_loss), repr(t.adv_loss), repr(t.update_norm)])
-    atomic_write(os.path.join(args.out, "learn_trace.csv"), buf.getvalue().encode())
+    write_csv(os.path.join(args.out, "learn_trace.csv"), ["epoch", "clean_loss", "adv_loss", "update_norm"],
+              ([i, repr(t.clean_loss), repr(t.adv_loss), repr(t.update_norm)] for i, t in enumerate(trace)))
     print(f"wrote {os.path.join(args.out, 'robust_dataset.rds')}")
     return 0
 
 
-def cmd_baseline(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args)
-    rng = RngStream(seed)
+def cmd_baseline(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     x_nat = _load_or_generate(args, cfg, rng)
-    arch = cfg.section("model")["arch"]
-    factory = model_factory(arch, x_nat.width)
+    factory = model_factory(cfg.section("model")["arch"], x_nat.width)
     attack = cfg.attack_config()
 
     if args.kind == "natural":
@@ -308,10 +280,7 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args)
-    rng = RngStream(seed)
+def cmd_evaluate(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     dataset = _load_or_generate(args, cfg, rng)
     test = _test_set(dataset, cfg, rng)
     ev = cfg.section("eval")
@@ -322,9 +291,7 @@ def cmd_evaluate(args) -> int:
         plan = EvalPlan(ds, test, ev["architectures"], ev["seeds"], ev["budgets"],
                         cfg.attack_config(), cfg.train_config())
         report = evaluate_dataset(plan, rng.child(401))
-        report.provenance["config_hash"] = cfg.config_hash()
-        report.provenance["seed"] = seed
-        report.provenance["subsample_fraction"] = fraction
+        report.provenance.update(config_hash=cfg.config_hash(), seed=seed, subsample_fraction=fraction)
         tag = "" if fraction == 1.0 else f"_frac{fraction:g}"
         report.write_csv(os.path.join(args.out, f"report{tag}.csv"))
         report.write_json(os.path.join(args.out, f"report{tag}.json"))
@@ -336,14 +303,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_toy_fig2(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(args)
+def cmd_toy_fig2(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     os.makedirs(args.out, exist_ok=True)
-    result = figure2_toy(RngStream(seed), csv_path=os.path.join(args.out, "fig2_points.csv"))
+    result = figure2_toy(rng, csv_path=os.path.join(args.out, "fig2_points.csv"))
     lines = [f"config_hash={cfg.config_hash()}", f"seed={seed}"] + result.to_kv_lines()
-    _write_kv_report(os.path.join(args.out, "fig2_report.txt"), lines)
-    _print(lines)
+    _report(os.path.join(args.out, "fig2_report.txt"), lines)
     return 0
 
 
@@ -364,7 +328,9 @@ def cli_run(argv) -> int:
     except SystemExit as exc:  # usage errors exit 64 via _Parser.error
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args)
+        seed = _resolve_seed(args)
+        return _COMMANDS[args.command](args, cfg, seed, RngStream(seed))
     # I/O errors, bad configs and data (ParameterError, FormatError, ... are ValueErrors)
     # and diverged runs (NonFiniteError is a FloatingPointError) all exit 1
     except (OSError, ValueError, FloatingPointError) as exc:

@@ -2,10 +2,13 @@
 
 Sections: distribution, model, train, attack, robust_learn, eval.
 Every field is optional and falls back to the defaults below; unknown
-keys anywhere are rejected. The config hash is the first 16 hex digits
-of the SHA-256 of the fully-resolved canonical document, so two
-documents that differ only in key order or in spelling out defaults
-hash identically.
+keys anywhere are rejected, and a value must have its default's JSON
+kind. The train, attack and robust_learn sections hold exactly the
+fields of the object each builds (TrainConfig, AttackConfig,
+RobustLearnConfig) apart from those its caller supplies. The config
+hash is the first 16 hex digits of the SHA-256 of the fully-resolved
+canonical document, so two documents that differ only in key order or
+in spelling out defaults hash identically.
 """
 
 from __future__ import annotations
@@ -88,20 +91,41 @@ class ExperimentConfig:
         return DistributionSpec(d=d["d"], mu=d["mu"], p=d["p"], mode=d["mode"], law=d["law"])
 
     def train_config(self, seed: int = 0) -> TrainConfig:
-        t = self.section("train")
-        return TrainConfig(
-            lr=t["lr"],
-            momentum=t["momentum"],
-            weight_decay=t["weight_decay"],
-            epochs=t["epochs"],
-            batch_size=t["batch_size"],
-            seed=seed,
-        )
+        return TrainConfig(**self.section("train"), seed=seed)
 
     def attack_config(self) -> AttackConfig:
         a = self.section("attack")
-        clamp = tuple(a["clamp"]) if a["clamp"] is not None else None
-        return AttackConfig(norm=a["norm"], eps=a["eps"], alpha=a["alpha"], steps=a["steps"], clamp=clamp)
+        if a["clamp"] is not None:
+            a["clamp"] = tuple(a["clamp"])
+        return AttackConfig(**a)
+
+
+# the kinds of the null defaults: alpha is a number, clamp a [lo, hi] pair of numbers
+_NULL_KINDS = {("attack", "alpha"): 0.0, ("attack", "clamp"): (0.0, 0.0)}
+
+
+def _has_kind(value, kind) -> bool:
+    """Whether `value` has the JSON kind of `kind`: a float takes any number, an int an
+    integer, a list elements of its first element's kind, a tuple a list of its length;
+    a bool is never a number."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(kind, tuple):
+        return isinstance(value, list) and len(value) == len(kind) and all(map(_has_kind, value, kind))
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
+    return isinstance(value, (int, float) if isinstance(kind, float) else type(kind))
+
+
+_KIND_NAMES = {float: ("a number", "numbers"), int: ("an integer", "integers"), str: ("a string", "strings")}
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return f"a list of {len(kind)} numbers"
+    if isinstance(kind, list):
+        return f"a list of {_KIND_NAMES[type(kind[0])][1]}"
+    return _KIND_NAMES[type(kind)][0]
 
 
 def _validate(doc: dict) -> dict:
@@ -118,5 +142,10 @@ def _validate(doc: dict) -> dict:
         bad = set(given) - set(defaults)
         if bad:
             raise ParameterError(f"unknown keys in config section {section!r}: {sorted(bad)}")
+        for key, value in given.items():
+            kind = _NULL_KINDS.get((section, key), defaults[key])
+            if not (_has_kind(value, kind) or (value is None and defaults[key] is None)):
+                expected = _kind_name(kind) + (" or null" if defaults[key] is None else "")
+                raise ParameterError(f"config value {section}.{key} must be {expected}, got {json.dumps(value)}")
         resolved[section] = {**defaults, **given}
     return resolved

@@ -12,6 +12,8 @@ read-then-write reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import struct
@@ -39,6 +41,15 @@ def atomic_write(path, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write a header row and then `rows` as CSV (csv module defaults), atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode())
 
 
 def write_dataset(path, dataset: Dataset) -> None:

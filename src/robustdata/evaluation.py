@@ -9,8 +9,6 @@ dataset itself.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -18,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attacks import AttackConfig, robust_accuracy
-from .datafile import atomic_write, json_plain
+from .datafile import atomic_write, json_plain, write_csv
 from .dataset import Dataset
 from .errors import ParameterError
 from .learning import adversarially_train_reference, baseline_adv_dataset
@@ -50,8 +48,9 @@ def make_model(arch: str, width: int, num_classes: int, seed: int):
     return MlpClassifier.init([width] + hidden + [num_classes], RngStream(seed))
 
 
-def model_factory(arch: str, width: int, num_classes: int = 2):
-    return lambda seed: make_model(arch, width, num_classes, seed)
+def model_factory(arch: str, width: int):
+    """seed -> a fresh binary classifier of `arch` on `width` features."""
+    return lambda seed: make_model(arch, width, 2, seed)
 
 
 @dataclass
@@ -91,13 +90,11 @@ class RunReport:
         raise KeyError((arch, seed, budget))
 
     def write_csv(self, path) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(REPORT_COLUMNS)
-        for c in self.sorted_cells():
-            writer.writerow([c["arch"], c["seed"], repr(c["budget"]), repr(c["natural_acc"]), repr(c["robust_acc"])]
-                            + [f"{c[k]:.3f}" for k in _TIMINGS])
-        atomic_write(path, buf.getvalue().encode())
+        write_csv(path, REPORT_COLUMNS, (
+            [c["arch"], c["seed"], repr(c["budget"]), repr(c["natural_acc"]), repr(c["robust_acc"])]
+            + [f"{c[k]:.3f}" for k in _TIMINGS]
+            for c in self.sorted_cells()
+        ))
 
     def write_json(self, path) -> None:
         doc = {"provenance": self.provenance, "cells": self.sorted_cells()}
@@ -168,32 +165,29 @@ class Figure2Result:
         ]
 
 
-def two_gaussians(rng: RngStream, n_per_class: int, mean=(2.0, 2.0)) -> Dataset:
-    """Balanced 2-D toy: class y has mean y * mean, identity covariance."""
-    mean = np.asarray(mean, dtype=np.float64)
+TOY_MEAN = np.array([2.0, 2.0])
+
+
+def two_gaussians(rng: RngStream, n_per_class: int) -> Dataset:
+    """Balanced 2-D toy: class y has mean y * TOY_MEAN, identity covariance."""
     y = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)]).astype(np.int64)
     noise = rng.normal(0.0, 1.0, (2 * n_per_class, 2))
-    X = y[:, None] * mean[None, :] + noise
-    return Dataset(X, y, None, {"generator": "two-gaussians", "mean": mean.tolist()})
+    X = y[:, None] * TOY_MEAN[None, :] + noise
+    return Dataset(X, y, None, {"generator": "two-gaussians", "mean": TOY_MEAN.tolist()})
 
 
-def figure2_toy(
-    rng: RngStream,
-    eps: float = 1.0,
-    n_per_class: int = 200,
-    n_test_per_class: int = 2000,
-    csv_path=None,
-) -> Figure2Result:
+def figure2_toy(rng: RngStream, eps: float = 1.0, csv_path=None) -> Figure2Result:
     """Natural training on adversarial examples of a robust classifier.
 
-    Adversarially trains a robust linear classifier on the 2-D toy,
-    generates its PGD adversarial examples, naturally retrains a fresh
-    classifier on them, and reports both models' accuracy on clean test
-    data. Optionally dumps the point clouds and both decision lines as
-    CSV (2n point rows + 2 line rows after the header).
+    Adversarially trains a robust linear classifier on the 2-D toy (200
+    training and 2000 test points per class), generates its PGD
+    adversarial examples, naturally retrains a fresh classifier on them,
+    and reports both models' accuracy on clean test data. Optionally
+    dumps the point clouds and both decision lines as CSV (800 point rows
+    + 2 line rows after the header).
     """
-    train = two_gaussians(rng.child(10), n_per_class)
-    test = two_gaussians(rng.child(11), n_test_per_class)
+    train = two_gaussians(rng.child(10), 200)
+    test = two_gaussians(rng.child(11), 2000)
     attack = AttackConfig(norm="linf", eps=eps, steps=10)
     train_cfg = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, epochs=40, batch_size=50, seed=0)
 
@@ -215,14 +209,10 @@ def figure2_toy(
     )
 
     if csv_path is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["kind", "x1", "x2", "label"])
-        for row, label in zip(train.features, train.labels):
-            writer.writerow(["nat", repr(row[0]), repr(row[1]), label])
-        for row, label in zip(adv_data.features, adv_data.labels):
-            writer.writerow(["adv", repr(row[0]), repr(row[1]), label])
-        writer.writerow(["line_robust", repr(w_rob[0]), repr(w_rob[1]), 0])
-        writer.writerow(["line_retrained", repr(w_ret[0]), repr(w_ret[1]), 0])
-        atomic_write(csv_path, buf.getvalue().encode())
+        rows = [[kind, repr(row[0]), repr(row[1]), label]
+                for kind, ds in (("nat", train), ("adv", adv_data))
+                for row, label in zip(ds.features, ds.labels)]
+        rows += [["line_robust", repr(w_rob[0]), repr(w_rob[1]), 0],
+                 ["line_retrained", repr(w_ret[0]), repr(w_ret[1]), 0]]
+        write_csv(csv_path, ["kind", "x1", "x2", "label"], rows)
     return result

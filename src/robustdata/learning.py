@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attacks import AttackConfig, adversarial_chunks, attack_for_dataset, pgd_attack
 from .dataset import Dataset
-from .errors import ContractError, NonFiniteError, ParameterError
+from .errors import NonFiniteError, ParameterError
 from .models import TrainConfig, batch_loss_graph, sgd_train
 from .rng import RngStream
 
@@ -102,8 +102,6 @@ def learn_robust_dataset(
                 with np.errstate(all="ignore"):  # NonFiniteError is the only report
                     idx = order[start : start + cfg.batch_size]
                     b_nat, yb = x_natural[idx], y[idx]
-                    if b_nat.shape != x_rob[idx].shape:
-                        raise ContractError("natural/robust batch misalignment")
 
                     def train_loss(theta, data):
                         return batch_loss_graph(model, theta, data, yb, cfg.lam)

@@ -161,19 +161,18 @@ def monte_carlo_accuracies(
     eps: float,
     n: int,
     rng: RngStream,
-    chunk: int = 200_000,
 ) -> tuple[float, float]:
     """Independent oracle for closed_form_accuracies: simulate the model directly.
 
-    Draws full (d+1)-dimensional samples in chunks, applies the
-    closed-form worst-case perturbation to each, and counts sign
-    agreements for both the clean and perturbed points.
+    Draws full (d+1)-dimensional samples in chunks of 200,000 rows,
+    applies the closed-form worst-case perturbation to each, and counts
+    sign agreements for both the clean and perturbed points.
     """
     w = np.asarray(w, dtype=np.float64)
     nat_hits = rob_hits = 0
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(200_000, n - done)
         ds = sample(spec, m, rng)
         y = ds.labels.astype(np.float64)
         margins = y * (ds.features @ w)
@@ -254,16 +253,14 @@ def verify_weight_structure(w: np.ndarray, d: int) -> WeightStructureReport:
 class SymmetricLaw:
     kind: str
     mean: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _LAW_KINDS:
             raise ParameterError(f"unknown symmetric law {self.kind!r}")
-        if self.scale <= 0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
 
     def draw(self, n: int, rng: RngStream) -> np.ndarray:
-        return self.mean + self.scale * _centered_unit_variance(self.kind, rng, n)
+        """n draws of unit variance about `mean`."""
+        return self.mean + _centered_unit_variance(self.kind, rng, n)
 
 
 @dataclass
@@ -275,11 +272,11 @@ class SymmetricSumReport:
     def symmetric(self) -> bool:
         return abs(self.skewness) <= 0.05
 
-    def to_kv_lines(self, prefix: str = "symmetric_sum") -> list[str]:
+    def to_kv_lines(self) -> list[str]:
         return [
-            f"{prefix}.skewness={self.skewness:.6g}",
-            f"{prefix}.n={self.n}",
-            f"{prefix}.symmetric={int(self.symmetric)}",
+            f"symmetric_sum.skewness={self.skewness:.6g}",
+            f"symmetric_sum.n={self.n}",
+            f"symmetric_sum.symmetric={int(self.symmetric)}",
         ]
 
 

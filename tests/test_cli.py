@@ -34,10 +34,36 @@ def test_unknown_subcommand_is_usage_error():
     assert cli_run(["frobnicate"]) == 64
 
 
-def test_missing_config_exits_one(tmp_path, capsys):
-    code = cli_run(["evaluate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+@pytest.mark.parametrize("command", ["theory-verify", "learn", "baseline", "evaluate", "toy-fig2"])
+def test_missing_config_exits_one(tmp_path, capsys, command):
+    code = cli_run([command, "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1
     assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("evaluate", "train", "lr", "0.01"),
+        ("learn", "model", "arch", 5),
+        ("learn", "attack", "clamp", 5),
+        ("theory-verify", "distribution", "d", "20"),
+        ("learn", "robust_learn", "epochs", 1.5),
+        ("evaluate", "eval", "budgets", ["x"]),
+    ],
+    ids=["lr-string", "arch-int", "clamp-int", "d-string", "epochs-float", "budgets-strings"],
+)
+def test_mistyped_config_value_exits_one(tmp_path, capsys, command, section, key, value):
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config.setdefault(section, {})[key] = value
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(config))
+    code = cli_run([command, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{section}.{key}" in err
+    assert not (tmp_path / "out").exists()  # rejected before the subcommand runs
 
 
 def test_config_directory_exits_one(tmp_path, capsys):

@@ -246,7 +246,7 @@ def test_figure2_report_and_dump(tmp_path):
     # cannot drop below the robust model's; the op reports both so the gap
     # (or its absence) is measured rather than assumed.
     csv_path = tmp_path / "fig2.csv"
-    result = figure2_toy(RngStream(10), eps=1.0, n_per_class=200, csv_path=csv_path)
+    result = figure2_toy(RngStream(10), eps=1.0, csv_path=csv_path)
     assert result.robust_robust_acc >= 0.8
     assert result.retrained_robust_acc <= result.robust_robust_acc + 1e-9
     assert result.retrained_natural_acc >= 0.9
@@ -283,5 +283,5 @@ def test_retraining_on_robust_model_adv_data_is_non_robust_on_feature_model():
 
 
 def test_figure2_vanishing_budget_keeps_decision_line():
-    result = figure2_toy(RngStream(11), eps=1e-9, n_per_class=200)
+    result = figure2_toy(RngStream(11), eps=1e-9)
     assert result.angle_degrees <= 10.0

@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustdata.config import ExperimentConfig
+from robustdata.attacks import AttackConfig
+from robustdata.config import _DEFAULTS, ExperimentConfig
 from robustdata.datafile import read_dataset, write_dataset
 from robustdata.dataset import Dataset
 from robustdata.errors import DataError, FormatError, ParameterError
+from robustdata.learning import RobustLearnConfig
+from robustdata.models import TrainConfig
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -182,6 +186,62 @@ def test_config_hash_changes_with_values():
     a = ExperimentConfig({})
     b = ExperimentConfig({"train": {"lr": 0.02}})
     assert a.config_hash() != b.config_hash()
+
+
+def test_config_hashes_pinned():
+    root = Path(__file__).resolve().parents[1] / "configs"
+    assert ExperimentConfig({}).config_hash() == "822a1b1ad038c090"
+    assert ExperimentConfig.from_file(root / "default.json").config_hash() == "822a1b1ad038c090"
+    assert ExperimentConfig.from_file(root / "synthetic-d20.json").config_hash() == "62855d49a7ce1053"
+
+
+@pytest.mark.parametrize(
+    "section, dataclass_type, supplied",
+    [("train", TrainConfig, {"seed"}), ("attack", AttackConfig, set()),
+     ("robust_learn", RobustLearnConfig, {"attack", "theta0_seed"})],
+)
+def test_config_sections_are_dataclass_fields(section, dataclass_type, supplied):
+    # each section builds its object by name, so its keys are the fields the caller does not supply
+    assert set(_DEFAULTS[section]) == {f.name for f in fields(dataclass_type)} - supplied
+
+
+def test_config_sections_build_their_objects():
+    doc = {"train": {"lr": 0.5, "epochs": 3}, "attack": {"norm": "l2", "clamp": [-1, 1], "alpha": 0.2},
+           "robust_learn": {"lam": 0.0}}
+    cfg = ExperimentConfig(doc)
+    assert cfg.train_config(4) == TrainConfig(lr=0.5, momentum=0.9, weight_decay=1e-3, epochs=3,
+                                              batch_size=128, seed=4)
+    assert cfg.attack_config() == AttackConfig(norm="l2", eps=0.8, alpha=0.2, steps=10, clamp=(-1, 1))
+    assert ExperimentConfig({}).attack_config().alpha == 0.8 / 10.0
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "epochs", True),  # a bool is never a number
+        ("train", "lr", False),
+        ("train", "epochs", 12.0),  # an int default takes only an integer
+        ("distribution", "mode", 1),
+        ("attack", "alpha", "0.1"),
+        ("attack", "clamp", [0.0]),
+        ("attack", "clamp", [0.0, "1"]),
+        ("attack", "steps", None),  # only the null defaults take null
+        ("eval", "seeds", [0.5]),
+        ("eval", "architectures", "linear"),
+    ],
+)
+def test_config_rejects_mistyped_values(section, key, value):
+    with pytest.raises(ParameterError, match=f"{section}\\.{key}"):
+        ExperimentConfig({section: {key: value}})
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("train", "lr", 1), ("attack", "alpha", None), ("attack", "alpha", 1), ("attack", "clamp", None),
+     ("attack", "clamp", [0, 1.5]), ("eval", "budgets", [1, 0.5]), ("eval", "seeds", [])],
+)
+def test_config_accepts_values_of_their_defaults_kind(section, key, value):
+    ExperimentConfig({section: {key: value}})
 
 
 def test_config_from_file(tmp_path):
