@@ -15,8 +15,11 @@ max(0, 1 - y*w.x + eps*||w||_1) from any starting point. That input
 gradient is -y*w for every row, so it is returned in closed form without
 a tape (after checking X and w are finite, as tape leaves would), and
 pgd_attack computes a linear model's step once per attack, checking each
-later iterate finite itself. The tape form of -sum(y * (X @ w)) and the
-per-step PGD loop are kept in the tests as the bit-exact references.
+later iterate finite itself. A network's input gradient of
+-sum(true-class log-softmax) comes from models.mlp_input_grad, a numpy
+backward that forms no weight or bias adjoint, so no attack builds a
+tape. The tape forms of both gradients and the per-step PGD loop are kept
+in the tests as the bit-exact references.
 """
 
 from __future__ import annotations
@@ -26,11 +29,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .dataset import Dataset
 from .errors import ContractError, DataError, NonFiniteError, ParameterError
-from .models import LinearClassifier, true_class_log_probs
+from .models import LinearClassifier, mlp_input_grad
 
 LINF = "linf"
 L2 = "l2"
@@ -111,11 +112,7 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.nd
         if not (np.isfinite(X).all() and np.isfinite(w).all()):
             raise NonFiniteError("tensor contains NaN or Inf")
         return np.outer(-np.asarray(y, dtype=np.float64), w).reshape(np.shape(X))
-    with np.errstate(all="ignore"):  # NonFiniteError is the only report
-        leaf = Tensor(X)
-        params = [Tensor(p) for p in params_arrays]
-        objective = ad.neg(ad.tsum(true_class_log_probs(model, params, leaf, y)))
-        return ad.backward(objective, [leaf])[0].data
+    return mlp_input_grad(params_arrays, X, y)
 
 
 def _ascent_step(g: np.ndarray, cfg: AttackConfig) -> np.ndarray:

@@ -13,9 +13,9 @@ relu'(0) = 0 (the flat side of the hinge wins at the kink).
 Every tensor is checked on creation and NonFiniteError is the only report
 of overflow or NaN. The primitives do not silence numpy's floating-point
 warnings themselves (a per-node np.errstate costs more than many of the
-nodes); the package's entry points to the tape do: sgd_train, the
-batch body of learn_robust_dataset and the network branch of
-attack_gradient.
+nodes); the package's entry points to the tape do: sgd_train's network
+step and the batch body of learn_robust_dataset. Attacks and linear
+training use numpy closed forms and build no tape.
 """
 
 from __future__ import annotations
@@ -113,9 +113,11 @@ def texp(a: Tensor) -> Tensor:
     # The vjp closes over its own output, so every tape through texp (each
     # network loss) is a reference cycle that only the cyclic GC frees: one
     # mlp:64 loss+backward leaves 49 objects to gc.collect(), a 2-batch learn
-    # 1,176, a linear run 0. This is why learn-mlp peak RSS grows with run
-    # length. A cycle-free texp kept it flat (about 70 MB against 183 MB) but
-    # cost more page faults and wall time; see CHANGES.md.
+    # 196, a linear run 0. Network attacks build no tape, so one pgd_attack
+    # leaves 0 (490 when its gradient was taken here). These cycles are why
+    # learn-mlp peak RSS grows with run length. A cycle-free texp kept it
+    # flat (about 70 MB against 183 MB) but cost more page faults and wall
+    # time; see CHANGES.md.
     out = Tensor(np.exp(a.data), (a,), None)
     out._vjp = lambda g: (mul(g, out),)
     return out

@@ -16,15 +16,17 @@ failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 import numpy as np
 
 from .attacks import closed_form_linear_robust_accuracy, robust_accuracy
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _has_kind, _kind_name
 from .datafile import atomic_write, read_dataset, write_csv, write_dataset
 from .dataset import Dataset, subsample
+from .errors import DataError
 from .evaluation import EvalPlan, evaluate_dataset, figure2_toy, model_factory
 from .learning import (
     RobustLearnConfig,
@@ -117,10 +119,15 @@ def _test_set(dataset: Dataset, cfg: ExperimentConfig, rng: RngStream) -> Datase
     """Clean-distribution test data; generation parameters travel in provenance.
 
     Only general-symmetric data records a tail law; every other dataset,
-    robust-star included, is tested on the gaussian model.
+    robust-star included, is tested on the gaussian model. A recorded
+    parameter of the wrong JSON kind is a DataError.
     """
     section = cfg.section("distribution")
     prov = dataset.provenance
+    for key, kind in (("d", 0), ("mu", 0.0), ("p", 0.0), ("law", "")):
+        if key in prov and not (_has_kind(prov[key], kind) or (key == "law" and prov[key] is None)):
+            expected = _kind_name(kind) + (" or null" if key == "law" else "")
+            raise DataError(f"dataset provenance {key} must be {expected}, got {json.dumps(prov[key])}")
     law = prov.get("law")
     spec = DistributionSpec(
         d=int(prov.get("d", section["d"])),

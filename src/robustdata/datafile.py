@@ -104,6 +104,8 @@ def read_dataset(path) -> Dataset:
         provenance = json.loads(blob[offset : offset + meta_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"metadata is not valid JSON: {exc}", offset) from exc
+    if not isinstance(provenance, dict):
+        raise FormatError(f"metadata is not a JSON object: {type(provenance).__name__}", offset)
 
     value_range = (lo, hi) if flag else None
     return Dataset(features.astype(np.float64), labels, value_range, provenance)

@@ -17,8 +17,10 @@ Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
 A linear step takes its loss and gradient from hinge_loss_and_grad, a
 closed form that is bit-identical to batch_loss_graph plus backward, so
-linear training builds no tape; the tape serves the network's steps and
-the learner's second-order step.
+linear training builds no tape. A network attack takes its input
+gradient from mlp_input_grad, which is bit-identical to
+true_class_log_probs plus backward in the same way. The tape serves the
+network's training steps and the learner's second-order step.
 """
 
 from __future__ import annotations
@@ -239,6 +241,49 @@ def hinge_loss_and_grad(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float)
     if not (np.isfinite(loss) and np.isfinite(grad).all()):
         raise NonFiniteError("tensor contains NaN or Inf")
     return float(loss), grad
+
+
+def mlp_input_grad(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """d/dX of -sum(true-class log-softmax) of a network, without a tape.
+
+    `params` is model.params() and `classes` is model.targets(labels). Every
+    operation is the tape's, in the tape's order, so the result is
+    bit-identical to true_class_log_probs plus backward; no weight or bias
+    adjoint is formed.
+
+    NonFiniteError is raised where the tape raises it, except where only a
+    weight or bias adjoint overflows. The leaves are checked first, as on
+    the tape. Any other non-finite value spreads along its row to the
+    objective (an overflowing logits - max, or a sum of huge
+    log-probabilities) or to the gradient, and those two are checked last.
+    numpy's floating-point warnings are silenced: NonFiniteError is the only
+    report.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not (np.isfinite(X).all() and all(np.isfinite(p).all() for p in params)):
+        raise NonFiniteError("tensor contains NaN or Inf")
+    weights, biases = params[0::2], params[1::2]
+    with np.errstate(all="ignore"):
+        h, masks = X, []
+        for W, b in zip(weights[:-1], biases[:-1]):
+            s = h @ W + b
+            masks.append((s > 0).astype(np.float64))  # relu'(0) = 0, as on the tape
+            h = s * masks[-1]
+        logits = h @ weights[-1] + biases[-1]
+        z = logits + (-logits.max(axis=1, keepdims=True))
+        e = np.exp(z)
+        S = np.sum(e, axis=1, keepdims=True)
+        onehot = np.zeros_like(z)
+        onehot[np.arange(classes.size), classes] = 1.0
+        objective = np.sum((z + (-np.log(S))) * onehot)
+        g_lp = -onehot  # the seed -1 times the one-hot mask, signed zeros included
+        g = g_lp + ((-np.sum(g_lp, axis=(1,), keepdims=True)) * S**-1.0) * e
+        for W, m in zip(weights[:0:-1], masks[::-1]):
+            g = (g @ W.T) * m
+        g = g @ weights[0].T
+    if not (np.isfinite(objective) and np.isfinite(g).all()):
+        raise NonFiniteError("tensor contains NaN or Inf")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -22,7 +23,15 @@ from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
 from robustdata.learning import RobustLearnConfig, learn_robust_dataset
-from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
+from robustdata.models import (
+    LinearClassifier,
+    MlpClassifier,
+    TrainConfig,
+    accuracy,
+    batch_loss_graph,
+    sgd_train,
+    true_class_log_probs,
+)
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -214,10 +223,20 @@ def tape_hinge_gradient(w, X, y):
     return ad.backward(ad.neg(ad.tsum(margins)), [leaf])[0].data
 
 
+def tape_mlp_gradient(model, params_arrays, X, y):
+    """Reference: d/dX of -sum(true-class log-softmax) on the tape."""
+    with np.errstate(all="ignore"):
+        leaf = Tensor(X)
+        params = [Tensor(p) for p in params_arrays]
+        objective = ad.neg(ad.tsum(true_class_log_probs(model, params, leaf, y)))
+        return ad.backward(objective, [leaf])[0].data
+
+
 def tape_attack_gradient(model, params_arrays, X, y):
-    assert isinstance(model, LinearClassifier)
-    (w,) = params_arrays
-    return tape_hinge_gradient(w, X, y)
+    if isinstance(model, LinearClassifier):
+        (w,) = params_arrays
+        return tape_hinge_gradient(w, X, y)
+    return tape_mlp_gradient(model, params_arrays, X, y)
 
 
 # exact zeros are drawn often, so -y * 0 must match the tape's signed zero
@@ -255,16 +274,117 @@ def test_closed_form_hinge_gradient_rejects_multi_param():
         attack_gradient(LinearClassifier(w), [w, w], np.ones((3, 2)), np.array([1, -1, 1]))
 
 
-def test_learner_unchanged_with_tape_hinge_gradient(monkeypatch):
+def assert_learner_unchanged_with_tape_gradient(monkeypatch, arch):
     rng = RngStream(4)
     train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 600, rng.child(1))
     cfg = RobustLearnConfig(epochs=2, gamma=0.05, beta=0.01, attack=AttackConfig(norm="linf", eps=0.8, steps=10))
-    factory = model_factory("linear", 21)
+    factory = model_factory(arch, 21)
     closed, closed_trace = learn_robust_dataset(train, factory, cfg, RngStream(9))
     monkeypatch.setattr(attacks, "attack_gradient", tape_attack_gradient)
     taped, taped_trace = learn_robust_dataset(train, factory, cfg, RngStream(9))
     assert np.array_equal(closed.features, taped.features)
     assert closed_trace == taped_trace
+
+
+def test_learner_unchanged_with_tape_hinge_gradient(monkeypatch):
+    assert_learner_unchanged_with_tape_gradient(monkeypatch, "linear")
+
+
+def test_learner_unchanged_with_tape_mlp_gradient(monkeypatch):
+    assert_learner_unchanged_with_tape_gradient(monkeypatch, "mlp:8")
+
+
+# ---------------------------------------------------------------------------
+# closed-form network attack gradient
+# ---------------------------------------------------------------------------
+
+
+# integer values make relu kinks (s == 0) and tied logits common; the floats exercise rounding
+mixed_entries = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
+
+
+@st.composite
+def mlp_cases(draw):
+    d, k = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    sizes = [d, *draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)), k]
+    weights = [draw(hnp.arrays(np.float64, shape, elements=mixed_entries)) for shape in zip(sizes[:-1], sizes[1:])]
+    biases = [draw(hnp.arrays(np.float64, n, elements=mixed_entries)) for n in sizes[1:]]
+    # rows and labels are many, so they come from a drawn seed; the rows mix integers and floats
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = draw(st.integers(1, 129))
+    X = np.where(rows.random((B, d)) < 0.5, rows.integers(-3, 4, (B, d)), rows.uniform(-3, 3, (B, d)))
+    if k == 2 and draw(st.booleans()):
+        labels = rows.choice([-1, 1], B)
+    else:
+        labels = rows.integers(0, k, B)
+    model = MlpClassifier(weights, biases)
+    return model, X, model.targets(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mlp_cases())
+def test_closed_form_mlp_gradient_matches_tape(case):
+    model, X, y = case
+    got = attack_gradient(model, model.params(), X, y)
+    ref = tape_mlp_gradient(model, model.params(), X, y)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))  # signed zeros too
+
+
+def _outcome(gradient, model, X, y):
+    try:
+        return gradient(model, model.params(), X, y)
+    except NonFiniteError:
+        return None
+
+
+# (hidden layers, weight scale, bias, row value) where the tape raised and the
+# closed form returned a finite gradient: the tape also forms the first layer's
+# weight adjoint X.T @ g, which overflows on rows of 1e308.
+TAPE_ONLY_RAISES = {(2, 1.0, 0.0, 1e308)}
+
+
+@pytest.mark.parametrize("hidden", [1, 2])
+def test_closed_form_mlp_gradient_non_finite_parity(hidden):
+    base = MlpClassifier.init([3, *[4] * hidden, 3 - hidden % 2], RngStream(4 + hidden))
+    grid = itertools.product(
+        (1.0, 1e10, 1e100, 1e154, 1e300, 1e308), (0.0, 1e308), (0.0, 1.0, -1.0, 1e308, -1e308, 1.7e308, 1.79e308)
+    )
+    y = np.array([0, 1])
+    for scale, bias, x in grid:
+        with np.errstate(over="ignore"):  # a weight scaled past 1.8e308 is an infinite leaf
+            weights = [W * scale for W in base.weights]
+        model = MlpClassifier(weights, [np.full_like(b, bias) for b in base.biases])
+        X = x * np.array([[1.0, -0.5, 0.25], [-1.0, 0.5, 0.0]])
+        got, ref = _outcome(attack_gradient, model, X, y), _outcome(tape_mlp_gradient, model, X, y)
+        case = (hidden, scale, bias, x)
+        if case in TAPE_ONLY_RAISES:
+            assert ref is None and got is not None and np.isfinite(got).all(), case
+        elif ref is None:
+            assert got is None, case
+        else:
+            assert got is not None and np.array_equal(got, ref), case
+
+
+def test_mlp_attack_builds_no_tape(monkeypatch):
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("a Tensor was built")
+
+    rng = RngStream(37)
+    model = MlpClassifier.init([4, 8, 8, 3], rng)
+    X = rng.normal(0, 1, (12, 4))
+    y = np.array([0, 1, 2] * 4)
+    cfg = AttackConfig(norm="linf", eps=0.3, steps=4)
+    monkeypatch.setattr(Tensor, "__init__", no_tensor)
+    gc.collect()
+    gc.disable()
+    try:
+        attack_gradient(model, model.params(), X, y)
+        pgd_attack(model, X, y, cfg)
+        assert gc.collect() == 0  # no reference cycles left for the cyclic collector
+    finally:
+        gc.enable()
 
 
 def test_pgd_hinge_rejects_non_finite_rows_and_weights():

@@ -1,12 +1,15 @@
 import csv
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from robustdata.cli import _test_set, cli_run
 from robustdata.config import ExperimentConfig
-from robustdata.datafile import read_dataset
+from robustdata.datafile import read_dataset, write_dataset
+from robustdata.dataset import Dataset
 from robustdata.rng import RngStream
 from robustdata.theory import sample
 
@@ -108,6 +111,48 @@ def test_diverging_learner_exits_one(tmp_path, capsys):
     code = cli_run(["learn", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "epoch 0, batch 0" in capsys.readouterr().err
+
+
+def dataset_file_with_metadata(path, meta: bytes) -> str:
+    """A valid 4-row dataset file whose metadata bytes are replaced by `meta`."""
+    write_dataset(path, Dataset(np.ones((4, 21)), np.array([1, -1, 1, -1])))
+    blob = path.read_bytes()
+    path.write_bytes(blob[: -len(b"{}") - 4] + struct.pack("<I", len(meta)) + meta)
+    return str(path)
+
+
+def assert_exits_one_with(capsys, argv, message):
+    code = cli_run(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["learn", "baseline", "evaluate"])
+@pytest.mark.parametrize("meta", [b"[1,2]", b'"gaussian"', b"null"], ids=["list", "string", "null"])
+def test_dataset_metadata_not_an_object_exits_one(tmp_path, capsys, config_path, command, meta):
+    data = dataset_file_with_metadata(tmp_path / "bad.rds", meta)
+    argv = [command, "--config", config_path, "--seed", "0", "--out", str(tmp_path / "out"), "--data", data]
+    assert_exits_one_with(capsys, argv, "metadata is not a JSON object")
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        (b'{"d":null}', "provenance d must be an integer, got null"),
+        (b'{"d":20.5}', "provenance d must be an integer, got 20.5"),
+        (b'{"mu":"0.4"}', 'provenance mu must be a number, got "0.4"'),
+        (b'{"p":true}', "provenance p must be a number, got true"),
+        (b'{"law":3}', "provenance law must be a string or null, got 3"),
+    ],
+    ids=["d-null", "d-float", "mu-string", "p-bool", "law-int"],
+)
+def test_dataset_provenance_of_wrong_kind_exits_one(tmp_path, capsys, config_path, meta, message):
+    # evaluate reads the generation parameters back from the file to sample its test set
+    data = dataset_file_with_metadata(tmp_path / "bad.rds", meta)
+    argv = ["evaluate", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "out"), "--data", data]
+    assert_exits_one_with(capsys, argv, message)
 
 
 @pytest.mark.parametrize(
