@@ -1,11 +1,16 @@
 """Reverse-mode automatic differentiation with second-order support.
 
 Tensors are immutable float64 arrays that remember how they were computed.
-Backward passes are themselves expressed with Tensor operations, so the
-adjoints returned by `backward` live on a fresh tape and can be
-differentiated again (re-recording). That is exactly what `unrolled_grad`
-needs: the derivative of a loss through one gradient-descent parameter
-update. The primitives are the ones the package's losses are built from.
+Each primitive keeps one vjp per parent. Backward passes are themselves
+expressed with Tensor operations, so the adjoints returned by `backward`
+live on a fresh tape and can be differentiated again (re-recording). That
+is exactly what `unrolled_grad` needs: the derivative of a loss through
+one gradient-descent parameter update. The primitives are the ones the
+package's losses are built from.
+
+`backward` forms only the adjoints on a path from the output to a
+requested input (activity analysis): adjoints of constants, of leaves not
+asked for and of anything computed from those alone are never formed.
 
 Convention fixed here and relied on by the rest of the package:
 relu'(0) = 0 (the flat side of the hinge wins at the kink).
@@ -83,59 +88,51 @@ def _unbroadcast(g: Tensor, shape: Shape) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g: Tensor):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor(a.data + b.data, (a, b), vjp)
+    vjps = (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape))
+    return Tensor(a.data + b.data, (a, b), vjps)
 
 
 def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, (a,), lambda g: (neg(g),))
+    return Tensor(-a.data, (a,), (neg,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g: Tensor):
-        return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
-
-    return Tensor(a.data * b.data, (a, b), vjp)
+    vjps = (lambda g: _unbroadcast(mul(g, b), a.shape), lambda g: _unbroadcast(mul(g, a), b.shape))
+    return Tensor(a.data * b.data, (a, b), vjps)
 
 
 def power(a: Tensor, k: float) -> Tensor:
     k = float(k)
-
-    def vjp(g: Tensor):
-        return (mul(g, mul(constant(k), power(a, k - 1.0))),)
-
-    return Tensor(a.data**k, (a,), vjp)
+    return Tensor(a.data**k, (a,), (lambda g: mul(g, mul(constant(k), power(a, k - 1.0))),))
 
 
 def texp(a: Tensor) -> Tensor:
     # The vjp closes over its own output, so every tape through texp (each
     # network loss) is a reference cycle that only the cyclic GC frees: one
-    # mlp:64 loss+backward leaves 49 objects to gc.collect(), a 2-batch learn
-    # 196, a linear run 0. Network attacks build no tape, so one pgd_attack
+    # mlp:64 loss+backward leaves 66 objects to gc.collect(), a 2-batch learn
+    # 264, a linear run 0. Network attacks build no tape, so one pgd_attack
     # leaves 0 (490 when its gradient was taken here). These cycles are why
     # learn-mlp peak RSS grows with run length. A cycle-free texp kept it
     # flat (about 70 MB against 183 MB) but cost more page faults and wall
     # time; see CHANGES.md.
     out = Tensor(np.exp(a.data), (a,), None)
-    out._vjp = lambda g: (mul(g, out),)
+    out._vjp = (lambda g: mul(g, out),)
     return out
 
 
 def tlog(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.data), (a,), lambda g: (mul(g, power(a, -1.0)),))
+    return Tensor(np.log(a.data), (a,), (lambda g: mul(g, power(a, -1.0)),))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = (a.data > 0).astype(np.float64)  # strict: subgradient 0 at the kink
-    return Tensor(a.data * mask, (a,), lambda g: (mul(g, constant(mask)),))
+    return Tensor(a.data * mask, (a,), (lambda g: mul(g, constant(mask)),))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g: Tensor):
         if axis is None:
-            return (broadcast_to(reshape(g, (1,) * a.data.ndim), a.shape),)
+            return broadcast_to(reshape(g, (1,) * a.data.ndim), a.shape)
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         if keepdims:
             gk = g
@@ -144,9 +141,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             for ax in axes:
                 kshape[ax % a.data.ndim] = 1
             gk = reshape(g, tuple(kshape))
-        return (broadcast_to(gk, a.shape),)
+        return broadcast_to(gk, a.shape)
 
-    return Tensor(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp)
+    return Tensor(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), (vjp,))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -155,44 +152,38 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape: Shape) -> Tensor:
-    def vjp(g: Tensor):
-        return (_unbroadcast(g, a.shape),)
-
-    return Tensor(np.broadcast_to(a.data, shape).copy(), (a,), vjp)
+    return Tensor(np.broadcast_to(a.data, shape).copy(), (a,), (lambda g: _unbroadcast(g, a.shape),))
 
 
 def reshape(a: Tensor, shape: Shape) -> Tensor:
     old = a.shape
-    return Tensor(a.data.reshape(shape), (a,), lambda g: (reshape(g, old),))
+    return Tensor(a.data.reshape(shape), (a,), (lambda g: reshape(g, old),))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ContractError("transpose expects a 2-D tensor")
     # a view is safe: no array is written in place while a tape built on it is in use
-    return Tensor(a.data.T, (a,), lambda g: (transpose(g),))
+    return Tensor(a.data.T, (a,), (transpose,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     na, nb = a.data.ndim, b.data.ndim
     if na == 2 and nb == 2:
-        vjp = lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g))
+        vjps = (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g))
     elif na == 2 and nb == 1:
-        vjp = lambda g: (outer(g, b), matmul(transpose(a), g))
+        vjps = (lambda g: outer(g, b), lambda g: matmul(transpose(a), g))
     elif na == 1 and nb == 2:
-        vjp = lambda g: (matmul(b, g), outer(a, g))
+        vjps = (lambda g: matmul(b, g), lambda g: outer(a, g))
     elif na == 1 and nb == 1:
-        vjp = lambda g: (mul(g, b), mul(g, a))
+        vjps = (lambda g: mul(g, b), lambda g: mul(g, a))
     else:
         raise ContractError(f"matmul supports 1-D/2-D operands, got ndim {na} and {nb}")
-    return Tensor(a.data @ b.data, (a, b), vjp)
+    return Tensor(a.data @ b.data, (a, b), vjps)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g: Tensor):
-        return (matmul(g, b), matmul(transpose(g), a))
-
-    return Tensor(np.outer(a.data, b.data), (a, b), vjp)
+    return Tensor(np.outer(a.data, b.data), (a, b), (lambda g: matmul(g, b), lambda g: matmul(transpose(g), a)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,42 +191,58 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
+def _active_order(root: Tensor, inputs: Sequence[Tensor]) -> tuple[list[Tensor], set[Tensor]]:
+    """The nodes under `root` that depend on one of `inputs`, parents first, and their set.
+
+    A depth-first post-order places every parent before its children, so
+    whether a node is active (an input, or a child of an active node) is
+    known when it is placed. Leaves below `root` are never placed: an input
+    leaf is active from the start and has no vjp to call. Tensors hash by
+    identity.
+    """
+    active = set(inputs)
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            if node in active or not active.isdisjoint(node._parents):
+                active.add(node)
+                order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p._parents and p not in seen:
                 stack.append((p, False))
-    return order
+    return order, active
 
 
 def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
     """Adjoints of a scalar output w.r.t. `inputs`.
 
-    The returned tensors carry their own tape, so expressions built from
-    them can be differentiated again.
+    Only the adjoints on a path from `output` to one of `inputs` are formed:
+    a node's vjp is called for a parent only when that parent depends on an
+    input. The returned tensors carry their own tape, so expressions built
+    from them can be differentiated again.
     """
     if output.shape != ():
         raise ContractError(f"objective must be scalar, got shape {output.shape}")
-    adjoint: dict[int, Tensor] = {id(output): constant(1.0)}
-    for node in reversed(_topo_order(output)):
-        g = adjoint.get(id(node))
-        if g is None or node._vjp is None:
+    order, active = _active_order(output, inputs)
+    adjoint: dict[Tensor, Tensor] = {output: constant(1.0)}
+    for node in reversed(order):  # every active node under `output` has an adjoint when reached
+        if node._vjp is None:  # `output` itself, an input leaf
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            prev = adjoint.get(id(parent))
-            adjoint[id(parent)] = pg if prev is None else add(prev, pg)
-    return [adjoint.get(id(t), constant(np.zeros(t.shape))) for t in inputs]
+        g = adjoint[node]
+        for parent, vjp in zip(node._parents, node._vjp):
+            if parent in active:
+                pg = vjp(g)
+                prev = adjoint.get(parent)
+                adjoint[parent] = pg if prev is None else add(prev, pg)
+    return [adjoint.get(t, constant(np.zeros(t.shape))) for t in inputs]
 
 
 def unrolled_grad(

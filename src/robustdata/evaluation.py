@@ -32,10 +32,11 @@ def parse_arch(arch: str) -> tuple[str, list[int]]:
     if arch == "linear":
         return "linear", []
     if arch.startswith("mlp:"):
-        widths = [int(tok) for tok in arch.split(":", 1)[1].split("-") if tok]
-        if not widths or any(w < 1 for w in widths):
+        tokens = arch[len("mlp:") :].split("-")
+        # each width is a positive decimal integer: int() alone would take " 8", "+8" and "8_0"
+        if not all(tok.isascii() and tok.isdigit() and int(tok) > 0 for tok in tokens):
             raise ParameterError(f"bad mlp architecture {arch!r}")
-        return "mlp", widths
+        return "mlp", [int(tok) for tok in tokens]
     raise ParameterError(f"unknown architecture {arch!r}")
 
 

@@ -56,10 +56,13 @@ class RobustLearnConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.gamma <= 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.beta < 0:  # beta = 0 freezes the data, a useful control
-            raise ParameterError(f"beta must be >= 0, got {self.beta}")
+        # comparisons against inf, since `x <= 0` is False for NaN
+        if not 0 < self.gamma < np.inf:
+            raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 <= self.beta < np.inf:  # beta = 0 freezes the data, a useful control
+            raise ParameterError(f"beta must be >= 0 and finite, got {self.beta}")
+        if not 0 <= self.lam < np.inf:
+            raise ParameterError(f"lam must be >= 0 and finite, got {self.lam}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode not in (META_GRADIENT, ALTERNATING):

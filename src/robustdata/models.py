@@ -162,14 +162,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ParameterError(f"lr must be positive, got {self.lr}")
+        # comparisons against inf, since `x <= 0` is False for NaN
+        if not 0 < self.lr < np.inf:
+            raise ParameterError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ParameterError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -251,9 +252,9 @@ def mlp_input_grad(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndar
     bit-identical to true_class_log_probs plus backward; no weight or bias
     adjoint is formed.
 
-    NonFiniteError is raised where the tape raises it, except where only a
-    weight or bias adjoint overflows. The leaves are checked first, as on
-    the tape. Any other non-finite value spreads along its row to the
+    NonFiniteError is raised where the tape raises it; the tape's backward
+    forms no weight or bias adjoint either. The leaves are checked first, as
+    on the tape. Any other non-finite value spreads along its row to the
     objective (an overflowing logits - max, or a sum of huge
     log-probabilities) or to the gradient, and those two are checked last.
     numpy's floating-point warnings are silenced: NonFiniteError is the only

@@ -1,10 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustdata import autodiff as ad
+from robustdata.attacks import AttackConfig
 from robustdata.autodiff import Tensor, backward, unrolled_grad
+from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
+from robustdata.evaluation import model_factory
+from robustdata.learning import RobustLearnConfig, learn_robust_dataset
+from robustdata.models import LinearClassifier, MlpClassifier
 from robustdata.rng import RngStream
+from robustdata.theory import DistributionSpec, sample
 
 from gradcheck import finite_diff_check, grad
 
@@ -281,6 +291,210 @@ def test_fuzz_hessian_vector_products_against_finite_differences():
         numeric = (gp - gm) / (2 * h)
         denom = np.maximum(np.maximum(np.abs(hvp), np.abs(numeric)), 1e-6)
         assert np.max(np.abs(hvp - numeric) / denom) <= 1e-4, f"trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# pruned backward against the every-edge reference
+# ---------------------------------------------------------------------------
+
+
+def topo_order(root):
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    return order
+
+
+def backward_every_edge(output, inputs):
+    """Reference: backward that forms an adjoint for every parent of every node."""
+    if output.shape != ():
+        raise ContractError(f"objective must be scalar, got shape {output.shape}")
+    adjoint = {id(output): ad.constant(1.0)}
+    for node in reversed(topo_order(output)):
+        g = adjoint.get(id(node))
+        if g is None or node._vjp is None:
+            continue
+        for parent, vjp in zip(node._parents, node._vjp):
+            pg = vjp(g)
+            prev = adjoint.get(id(parent))
+            adjoint[id(parent)] = pg if prev is None else ad.add(prev, pg)
+    return [adjoint.get(id(t), ad.constant(np.zeros(t.shape))) for t in inputs]
+
+
+def assert_bit_identical(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))  # signed zeros too
+
+
+def with_backward(impl, run):
+    """run() with autodiff.backward replaced by `impl`; unrolled_grad looks it up there too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "backward", impl)
+        return run()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(1e-3, 10.0))
+def test_pruned_backward_matches_every_edge_on_expressions(seed, n, lr):
+    rng = RngStream(seed)
+    x0, d0, v = rng.normal(0, 1, (n,)), rng.normal(0, 1, (n,)), rng.normal(0, 1, (n,))
+    expr_seed = rng.child(1).seed
+
+    def first_order():
+        x = Tensor(x0)
+        return [g.data for g in ad.backward(random_smooth_expression(RngStream(expr_seed), x), [x])]
+
+    def unrolled():
+        def train(ps, d):
+            return random_smooth_expression(RngStream(expr_seed), ad.mul(ps[0], d))
+
+        meta, updated, _ = ad.unrolled_grad(train, lambda updated: [v], [Tensor(x0)], Tensor(d0), lr)
+        return [meta, *updated]
+
+    for run in (first_order, unrolled):
+        assert_bit_identical(run(), with_backward(backward_every_edge, run))
+
+
+# integer values make hinge and relu kinks common; the floats exercise rounding
+mixed_entries = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
+
+
+@st.composite
+def learner_batches(draw):
+    """A one-epoch learner run of one or two batches: (dataset, factory, config)."""
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        w0 = np.array(draw(st.lists(mixed_entries, min_size=d, max_size=d)))
+        factory = lambda seed: LinearClassifier(w0)
+    else:
+        factory = model_factory("mlp:8", d)
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    X = np.where(rows.random((n, d)) < 0.5, rows.integers(-3, 4, (n, d)), rows.uniform(-3, 3, (n, d)))
+    labels = rows.choice([-1, 1], n)
+    cfg = RobustLearnConfig(
+        epochs=1,
+        gamma=draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-3, 10.0)),
+        beta=0.01,
+        attack=AttackConfig(eps=0.5, steps=2),
+        batch_size=draw(st.integers(max(1, n // 2), n)),
+        theta0_seed=draw(st.integers(0, 3)),
+        lam=draw(st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 1.0)),
+    )
+    return Dataset(X, labels), factory, cfg
+
+
+def recorded_learn(impl, train, factory, cfg):
+    """Every backward result and every (meta, *updated) of a learner run, and its learned features."""
+    calls = []
+    unrolled = ad.unrolled_grad
+
+    def recording_backward(output, inputs):
+        adjoints = impl(output, inputs)
+        calls.append([g.data for g in adjoints])
+        return adjoints
+
+    def recording_unrolled(*args):
+        meta, updated, train_out = unrolled(*args)
+        calls.append([meta, *updated])
+        return meta, updated, train_out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "unrolled_grad", recording_unrolled)
+        mp.setattr(ad, "backward", recording_backward)
+        learned, _ = learn_robust_dataset(train, factory, cfg, RngStream(0))
+    return calls, learned.features
+
+
+@settings(max_examples=150, deadline=None)
+@given(learner_batches())
+def test_pruned_backward_matches_every_edge_on_learner_batches(case):
+    train, factory, cfg = case
+    got_calls, got = recorded_learn(ad.backward, train, factory, cfg)
+    ref_calls, ref = recorded_learn(backward_every_edge, train, factory, cfg)
+    assert len(got_calls) == len(ref_calls)
+    for a, b in zip(got_calls, ref_calls):
+        assert_bit_identical(a, b)
+    assert np.array_equal(got, ref)
+
+
+def parity_factory(family, scale):
+    if family == "linear":
+        return lambda seed: LinearClassifier(scale * np.array([1.0, -2.0, 0.5]))
+    base = MlpClassifier.init([3, 4, 2], RngStream(5))
+    return lambda seed: MlpClassifier([W * scale for W in base.weights], base.biases)
+
+
+def learn_outcome(family, scale, gamma, x):
+    """The features a one-batch learner run learns, or None if it raised NonFiniteError."""
+    train = Dataset(x * np.array([[1.0, -0.5, 0.25], [-1.0, 0.5, 0.0]]), np.array([1, -1]))
+    cfg = RobustLearnConfig(epochs=1, gamma=gamma, beta=0.01, attack=AttackConfig(eps=0.8, steps=3))
+    try:
+        learned, _ = learn_robust_dataset(train, parity_factory(family, scale), cfg, RngStream(0))
+    except NonFiniteError:
+        return None
+    return learned.features
+
+
+# (family, weight scale, gamma, row value) where only the every-edge reference
+# raised. Each is the meta pass's adjoint of the hinge coefficients c, the
+# vector in grad = X.T @ c + 2*lam*w: that adjoint is X @ g, with g the
+# adversarial-loss gradient, and it overflows on rows this large. c is built
+# from y, the relu mask and 1/B alone, so it depends on no data and the pruned
+# backward does not form it; meta = -gamma * outer(c, g) stays finite.
+PRUNED_ONLY_RAISES = {
+    *(("linear", 1e-100, gamma, x) for gamma in (1e10, 1e100) for x in (1e200, 1e300, 1e308, 1.7e308, 1.79e308)),
+    ("linear", 1.0, 1e10, 1e200),
+    ("linear", 1.0, 1e10, 1e300),
+    ("linear", 1.0, 1e100, 1e200),
+}
+
+
+@pytest.mark.parametrize("family", ["linear", "mlp"])
+def test_pruned_backward_non_finite_parity(family):
+    rows = (0.0, 1.0, -1.0, 1e100, 1e200, 1e300, 1e308, -1e308, 1.7e308, 1.79e308)
+    grid = itertools.product((1e-100, 1.0), (0.05, 1e10, 1e100, 1e300), rows)
+    raised = 0
+    for scale, gamma, x in grid:
+        case = (family, scale, gamma, x)
+        got = learn_outcome(*case)
+        ref = with_backward(backward_every_edge, lambda: learn_outcome(*case))
+        raised += ref is None
+        if case in PRUNED_ONLY_RAISES:
+            assert ref is None and got is not None and np.isfinite(got).all(), case
+        elif ref is None:
+            assert got is None, case
+        else:
+            assert got is not None and np.array_equal(got, ref), case
+    assert raised > 0  # the grid reaches overflow
+
+
+@pytest.mark.parametrize("arch, tensors", [("linear", 82), ("mlp:8-8", 301)])
+def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
+    # 115 and 387 when backward formed an adjoint for every parent of every node
+    train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 256, RngStream(3))
+    cfg = RobustLearnConfig(epochs=1, gamma=0.05, beta=0.01, attack=AttackConfig(eps=0.8, steps=10))
+    count = 0
+    init = Tensor.__init__
+
+    def counted_init(tensor, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(tensor, *args, **kwargs)
+
+    factory = model_factory(arch, 21)
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    learn_robust_dataset(train, factory, cfg, RngStream(0))
+    assert count == 2 * tensors  # 256 rows in batches of 128
 
 
 # ---------------------------------------------------------------------------

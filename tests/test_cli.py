@@ -102,6 +102,40 @@ def test_non_finite_attack_budget_exits_one(tmp_path, capsys, command, section, 
     assert "error: eps must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        ("learn", "robust_learn", "gamma", float("nan"), "gamma must be positive and finite"),
+        ("learn", "robust_learn", "beta", float("inf"), "beta must be >= 0 and finite"),
+        ("learn", "robust_learn", "lam", -1.0, "lam must be >= 0 and finite"),
+        ("learn", "robust_learn", "lam", float("inf"), "lam must be >= 0 and finite"),
+        ("evaluate", "train", "lr", float("inf"), "lr must be positive and finite"),
+        ("baseline", "train", "weight_decay", float("nan"), "weight_decay must be >= 0 and finite"),
+    ],
+    ids=["nan-gamma", "inf-beta", "negative-lam", "inf-lam", "inf-lr", "nan-weight-decay"],
+)
+def test_unusable_learner_and_trainer_values_exit_one(tmp_path, capsys, command, section, key, value, message):
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config[section][key] = value
+    config["robust_learn"]["epochs"] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")]
+    assert_exits_one_with(capsys, argv, f"error: {message}")
+
+
+@pytest.mark.parametrize("arch", ["mlp:-3", "mlp:8--8", "mlp:abc"])
+def test_malformed_mlp_architecture_exits_one(tmp_path, capsys, arch):
+    # mlp:-3 trained mlp:3 and mlp:8--8 trained mlp:8-8, exiting 0
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["model"] = {"arch": arch}
+    config["robust_learn"]["epochs"] = 1
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(config))
+    argv = ["learn", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")]
+    assert_exits_one_with(capsys, argv, f"bad mlp architecture '{arch}'")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_learner_exits_one(tmp_path, capsys):
     config = json.loads(json.dumps(SMALL_CONFIG))

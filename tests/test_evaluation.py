@@ -1,4 +1,5 @@
 import csv
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,11 @@ def test_parse_arch():
         parse_arch("cnn")
     with pytest.raises(ParameterError):
         parse_arch("mlp:")
+    assert parse_arch("mlp:08") == ("mlp", [8])
+    # empty tokens were dropped, so mlp:-3 trained mlp:3; int() takes "+8", " 8" and "8_0"
+    for arch in ["mlp:-3", "mlp:8--8", "mlp:8-", "mlp:abc", "mlp:0", "mlp:+8", "mlp: 8", "mlp:8_0"]:
+        with pytest.raises(ParameterError, match=re.escape(f"bad mlp architecture '{arch}'")):
+            parse_arch(arch)
 
 
 def test_make_model_shapes():

@@ -192,6 +192,14 @@ def test_sgd_rejects_zero_epochs():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("field", ["lr", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite_values(field, value):
+    # `value <= 0` is False for NaN and inf, so a sign check alone lets them through
+    with pytest.raises(ParameterError, match=f"{field} must be .* and finite"):
+        TrainConfig(**{field: value})
+
+
 def test_sgd_checks_the_last_update():
     # one step of lr 1e10 on a feature of 1e300 overflows w[0]; no later step reads it
     ds = binary_dataset([[1e300, 0.5], [-1e300, -0.5]], [1, -1])
