@@ -5,8 +5,8 @@ Each primitive keeps one vjp per parent. Backward passes are themselves
 expressed with Tensor operations, so the adjoints returned by `backward`
 live on a fresh tape and can be differentiated again (re-recording). That
 is exactly what `unrolled_grad` needs: the derivative of a loss through
-one gradient-descent parameter update. The primitives are the ones the
-package's losses are built from.
+one gradient-descent parameter update. The network loss is built from
+the primitives; the linear loss is one node with closed-form vjps.
 
 `backward` forms only the adjoints on a path from the output to a
 requested input (activity analysis): adjoints of constants, of leaves not

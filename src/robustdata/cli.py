@@ -26,7 +26,7 @@ from .attacks import closed_form_linear_robust_accuracy, robust_accuracy
 from .config import ExperimentConfig, _has_kind, _kind_name
 from .datafile import atomic_write, read_dataset, write_csv, write_dataset
 from .dataset import Dataset, subsample
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .evaluation import EvalPlan, evaluate_dataset, figure2_toy, model_factory
 from .learning import (
     RobustLearnConfig,
@@ -93,7 +93,10 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("RDS_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ParameterError(f"RDS_SEED must be an integer, got {env!r}") from None
 
 
 def _load_config(args) -> ExperimentConfig:

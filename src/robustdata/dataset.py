@@ -66,6 +66,8 @@ def subsample(dataset: Dataset, fraction: float, rng: RngStream) -> Dataset:
     """
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
+    if dataset.n == 0:
+        raise DataError("cannot subsample an empty dataset")
     total = math.ceil(fraction * dataset.n)
     classes = dataset.classes()
     exact = {c: fraction * int((dataset.labels == c).sum()) for c in classes}

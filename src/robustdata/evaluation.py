@@ -18,7 +18,7 @@ import numpy as np
 from .attacks import AttackConfig, robust_accuracy
 from .datafile import atomic_write, json_plain, write_csv
 from .dataset import Dataset
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .learning import adversarially_train_reference, baseline_adv_dataset
 from .models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, sgd_train
 from .rng import RngStream
@@ -67,6 +67,8 @@ class EvalPlan:
     def __post_init__(self):
         if not self.architectures or not self.seeds or not self.budgets:
             raise ParameterError("need at least one architecture, seed, and budget")
+        if self.dataset.width != self.test.width:
+            raise DataError(f"dataset has {self.dataset.width} features but its test set has {self.test.width}")
 
 
 @dataclass

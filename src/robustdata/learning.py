@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attacks import AttackConfig, adversarial_chunks, attack_for_dataset, pgd_attack
 from .dataset import Dataset
-from .errors import NonFiniteError, ParameterError
+from .errors import DataError, NonFiniteError, ParameterError
 from .models import TrainConfig, batch_loss_graph, sgd_train
 from .rng import RngStream
 
@@ -83,6 +83,8 @@ def learn_robust_dataset(
     rng: RngStream,
 ) -> tuple[Dataset, list[EpochTrace]]:
     """Run the tri-level learner; returns the learned dataset and per-epoch trace."""
+    if x_nat.n == 0:
+        raise DataError("cannot learn from an empty dataset")
     model = model_factory(cfg.theta0_seed)
     y = model.targets(x_nat.labels)
     x_natural = x_nat.features

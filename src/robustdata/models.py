@@ -10,17 +10,16 @@ layers (cross-entropy). Both expose the same small surface:
   * predict(X)                   labels in that target space, plain numpy
 
 The model's type picks its loss in batch_loss_graph. Only the network
-builds its logits on the tape (decision_graph); the linear margins
-y * w.x are written out there directly.
+builds its logits on the tape (decision_graph); the linear objective is
+one fused tape node whose value and vjps come from hinge_parts.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
-A linear step takes its loss and gradient from hinge_loss_and_grad, a
-closed form that is bit-identical to batch_loss_graph plus backward, so
-linear training builds no tape. A network attack takes its input
-gradient from mlp_input_grad, which is bit-identical to
-true_class_log_probs plus backward in the same way. The tape serves the
-network's training steps and the learner's second-order step.
+A linear step calls hinge_parts directly and builds no tape. hinge_parts
+and mlp_input_grad (a network attack's input gradient) are numpy closed
+forms, bit-identical to their objectives written in tape primitives plus
+backward. The tape serves the network's training steps and the learner's
+second-order step.
 """
 
 from __future__ import annotations
@@ -195,15 +194,19 @@ def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tens
 def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, lam: float) -> Tensor:
     """The model's training objective on the tape; `y` is model.targets(labels).
 
-    The linear classifier's is mean(max(0, 1 - y * w.x)) + lam * ||w||^2;
-    the network's is the mean negative log-softmax of the true class plus
-    lam times the squared weights (biases are not decayed).
+    The linear classifier's is mean(max(0, 1 - y * w.x)) + lam * ||w||^2 as
+    one node over (X, w) from hinge_parts. Its w vjp is g * grad, a node over
+    (X, w) whose X vjp outer(c, gg) is the meta-gradient and whose w vjp,
+    gg*lam twice, is the ridge Hessian. The network's is the mean negative
+    log-softmax of the true class plus lam times the squared weights
+    (biases are not decayed).
     """
     if isinstance(model, LinearClassifier):
         (w,) = params
-        margins = ad.mul(ad.constant(y.astype(np.float64)), ad.matmul(X, w))
-        hinge = ad.mean(ad.relu(ad.add(ad.constant(1.0), ad.neg(margins))))
-        return ad.add(hinge, ad.mul(ad.constant(lam), ad.tsum(ad.mul(w, w))))
+        loss, c, grad = hinge_parts(X.data, y.astype(np.float64), w.data, lam)
+        hessian = lambda gg: ad.add(ad.mul(gg, ad.constant(lam)), ad.mul(gg, ad.constant(lam)))
+        G = Tensor(grad, (X, w), (lambda gg: ad.constant(np.outer(c, gg.data)), hessian))
+        return Tensor(loss, (X, w), (lambda g: ad.mul(g, ad.constant(np.outer(c, w.data))), lambda g: ad.mul(g, G)))
     data_term = ad.neg(ad.mean(ad.tsum(true_class_log_probs(model, params, X, y), axis=1)))
     if lam > 0:
         reg = ad.constant(0.0)
@@ -213,22 +216,22 @@ def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, 
     return data_term
 
 
-def hinge_loss_and_grad(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
-    """The linear objective of batch_loss_graph and its gradient in w, without a tape.
+def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The linear objective (loss, c, grad) in numpy: grad = (X.T@c + lam*w) + lam*w.
 
-    `y` holds the labels as float64. Every operation is the tape's, in the
-    tape's order, so both results are bit-identical to batch_loss_graph
-    plus backward; in particular the ridge gradient is lam*w added twice,
-    as the tape accumulates it, not 2*lam*w.
+    `y` holds the labels as float64; c = -((1/B)*a)*y, `a` the hinge-active
+    mask. Every operation is the hinge's in tape primitives, in the tape's
+    order, so all three are bit-identical to that graph plus backward; the
+    ridge gradient is lam*w added twice, as the tape adds it, not 2*lam*w.
 
-    NonFiniteError is raised exactly where the tape raises it. The tape
+    NonFiniteError is raised where that graph plus backward raises it. The tape
     checks its leaves, so X and w are checked first; every later value
     reaches the loss or the gradient, which are checked last. A non-finite
     margin makes slack*a inf or NaN (inf*0 is NaN) and so the loss, an
     overflowing w*w makes the ridge term and the loss inf or NaN, and the
-    partial sums of the gradient carry any inf or NaN into it. The one
-    tape value not computed here, the adjoint of X (outer(c, w)), is
-    finite whenever w is, since |c| <= 1/B. numpy's floating-point
+    partial sums of the gradient carry any inf or NaN into it. The tape
+    values formed from c later, outer(c, w) and outer(c, gg), are finite
+    whenever w and gg are, since |c| <= 1/B. numpy's floating-point
     warnings are silenced: NonFiniteError is the only report.
     """
     if not (np.isfinite(X).all() and np.isfinite(w).all()):
@@ -241,7 +244,7 @@ def hinge_loss_and_grad(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float)
         grad = (X.T @ c + lam * w) + lam * w
     if not (np.isfinite(loss) and np.isfinite(grad).all()):
         raise NonFiniteError("tensor contains NaN or Inf")
-    return float(loss), grad
+    return float(loss), c, grad
 
 
 def mlp_input_grad(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -297,7 +300,7 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
 
     With a hook, every batch is replaced by perturb(X, y) before its step;
     the model holds the current parameters when the hook is called. A
-    linear step is hinge_loss_and_grad; a network step is batch_loss_graph
+    linear step is hinge_parts; a network step is batch_loss_graph
     and backward on the tape. numpy's floating-point warnings are silenced
     here: a diverging run reports itself by NonFiniteError alone.
     """
@@ -323,7 +326,7 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                     model.set_params(params)
                     X = perturb(X, y)
                 if linear:
-                    loss, grad = hinge_loss_and_grad(X, y_float[idx], params[0], cfg.weight_decay)
+                    loss, _, grad = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
                     grads = [grad]
                 else:
                     leaves = [Tensor(p) for p in params]

@@ -1,7 +1,9 @@
-"""Reference gradients for the tests: `grad` and central finite differences.
+"""Reference gradients for the tests: `grad`, central finite differences and
+the linear objective written in tape primitives.
 
 Nothing in the package calls these; the autodiff tests and the acceptance
-gate (criterion 7) compare the tape against them.
+gate (criterion 7) compare the tape against them. `tape_loss_graph` is the
+bit-exact reference for the fused hinge node of `models.batch_loss_graph`.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from robustdata import autodiff as ad
 from robustdata.autodiff import Tensor, backward
 from robustdata.errors import ContractError, ParameterError
+from robustdata.models import LinearClassifier, batch_loss_graph
 
 
 def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Tensor]:
@@ -20,6 +24,21 @@ def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Ten
     if not isinstance(out, Tensor):
         raise ContractError("objective must return a Tensor")
     return backward(out, inputs)
+
+
+def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tensor:
+    """batch_loss_graph with the linear objective built from tape primitives, one node per operation.
+
+    mean(max(0, 1 - y * X@w)) + lam * ||w||^2 as 15 small nodes; the network
+    objective is batch_loss_graph's own. Patch it over
+    `robustdata.learning.batch_loss_graph` to run the learner on it.
+    """
+    if not isinstance(model, LinearClassifier):
+        return batch_loss_graph(model, params, X, y, lam)
+    (w,) = params
+    margins = ad.mul(ad.constant(y.astype(np.float64)), ad.matmul(X, w))
+    hinge = ad.mean(ad.relu(ad.add(ad.constant(1.0), ad.neg(margins))))
+    return ad.add(hinge, ad.mul(ad.constant(lam), ad.tsum(ad.mul(w, w))))
 
 
 class FiniteDiffReport:

@@ -35,7 +35,7 @@ from robustdata.learning import (
     baseline_adv_dataset,
     learn_robust_dataset,
 )
-from robustdata.models import MlpClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
+from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import (
     DistributionSpec,
@@ -206,22 +206,21 @@ def test_criterion_06_closed_form_vs_monte_carlo():
     assert report("criterion 6", ok, f"max |closed form - monte carlo| over 20 tuples = {worst:.5f} (<=0.005)")
 
 
-def test_criterion_07_meta_gradient_correctness():
-    rng = RngStream(7)
-    mlp = MlpClassifier.init([2, 8, 2], rng)
-    X0 = rng.normal(0, 1, (4, 2))
-    X_adv = X0 + rng.normal(0, 0.1, (4, 2))
-    y = np.array([0, 1, 0, 1])
-    params0 = [p.copy() for p in mlp.params()]
-    lr = 0.05
+def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
+    """Relative errors of the learner's meta-gradient and of the loss's data gradient against central differences.
+
+    The meta-gradient is unrolled_grad on batch_loss_graph, called as the
+    learner calls it, with PGD's output fixed at X_adv.
+    """
+    params0 = [p.copy() for p in model.params()]
 
     def train_loss(ps, data):
-        return batch_loss_graph(mlp, ps, data, y, 0.0)
+        return batch_loss_graph(model, ps, data, y, lam)
 
     def adv_loss(ps):
-        return batch_loss_graph(mlp, ps, Tensor(X_adv), y, 0.0)
+        return batch_loss_graph(model, ps, Tensor(X_adv), y, lam)
 
-    def adv_grad(updated):  # the learner's callback, with PGD's output fixed at X_adv
+    def adv_grad(updated):  # the learner's callback
         leaves = [Tensor(p) for p in updated]
         return [g.data for g in backward(adv_loss(leaves), leaves)]
 
@@ -240,18 +239,41 @@ def test_criterion_07_meta_gradient_correctness():
             e = np.zeros_like(X0)
             e[i, j] = h
             numeric[i, j] = (composed(X0 + e) - composed(X0 - e)) / (2 * h)
+    assert np.any(meta != 0)  # a zero meta-gradient would pass vacuously
     denom = np.maximum(np.maximum(np.abs(meta), np.abs(numeric)), 1e-8)
     unrolled_err = float(np.max(np.abs(meta - numeric) / denom))
 
     first_order = finite_diff_check(
         lambda Xv: train_loss([Tensor(p) for p in params0], Xv), Tensor(X0), 1e-5
     ).max_rel_error
+    return unrolled_err, first_order
+
+
+def test_criterion_07_meta_gradient_correctness():
+    rng = RngStream(7)
+    mlp = MlpClassifier.init([2, 8, 2], rng)
+    X0 = rng.normal(0, 1, (4, 2))
+    X_adv = X0 + rng.normal(0, 0.1, (4, 2))
+    mlp_errors = meta_gradient_errors(mlp, X0, X_adv, np.array([0, 1, 0, 1]), 0.0)
+
+    # the linear learner's fused hinge node, on 6x3 batches with the learner's ridge coefficient
+    linear_errors = []
+    for seed in range(5):
+        rng = RngStream(seed)
+        w = rng.normal(0, 1, (3,))
+        X0 = rng.normal(0, 1, (6, 3))
+        X_adv = X0 + rng.normal(0, 0.1, (6, 3))
+        linear_errors.append(meta_gradient_errors(LinearClassifier(w), X0, X_adv, rng.rademacher(6), 1e-3))
+    unrolled_err = max(mlp_errors[0], *(e[0] for e in linear_errors))
+    first_order = max(mlp_errors[1], *(e[1] for e in linear_errors))
 
     ok = unrolled_err <= 1e-4 and first_order <= 1e-6
     assert report(
         "criterion 7",
         ok,
-        f"unrolled rel err={unrolled_err:.2e} (<=1e-4) first-order rel err={first_order:.2e} (<=1e-6)",
+        f"unrolled rel err={unrolled_err:.2e} (<=1e-4) first-order rel err={first_order:.2e} (<=1e-6);"
+        f" mlp {mlp_errors[0]:.2e}/{mlp_errors[1]:.2e},"
+        f" linear seeds 0-4 {min(e[0] for e in linear_errors):.2e}-{max(e[0] for e in linear_errors):.2e}",
     )
 
 

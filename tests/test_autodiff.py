@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustdata import autodiff as ad
+from robustdata import learning
 from robustdata.attacks import AttackConfig
 from robustdata.autodiff import Tensor, backward, unrolled_grad
 from robustdata.dataset import Dataset
@@ -16,7 +17,7 @@ from robustdata.models import LinearClassifier, MlpClassifier
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
-from gradcheck import finite_diff_check, grad
+from gradcheck import finite_diff_check, grad, tape_loss_graph
 
 
 def test_grad_square():
@@ -335,10 +336,13 @@ def assert_bit_identical(got, ref):
         assert np.array_equal(np.signbit(a), np.signbit(b))  # signed zeros too
 
 
-def with_backward(impl, run):
-    """run() with autodiff.backward replaced by `impl`; unrolled_grad looks it up there too."""
+def with_backward(impl, run, graph=None):
+    """run() with autodiff.backward replaced by `impl` (unrolled_grad looks it up there too)
+    and, given a `graph`, the learner's batch_loss_graph by it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "backward", impl)
+        if graph is not None:
+            mp.setattr(learning, "batch_loss_graph", graph)
         return run()
 
 
@@ -393,7 +397,7 @@ def learner_batches(draw):
     return Dataset(X, labels), factory, cfg
 
 
-def recorded_learn(impl, train, factory, cfg):
+def recorded_learn(impl, train, factory, cfg, graph=None):
     """Every backward result and every (meta, *updated) of a learner run, and its learned features."""
     calls = []
     unrolled = ad.unrolled_grad
@@ -411,6 +415,8 @@ def recorded_learn(impl, train, factory, cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "unrolled_grad", recording_unrolled)
         mp.setattr(ad, "backward", recording_backward)
+        if graph is not None:
+            mp.setattr(learning, "batch_loss_graph", graph)
         learned, _ = learn_robust_dataset(train, factory, cfg, RngStream(0))
     return calls, learned.features
 
@@ -418,9 +424,10 @@ def recorded_learn(impl, train, factory, cfg):
 @settings(max_examples=150, deadline=None)
 @given(learner_batches())
 def test_pruned_backward_matches_every_edge_on_learner_batches(case):
+    # the reference is every edge on the tape graph; a linear run's production graph is the fused hinge node
     train, factory, cfg = case
     got_calls, got = recorded_learn(ad.backward, train, factory, cfg)
-    ref_calls, ref = recorded_learn(backward_every_edge, train, factory, cfg)
+    ref_calls, ref = recorded_learn(backward_every_edge, train, factory, cfg, tape_loss_graph)
     assert len(got_calls) == len(ref_calls)
     for a, b in zip(got_calls, ref_calls):
         assert_bit_identical(a, b)
@@ -446,11 +453,12 @@ def learn_outcome(family, scale, gamma, x):
 
 
 # (family, weight scale, gamma, row value) where only the every-edge reference
-# raised. Each is the meta pass's adjoint of the hinge coefficients c, the
-# vector in grad = X.T @ c + 2*lam*w: that adjoint is X @ g, with g the
-# adversarial-loss gradient, and it overflows on rows this large. c is built
-# from y, the relu mask and 1/B alone, so it depends on no data and the pruned
-# backward does not form it; meta = -gamma * outer(c, g) stays finite.
+# on the tape graph raised. Each is the meta pass's adjoint of the hinge
+# coefficients c, the vector in grad = X.T @ c + 2*lam*w: that adjoint is
+# X @ g, with g the adversarial-loss gradient, and it overflows on rows this
+# large. c is built from y, the relu mask and 1/B alone, so it depends on no
+# data and the pruned backward does not form it, and the fused hinge node has
+# no c node at all; meta = -gamma * outer(c, g) stays finite.
 PRUNED_ONLY_RAISES = {
     *(("linear", 1e-100, gamma, x) for gamma in (1e10, 1e100) for x in (1e200, 1e300, 1e308, 1.7e308, 1.79e308)),
     ("linear", 1.0, 1e10, 1e200),
@@ -467,7 +475,7 @@ def test_pruned_backward_non_finite_parity(family):
     for scale, gamma, x in grid:
         case = (family, scale, gamma, x)
         got = learn_outcome(*case)
-        ref = with_backward(backward_every_edge, lambda: learn_outcome(*case))
+        ref = with_backward(backward_every_edge, lambda: learn_outcome(*case), tape_loss_graph)
         raised += ref is None
         if case in PRUNED_ONLY_RAISES:
             assert ref is None and got is not None and np.isfinite(got).all(), case
@@ -475,12 +483,16 @@ def test_pruned_backward_non_finite_parity(family):
             assert got is None, case
         else:
             assert got is not None and np.array_equal(got, ref), case
+        if family == "linear":  # the fused hinge node against the tape graph, both pruned: equal in every case
+            tape = with_backward(ad.backward, lambda: learn_outcome(*case), tape_loss_graph)
+            assert (got is None and tape is None) or (got is not None and np.array_equal(got, tape)), case
     assert raised > 0  # the grid reaches overflow
 
 
-@pytest.mark.parametrize("arch, tensors", [("linear", 82), ("mlp:8-8", 301)])
+@pytest.mark.parametrize("arch, tensors", [("linear", 26), ("mlp:8-8", 301)])
 def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
-    # 115 and 387 when backward formed an adjoint for every parent of every node
+    # 115 and 387 when backward formed an adjoint for every parent of every node;
+    # linear 82 with the hinge as 15 tape primitives instead of one fused node
     train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 256, RngStream(3))
     cfg = RobustLearnConfig(epochs=1, gamma=0.05, beta=0.01, attack=AttackConfig(eps=0.8, steps=10))
     count = 0

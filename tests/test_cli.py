@@ -190,6 +190,38 @@ def test_dataset_provenance_of_wrong_kind_exits_one(tmp_path, capsys, config_pat
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [("learn", "cannot learn from an empty dataset"), ("evaluate", "cannot subsample an empty dataset")],
+)
+def test_empty_dataset_exits_one(tmp_path, capsys, command, message):
+    # learn used to exit 0 with an empty robust_dataset.rds and a trace of NaN rows; evaluate
+    # (subsampling first, as the shipped synthetic-d20 config does) failed inside np.concatenate
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["eval"]["subsample_fractions"] = [0.5, 1.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    data = tmp_path / "empty.rds"
+    write_dataset(data, Dataset(np.zeros((0, 21)), np.zeros(0, int)))
+    argv = [command, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out"), "--data", str(data)]
+    assert_exits_one_with(capsys, argv, message)
+    assert not (tmp_path / "out" / "robust_dataset.rds").exists()
+
+
+def test_dataset_width_unlike_test_set_exits_one(tmp_path, capsys, config_path):
+    # with no `d` in provenance the test set has the config's width, 21; numpy's matmul message named neither
+    data = tmp_path / "narrow.rds"
+    write_dataset(data, Dataset(np.ones((4, 5)), np.array([1, -1, 1, -1])))
+    argv = ["evaluate", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "out"), "--data", str(data)]
+    assert_exits_one_with(capsys, argv, "dataset has 5 features but its test set has 21")
+
+
+def test_malformed_seed_env_variable_exits_one(tmp_path, capsys, monkeypatch):
+    # int("abc") failed with "invalid literal for int()", which did not name the variable
+    monkeypatch.setenv("RDS_SEED", "abc")
+    assert_exits_one_with(capsys, ["toy-fig2", "--out", str(tmp_path / "out")], "RDS_SEED must be an integer, got 'abc'")
+
+
+@pytest.mark.parametrize(
     "mode, law, expected",
     [
         ("general-symmetric", "uniform", ("general-symmetric", "uniform")),

@@ -66,6 +66,13 @@ def test_subsample_rejects_bad_fraction():
             subsample(ds, frac, RngStream(0))
 
 
+def test_subsample_rejects_empty_dataset():
+    # it used to fail in np.concatenate with "need at least one array to concatenate"
+    empty = Dataset(np.zeros((0, 3)), np.zeros(0, int))
+    with pytest.raises(DataError, match="cannot subsample an empty dataset"):
+        subsample(empty, 0.5, RngStream(0))
+
+
 def test_subsample_deterministic():
     ds = make_balanced()
     a = subsample(ds, 0.3, RngStream(7))

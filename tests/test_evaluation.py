@@ -7,7 +7,7 @@ import pytest
 
 from robustdata.attacks import AttackConfig
 from robustdata.dataset import Dataset
-from robustdata.errors import ParameterError
+from robustdata.errors import DataError, ParameterError
 from robustdata.evaluation import (
     EvalPlan,
     figure2_toy,
@@ -50,6 +50,14 @@ def test_plan_validation():
     ds = two_gaussians(RngStream(0), 10)
     with pytest.raises(ParameterError):
         EvalPlan(ds, ds, [], [0], [0.1], AttackConfig(eps=0.1), TRAIN)
+
+
+def test_plan_rejects_test_set_of_another_width():
+    # it used to fail at the first matmul with numpy's size message
+    ds = two_gaussians(RngStream(0), 10)
+    test = Dataset(np.zeros((4, 5)), np.array([1, -1, 1, -1]))
+    with pytest.raises(DataError, match="dataset has 2 features but its test set has 5"):
+        EvalPlan(ds, test, ["linear"], [0], [0.1], AttackConfig(eps=0.1), TRAIN)
 
 
 def test_degenerate_self_evaluation():

@@ -58,6 +58,13 @@ def test_config_rejects_non_finite_or_negative_values(field, value):
         learner_config(**{field: value})
 
 
+def test_learner_rejects_empty_dataset():
+    # it used to return an empty dataset and a trace of NaN means, with numpy's RuntimeWarnings
+    empty = Dataset(np.zeros((0, D + 1)), np.zeros(0, int))
+    with pytest.raises(DataError, match="cannot learn from an empty dataset"):
+        learn_robust_dataset(empty, model_factory("linear", D + 1), learner_config(epochs=1), RngStream(0))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_names_epoch_and_batch():
     train, _ = task(n=300)

@@ -9,11 +9,11 @@ from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
 from robustdata.errors import DataError, NonFiniteError, ParameterError
 from robustdata.models import (
-    LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, hinge_loss_and_grad, sgd_train,
+    LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, hinge_parts, sgd_train,
 )
 from robustdata.rng import RngStream
 
-from gradcheck import grad
+from gradcheck import grad, tape_loss_graph
 
 
 def binary_dataset(X, y):
@@ -85,9 +85,9 @@ def test_ridge_gradient_is_exactly_2_lambda_w():
 
 
 def tape_hinge(X, y, w, lam):
-    """The tape's linear objective and its gradient in w: the reference for hinge_loss_and_grad."""
+    """The linear objective in tape primitives and its gradient in w: the reference for hinge_parts."""
     leaf = Tensor(w)
-    out = batch_loss_graph(LinearClassifier.zeros(w.size), [leaf], Tensor(X), y, lam)  # the model only picks the loss
+    out = tape_loss_graph(LinearClassifier.zeros(w.size), [leaf], Tensor(X), y, lam)  # the model only picks the loss
     return out.item(), ad.backward(out, [leaf])[0].data
 
 
@@ -112,10 +112,44 @@ def hinge_steps(draw):
 @example((np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([1, -1]), np.array([1.0, 0.0]), 0.0))  # margins 1 and -2
 def test_closed_form_hinge_step_matches_tape(case):
     X, y, w, lam = case
-    loss, g = hinge_loss_and_grad(X, y.astype(np.float64), w, lam)
+    loss, _, g = hinge_parts(X, y.astype(np.float64), w, lam)
     ref_loss, ref_g = tape_hinge(X, y, w, lam)
     assert loss == ref_loss
     assert np.array_equal(g, ref_g)
+
+
+@st.composite
+def learner_steps(draw):
+    """A hinge step with a learner step size and a constant adversarial gradient g of w's shape."""
+    X, y, w, lam = draw(hinge_steps())
+    rng = RngStream(draw(st.integers(0, 2**32)))
+    g = rng.integers(-1, 2, w.size).astype(np.float64) if draw(st.booleans()) else rng.normal(0, 1, w.size)
+    return X, y, w, lam, draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-3, 10.0)), g
+
+
+def hinge_derivatives(graph, X, y, w, lam, lr, g):
+    """The loss, its X and w adjoints, unrolled_grad's meta and updated, and the ridge Hessian times g."""
+    model = LinearClassifier.zeros(w.size)  # the model only picks the loss
+    X_leaf, w_leaf = Tensor(X), Tensor(w)
+    out = graph(model, [w_leaf], X_leaf, y, lam)
+    g_X, g_w = ad.backward(out, [X_leaf, w_leaf])
+    hvp = ad.backward(ad.tsum(ad.mul(g_w, ad.constant(g))), [w_leaf])[0]
+    meta, updated, _ = ad.unrolled_grad(
+        lambda ps, data: graph(model, ps, data, y, lam), lambda updated: [g], [Tensor(w)], Tensor(X), lr
+    )
+    return [out.data, g_X.data, g_w.data, meta, *updated, hvp.data]
+
+
+@settings(max_examples=300, deadline=None)
+@given(learner_steps())
+def test_hinge_node_matches_tape_graph(case):
+    # the learner's calls on the fused node give the tape graph's values, signed zeros included
+    got = hinge_derivatives(batch_loss_graph, *case)
+    ref = hinge_derivatives(tape_loss_graph, *case)
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize(
@@ -132,9 +166,11 @@ def test_closed_form_hinge_step_matches_tape(case):
 def test_closed_form_hinge_raises_where_tape_does(X, w):
     y = np.array([1, -1])
     with pytest.raises(NonFiniteError):
-        hinge_loss_and_grad(X, y.astype(np.float64), w, 1e-3)
+        hinge_parts(X, y.astype(np.float64), w, 1e-3)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):  # the bare tape is no entry point
         tape_hinge(X, y, w, 1e-3)
+    with pytest.raises(NonFiniteError):  # the fused node, as the learner builds it
+        batch_loss_graph(LinearClassifier.zeros(2), [Tensor(w)], Tensor(X), y, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +254,7 @@ def test_sgd_leaves_every_step_tape_leaf_unchanged(monkeypatch):
     # each step's inputs wrap the parameters it starts from: the tape leaves of a
     # network step, the w of a closed-form linear step; the update must not write into them
     seen = []
-    original_graph, original_hinge = models.batch_loss_graph, models.hinge_loss_and_grad
+    original_graph, original_hinge = models.batch_loss_graph, models.hinge_parts
 
     def snapshotting_graph(model, params, *args):
         seen.extend((leaf.data, leaf.data.copy()) for leaf in params)
@@ -229,7 +265,7 @@ def test_sgd_leaves_every_step_tape_leaf_unchanged(monkeypatch):
         return original_hinge(X, y, w, lam)
 
     monkeypatch.setattr(models, "batch_loss_graph", snapshotting_graph)
-    monkeypatch.setattr(models, "hinge_loss_and_grad", snapshotting_hinge)
+    monkeypatch.setattr(models, "hinge_parts", snapshotting_hinge)
     rng = RngStream(16)
     ds = binary_dataset(rng.normal(0, 1, (60, 3)), np.where(rng.uniform(0, 1, 60) < 0.5, 1, -1))
     cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, epochs=2, batch_size=20, seed=0)
