@@ -14,11 +14,13 @@ delta = -eps * sign(y*w) exactly, so the attained hinge loss equals
 max(0, 1 - y*w.x + eps*||w||_1) from any starting point. That input
 gradient is -y*w for every row, so it is returned in closed form without
 a tape (after checking X and w are finite, as tape leaves would), and
-pgd_attack computes a linear model's step once per attack, checking each
-later iterate finite itself. A network's input gradient of
--sum(true-class log-softmax) comes from models.mlp_input_grad, a numpy
-backward that forms no weight or bias adjoint, so no attack builds a
-tape. The tape forms of both gradients and the per-step PGD loop are kept
+pgd_attack computes a linear model's step once per attack. Under l-inf the
+attack is then one pass of in-place adds, projected after the first,
+next-to-last and last adds and checked finite at the next-to-last iterate,
+bit-identical to projecting and checking every step. A network's input
+gradient of -sum(true-class log-softmax) comes from models.mlp_input_grad,
+a numpy backward that forms no weight or bias adjoint, so no attack builds
+a tape. The tape forms of both gradients and the per-step PGD loop are kept
 in the tests as the bit-exact references.
 """
 
@@ -122,14 +124,51 @@ def _ascent_step(g: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     return cfg.alpha * np.divide(g, norms, out=np.zeros_like(g), where=norms > 0)
 
 
+def _project_linf(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: AttackConfig) -> None:
+    """In place: clip to the l-inf ball [lo, hi], then to the clamp if one is set."""
+    np.clip(x, lo, hi, out=x)
+    if cfg.clamp is not None:
+        np.clip(x, cfg.clamp[0], cfg.clamp[1], out=x)
+
+
+def _linear_linf_pgd(x_nat: np.ndarray, step: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+    """cfg.steps projected steps of a constant l-inf step, with three projections.
+
+    Per coordinate the step has one sign and float addition is monotone, and
+    the projection P (ball clip, then clamp) clips to an interval holding
+    x_1 = P(x_nat + step), or is constant where ball and box do not meet. So
+    an iterate that reaches a bound stays there and one that does not is the
+    unprojected running sum: x_{K-1} is P of x_1 plus K-2 steps, and
+    x_K = P(x_{K-1} + step), bit for bit. A non-finite iterate stays
+    non-finite, so checking x_{K-1} raises where checking x_1 ... x_{K-1} did.
+    """
+    lo, hi = x_nat - cfg.eps, x_nat + cfg.eps
+    x_adv = x_nat + step  # a new array: x_nat is never written
+    _project_linf(x_adv, lo, hi, cfg)
+    if cfg.steps > 1:
+        with np.errstate(over="ignore"):  # an overflowing running sum projects to its bound
+            for _ in range(cfg.steps - 2):
+                x_adv += step
+        _project_linf(x_adv, lo, hi, cfg)
+        if not np.isfinite(x_adv).all():  # what attack_gradient checks; w cannot change here
+            raise NonFiniteError("tensor contains NaN or Inf")
+        x_adv += step
+        _project_linf(x_adv, lo, hi, cfg)
+    return x_adv
+
+
 def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     """Iterative ascent on the attack objective inside the threat ball, from the natural point.
 
-    A linear model's step is computed once per call; every iterate is still checked finite.
+    A linear model's step is computed once per call. Under l-inf the attack is
+    one pass (_linear_linf_pgd); under l2 every iterate is projected and
+    checked finite.
     """
     x_nat = np.asarray(x_nat, dtype=np.float64)
     y = model.targets(np.asarray(y))
     params, linear = model.params(), isinstance(model, LinearClassifier)
+    if linear and cfg.norm == LINF:
+        return _linear_linf_pgd(x_nat, _ascent_step(attack_gradient(model, params, x_nat, y), cfg), cfg)
     lo, hi = (x_nat - cfg.eps, x_nat + cfg.eps) if cfg.norm == LINF else (None, None)
     x_adv, step = x_nat, None
     for _ in range(cfg.steps):
@@ -139,9 +178,7 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
             raise NonFiniteError("tensor contains NaN or Inf")
         x_adv = x_adv + step  # a new array: x_nat is never written
         if cfg.norm == LINF:
-            np.clip(x_adv, lo, hi, out=x_adv)
-            if cfg.clamp is not None:
-                np.clip(x_adv, cfg.clamp[0], cfg.clamp[1], out=x_adv)
+            _project_linf(x_adv, lo, hi, cfg)
         else:
             x_adv = project_to_ball(x_adv, x_nat, cfg)
     return x_adv

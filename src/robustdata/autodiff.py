@@ -25,6 +25,7 @@ training use numpy closed forms and build no tape.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -226,8 +227,9 @@ def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
 
     Only the adjoints on a path from `output` to one of `inputs` are formed:
     a node's vjp is called for a parent only when that parent depends on an
-    input. The returned tensors carry their own tape, so expressions built
-    from them can be differentiated again.
+    input. An input off every path gets a zeros tensor, built only for it.
+    The returned tensors carry their own tape, so expressions built from
+    them can be differentiated again.
     """
     if output.shape != ():
         raise ContractError(f"objective must be scalar, got shape {output.shape}")
@@ -242,7 +244,7 @@ def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
                 pg = vjp(g)
                 prev = adjoint.get(parent)
                 adjoint[parent] = pg if prev is None else add(prev, pg)
-    return [adjoint.get(t, constant(np.zeros(t.shape))) for t in inputs]
+    return [adjoint[t] if t in adjoint else constant(np.zeros(t.shape)) for t in inputs]
 
 
 def unrolled_grad(
@@ -268,8 +270,6 @@ def unrolled_grad(
     param_grads = backward(train_out, params)
     updated = [p.data - lr * g.data for p, g in zip(params, param_grads)]
 
-    inner = constant(0.0)
-    for pg, g in zip(param_grads, adv_grad(updated)):
-        inner = add(inner, tsum(mul(pg, constant(g))))
+    inner = reduce(add, [tsum(mul(pg, constant(g))) for pg, g in zip(param_grads, adv_grad(updated))])
     meta = -lr * backward(inner, [data])[0].data
     return meta, updated, train_out

@@ -1,5 +1,5 @@
 """Reference gradients for the tests: `grad`, central finite differences and
-the linear objective written in tape primitives.
+the linear objective and its margins written in tape primitives.
 
 Nothing in the package calls these; the autodiff tests and the acceptance
 gate (criterion 7) compare the tape against them. `tape_loss_graph` is the
@@ -26,6 +26,11 @@ def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Ten
     return backward(out, inputs)
 
 
+def tape_margins(X: Tensor, w: Tensor, y) -> Tensor:
+    """The hinge margins y * (X @ w) as two tape nodes; `y` is one label or one per row."""
+    return ad.mul(ad.constant(np.asarray(y, dtype=np.float64)), ad.matmul(X, w))
+
+
 def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tensor:
     """batch_loss_graph with the linear objective built from tape primitives, one node per operation.
 
@@ -36,8 +41,7 @@ def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tens
     if not isinstance(model, LinearClassifier):
         return batch_loss_graph(model, params, X, y, lam)
     (w,) = params
-    margins = ad.mul(ad.constant(y.astype(np.float64)), ad.matmul(X, w))
-    hinge = ad.mean(ad.relu(ad.add(ad.constant(1.0), ad.neg(margins))))
+    hinge = ad.mean(ad.relu(ad.add(ad.constant(1.0), ad.neg(tape_margins(X, w, y)))))
     return ad.add(hinge, ad.mul(ad.constant(lam), ad.tsum(ad.mul(w, w))))
 
 

@@ -35,6 +35,8 @@ from robustdata.models import (
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
+from gradcheck import tape_margins
+
 
 def test_config_validation():
     with pytest.raises(ParameterError):
@@ -219,8 +221,7 @@ def test_pgd_loss_does_not_decrease_single_step():
 def tape_hinge_gradient(w, X, y):
     """Reference: d/dX of the unclamped surrogate -sum(y * (X @ w)) on the tape."""
     leaf = Tensor(X)
-    margins = ad.mul(ad.constant(np.asarray(y, dtype=np.float64)), ad.matmul(leaf, Tensor(w)))
-    return ad.backward(ad.neg(ad.tsum(margins)), [leaf])[0].data
+    return ad.backward(ad.neg(ad.tsum(tape_margins(leaf, Tensor(w), y))), [leaf])[0].data
 
 
 def tape_mlp_gradient(model, params_arrays, X, y):
@@ -453,6 +454,39 @@ def pgd_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(pgd_cases())
 def test_pgd_matches_per_step_reference(case):
+    model, X, y, cfg = case
+    got = pgd_attack(model, X, y, cfg)
+    ref = per_step_pgd(model, X, y, cfg)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# signed zeros in w give +-0.0 steps; +-0.0 clamp bounds make the ball and the box meet at a zero
+signed_units = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3, 3))
+
+
+@st.composite
+def linear_linf_cases(draw):
+    d, B = draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    eps = 10.0 ** draw(st.floats(-3, 1))
+    # rows and box on eps's scale, so a row outside the box may or may not reach it;
+    # the rows are many, so they come from a drawn seed, with exact and signed zeros mixed in
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = rows.choice([0.0, -0.0], (B, d))
+    X = np.where(rows.random((B, d)) < 0.2, zeros, rows.uniform(-3, 3, (B, d)) * eps)
+    y = rows.choice([-1, 1], B)
+    model = LinearClassifier(draw(hnp.arrays(np.float64, d, elements=signed_units)))
+    clamp = None
+    if draw(st.booleans()):
+        clamp = tuple(sorted(bound * eps for bound in draw(st.tuples(signed_units, signed_units))))
+    alpha = None if draw(st.booleans()) else eps * draw(st.floats(0.01, 3))  # a step may overshoot the ball
+    cfg = AttackConfig(norm="linf", eps=eps, alpha=alpha, steps=draw(st.integers(1, 12)), clamp=clamp)
+    return model, X, y, cfg
+
+
+@settings(max_examples=500, deadline=None)
+@given(linear_linf_cases())
+def test_linear_linf_pgd_matches_per_step_reference(case):
     model, X, y, cfg = case
     got = pgd_attack(model, X, y, cfg)
     ref = per_step_pgd(model, X, y, cfg)

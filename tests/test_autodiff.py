@@ -489,24 +489,44 @@ def test_pruned_backward_non_finite_parity(family):
     assert raised > 0  # the grid reaches overflow
 
 
-@pytest.mark.parametrize("arch, tensors", [("linear", 26), ("mlp:8-8", 301)])
-def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
-    # 115 and 387 when backward formed an adjoint for every parent of every node;
-    # linear 82 with the hinge as 15 tape primitives instead of one fused node
-    train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 256, RngStream(3))
-    cfg = RobustLearnConfig(epochs=1, gamma=0.05, beta=0.01, attack=AttackConfig(eps=0.8, steps=10))
-    count = 0
+def count_tensors(monkeypatch) -> list:
+    """Patch Tensor.__init__ to append to the returned list once per tensor built."""
+    built = []
     init = Tensor.__init__
 
     def counted_init(tensor, *args, **kwargs):
-        nonlocal count
-        count += 1
+        built.append(tensor)
         init(tensor, *args, **kwargs)
 
-    factory = model_factory(arch, 21)
     monkeypatch.setattr(Tensor, "__init__", counted_init)
+    return built
+
+
+def test_backward_builds_only_adjoints(monkeypatch):
+    a, b, off_path = Tensor(2.0), Tensor(3.0), Tensor(np.ones((2, 3)))
+    out = ad.add(a, b)
+    built = count_tensors(monkeypatch)
+    ga, gb = backward(out, [a, b])
+    assert built == [ga] and gb is ga  # the seed adjoint, which add passes on to both parents
+    assert ga.item() == 1.0
+    built.clear()
+    ga, gb, g_off = backward(out, [a, b, off_path])
+    assert built == [ga, g_off]  # the seed and the zeros of the one input off the path
+    assert np.array_equal(g_off.data, np.zeros((2, 3))) and not np.signbit(g_off.data).any()
+
+
+@pytest.mark.parametrize("arch, tensors", [("linear", 21), ("mlp:8-8", 286)])
+def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
+    # 115 and 387 when backward formed an adjoint for every parent of every node;
+    # linear 82 with the hinge as 15 tape primitives instead of one fused node;
+    # 26 and 301 when backward built zeros for every input and unrolled_grad's
+    # inner product started from constant(0.0)
+    train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 256, RngStream(3))
+    cfg = RobustLearnConfig(epochs=1, gamma=0.05, beta=0.01, attack=AttackConfig(eps=0.8, steps=10))
+    factory = model_factory(arch, 21)
+    built = count_tensors(monkeypatch)
     learn_robust_dataset(train, factory, cfg, RngStream(0))
-    assert count == 2 * tensors  # 256 rows in batches of 128
+    assert len(built) == 2 * tensors  # 256 rows in batches of 128
 
 
 # ---------------------------------------------------------------------------
