@@ -16,8 +16,9 @@ gradient is -y*w for every row, so it is returned in closed form without
 a tape (after checking X and w are finite, as tape leaves would), and
 pgd_attack computes a linear model's step once per attack. Under l-inf the
 attack is then one pass of in-place adds, projected after the first,
-next-to-last and last adds and checked finite at the next-to-last iterate,
-bit-identical to projecting and checking every step. A network's input
+next-to-last and last adds, bit-identical to projecting every step. Every
+attack checks the iterate it returns, and a non-finite iterate stays
+non-finite, so overflow at any step raises NonFiniteError. A network's input
 gradient of -sum(true-class log-softmax) comes from models.mlp_input_grad,
 a numpy backward that forms no weight or bias adjoint, so no attack builds
 a tape. The tape forms of both gradients and the per-step PGD loop are kept
@@ -140,18 +141,16 @@ def _linear_linf_pgd(x_nat: np.ndarray, step: np.ndarray, cfg: AttackConfig) -> 
     an iterate that reaches a bound stays there and one that does not is the
     unprojected running sum: x_{K-1} is P of x_1 plus K-2 steps, and
     x_K = P(x_{K-1} + step), bit for bit. A non-finite iterate stays
-    non-finite, so checking x_{K-1} raises where checking x_1 ... x_{K-1} did.
+    non-finite, so pgd_attack's check of x_K raises where checking every
+    iterate did.
     """
     lo, hi = x_nat - cfg.eps, x_nat + cfg.eps
     x_adv = x_nat + step  # a new array: x_nat is never written
     _project_linf(x_adv, lo, hi, cfg)
     if cfg.steps > 1:
-        with np.errstate(over="ignore"):  # an overflowing running sum projects to its bound
-            for _ in range(cfg.steps - 2):
-                x_adv += step
+        for _ in range(cfg.steps - 2):  # an overflowing running sum projects to its bound
+            x_adv += step
         _project_linf(x_adv, lo, hi, cfg)
-        if not np.isfinite(x_adv).all():  # what attack_gradient checks; w cannot change here
-            raise NonFiniteError("tensor contains NaN or Inf")
         x_adv += step
         _project_linf(x_adv, lo, hi, cfg)
     return x_adv
@@ -161,26 +160,32 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
     """Iterative ascent on the attack objective inside the threat ball, from the natural point.
 
     A linear model's step is computed once per call. Under l-inf the attack is
-    one pass (_linear_linf_pgd); under l2 every iterate is projected and
-    checked finite.
+    one pass (_linear_linf_pgd); under l2 every iterate is projected. A
+    network's gradient checks each iterate it is taken at, and the returned
+    iterate is checked finite: a non-finite iterate stays non-finite under
+    either projection, so an attack that overflows anywhere raises
+    NonFiniteError. numpy's floating-point warnings are silenced, and that
+    error is the only report.
     """
     x_nat = np.asarray(x_nat, dtype=np.float64)
     y = model.targets(np.asarray(y))
     params, linear = model.params(), isinstance(model, LinearClassifier)
-    if linear and cfg.norm == LINF:
-        return _linear_linf_pgd(x_nat, _ascent_step(attack_gradient(model, params, x_nat, y), cfg), cfg)
-    lo, hi = (x_nat - cfg.eps, x_nat + cfg.eps) if cfg.norm == LINF else (None, None)
-    x_adv, step = x_nat, None
-    for _ in range(cfg.steps):
-        if step is None or not linear:
-            step = _ascent_step(attack_gradient(model, params, x_adv, y), cfg)
-        elif not np.isfinite(x_adv).all():  # what attack_gradient checks; w cannot change here
-            raise NonFiniteError("tensor contains NaN or Inf")
-        x_adv = x_adv + step  # a new array: x_nat is never written
-        if cfg.norm == LINF:
-            _project_linf(x_adv, lo, hi, cfg)
+    with np.errstate(all="ignore"):
+        if linear and cfg.norm == LINF:
+            x_adv = _linear_linf_pgd(x_nat, _ascent_step(attack_gradient(model, params, x_nat, y), cfg), cfg)
         else:
-            x_adv = project_to_ball(x_adv, x_nat, cfg)
+            lo, hi = (x_nat - cfg.eps, x_nat + cfg.eps) if cfg.norm == LINF else (None, None)
+            x_adv, step = x_nat, None
+            for _ in range(cfg.steps):
+                if step is None or not linear:
+                    step = _ascent_step(attack_gradient(model, params, x_adv, y), cfg)
+                x_adv = x_adv + step  # a new array: x_nat is never written
+                if cfg.norm == LINF:
+                    _project_linf(x_adv, lo, hi, cfg)
+                else:
+                    x_adv = project_to_ball(x_adv, x_nat, cfg)
+    if not np.isfinite(x_adv).all():
+        raise NonFiniteError("tensor contains NaN or Inf")
     return x_adv
 
 

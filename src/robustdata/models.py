@@ -15,16 +15,17 @@ one fused tape node whose value and vjps come from hinge_parts.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
-A linear step calls hinge_parts directly and builds no tape. hinge_parts
-and mlp_input_grad (a network attack's input gradient) are numpy closed
-forms, bit-identical to their objectives written in tape primitives plus
-backward. The tape serves the network's training steps and the learner's
-second-order step.
+Linear training builds no tape: one loop steps S models in lock-step, one
+stacked hinge_parts call per batch, and a single model is its S=1 case.
+hinge_parts and mlp_input_grad (a network attack's input gradient) are
+numpy closed forms, bit-identical to their objectives written in tape
+primitives plus backward. The tape serves the network's training steps
+and the learner's second-order step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -216,13 +217,16 @@ def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, 
     return data_term
 
 
-def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
     """The linear objective (loss, c, grad) in numpy: grad = (X.T@c + lam*w) + lam*w.
 
     `y` holds the labels as float64; c = -((1/B)*a)*y, `a` the hinge-active
     mask. Every operation is the hinge's in tape primitives, in the tape's
     order, so all three are bit-identical to that graph plus backward; the
     ridge gradient is lam*w added twice, as the tape adds it, not 2*lam*w.
+    A leading seed axis is allowed: X (S,B,d), y (S,B) and w (S,d) give
+    each seed's loss (S,), c and grad, byte for byte its 2-D call's, since
+    numpy's stacked products and row sums run the per-seed kernels.
 
     NonFiniteError is raised where that graph plus backward raises it. The tape
     checks its leaves, so X and w are checked first; every later value
@@ -237,14 +241,15 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> tupl
     if not (np.isfinite(X).all() and np.isfinite(w).all()):
         raise NonFiniteError("tensor contains NaN or Inf")
     with np.errstate(all="ignore"):
-        slack = 1.0 - y * (X @ w)
+        slack = 1.0 - y * (X @ w[..., None])[..., 0]
         a = (slack > 0).astype(np.float64)  # relu'(0) = 0, as on the tape
-        loss = np.sum(slack * a) * (1.0 / len(y)) + lam * np.sum(w * w)
-        c = -((1.0 / len(y)) * a) * y
-        grad = (X.T @ c + lam * w) + lam * w
-    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+        inv_b = 1.0 / y.shape[-1]
+        loss = (slack * a).sum(-1) * inv_b + lam * (w * w).sum(-1)
+        c = -(inv_b * a) * y
+        grad = ((X.swapaxes(-1, -2) @ c[..., None])[..., 0] + lam * w) + lam * w
+    if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
         raise NonFiniteError("tensor contains NaN or Inf")
-    return float(loss), c, grad
+    return loss, c, grad
 
 
 def mlp_input_grad(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -303,49 +308,65 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
     linear step is hinge_parts; a network step is batch_loss_graph
     and backward on the tape. numpy's floating-point warnings are silenced
     here: a diverging run reports itself by NonFiniteError alone.
+
+    Given lists of models and of their configs, alike but for `seed`, it
+    returns a list of (model, trace), each byte for byte the model's alone.
+    Linear models train in lock-step: each seed draws its own batch order,
+    and a batch is one stacked gather, hinge_parts call and momentum update
+    for all; one linear model is the one-seed case. Networks train alone.
     """
+    if isinstance(model, list):
+        if not model or len(model) != len(cfg) or perturb is not None \
+                or any(replace(c, seed=0) != replace(cfg[0], seed=0) for c in cfg):
+            raise ParameterError("lock-step training takes one config per model, alike but for seed, and no hook")
+        if not all(isinstance(m, LinearClassifier) for m in model):
+            return [sgd_train(m, dataset, c) for m, c in zip(model, cfg)]
+        models, cfgs = model, cfg
+    else:
+        models, cfgs = [model], [cfg]
     if dataset.n == 0:
         raise DataError("cannot train on an empty dataset")
-    y_all = model.targets(dataset.labels)
-    linear = isinstance(model, LinearClassifier)
-    y_float = y_all.astype(np.float64) if linear else None
+    cfg, linear = cfgs[0], isinstance(models[0], LinearClassifier)
+    y_all = models[0].targets(dataset.labels)
+    y_float = y_all.astype(np.float64)
 
-    params = model.params()
+    params = [np.stack(p) for p in zip(*(m.params() for m in models))]  # a leading seed axis
     velocity = [np.zeros_like(p) for p in params]
-    shuffle = RngStream(cfg.seed)
-    trace: list[float] = []
+    shuffles = [RngStream(c.seed) for c in cfgs]
+    starts = range(0, dataset.n, cfg.batch_size)
+    losses = np.empty((len(models), len(starts)))
+    traces = []
 
     with np.errstate(all="ignore"):
         for _ in range(cfg.epochs):
-            order = shuffle.permutation(dataset.n)
-            epoch_losses = []
-            for start in range(0, dataset.n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
+            orders = np.stack([shuffle.permutation(dataset.n) for shuffle in shuffles])
+            for b, start in enumerate(starts):
+                idx = orders[:, start : start + cfg.batch_size]
                 X, y = dataset.features[idx], y_all[idx]
-                if perturb is not None:
-                    model.set_params(params)
-                    X = perturb(X, y)
+                if perturb is not None:  # one model: the hook sees its 2-D batch
+                    models[0].set_params([p[0] for p in params])
+                    X = perturb(X[0], y[0])[None]
                 if linear:
-                    loss, _, grad = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
-                    grads = [grad]
-                else:
-                    leaves = [Tensor(p) for p in params]
-                    out = batch_loss_graph(model, leaves, Tensor(X), y, cfg.weight_decay)
-                    grads = [g.data for g in ad.backward(out, leaves)]
-                    loss = out.item()
+                    losses[:, b], _, *grads = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
+                else:  # one network
+                    leaves = [Tensor(p[0]) for p in params]
+                    out = batch_loss_graph(models[0], leaves, Tensor(X[0]), y[0], cfg.weight_decay)
+                    grads = [g.data[None] for g in ad.backward(out, leaves)]
+                    losses[0, b] = out.item()
                 for v, g in zip(velocity, grads):
                     v *= cfg.momentum
                     v += g
                 # out of place: the step read the old arrays (w, or the tape leaves wrapping them)
                 params = [p - cfg.lr * v for p, v in zip(params, velocity)]
-                epoch_losses.append(loss)
-            trace.append(float(np.mean(epoch_losses)))
+            traces.append(losses.mean(axis=1))
 
     # every earlier update was checked by the step that read it; the last is read by no step
     if not all(np.isfinite(p).all() for p in params):
         raise NonFiniteError("the last SGD update left non-finite parameters")
-    model.set_params(params)
-    return model, trace
+    for s, m in enumerate(models):
+        m.set_params([p[s] for p in params])
+    trained = [(m, trace.tolist()) for m, trace in zip(models, np.array(traces).T)]
+    return trained if isinstance(model, list) else trained[0]
 
 
 def accuracy(model, dataset: Dataset) -> float:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,8 @@ def per_step_pgd(model, x_nat, y, cfg):
             step = np.divide(g, norms, out=np.zeros_like(g), where=norms > 0)
             x_adv = x_adv + cfg.alpha * step
         x_adv = project_to_ball(x_adv, x_nat, cfg)
+    if not np.isfinite(x_adv).all():  # the final check pgd_attack makes
+        raise NonFiniteError("tensor contains NaN or Inf")
     return x_adv
 
 
@@ -496,27 +499,28 @@ def test_linear_linf_pgd_matches_per_step_reference(case):
 
 # The per-step loop's outcomes on an overflow grid of a linear model: for each
 # (norm, clamp, eps, row value) that raised NonFiniteError, the smallest step
-# count of (1, 2, 10) that raised. Every other case returned an array.
+# count of (1, 2, 10) that raised. Every other case returned a finite array.
+# Both sides check the iterate they return, so a last step that overflows raises.
 OVERFLOW_CLAMP = (-1e308, 1e308)
 PER_STEP_RAISES_FROM = {
     ("linf", None, 1e308, 1e308): 10,
     ("linf", None, 1e308, -1e308): 10,
-    ("linf", None, 1e308, 1.7e308): 2,
-    ("linf", None, 1e308, -1.7e308): 2,
-    ("linf", None, 1e308, 1.79e308): 2,
+    ("linf", None, 1e308, 1.7e308): 1,
+    ("linf", None, 1e308, -1.7e308): 1,
+    ("linf", None, 1e308, 1.79e308): 1,
     ("linf", None, 1.7e308, 1e308): 10,
     ("linf", None, 1.7e308, -1e308): 10,
-    ("linf", None, 1.7e308, 1.7e308): 2,
-    ("linf", None, 1.7e308, -1.7e308): 2,
-    ("linf", None, 1.7e308, 1.79e308): 2,
-    ("l2", None, 1e308, 1.79e308): 2,
-    ("l2", None, 1.7e308, 1.7e308): 2,
-    ("l2", None, 1.7e308, -1.7e308): 2,
-    ("l2", None, 1.7e308, 1.79e308): 2,
-    ("l2", OVERFLOW_CLAMP, 1e308, 1.79e308): 2,
-    ("l2", OVERFLOW_CLAMP, 1.7e308, 1.7e308): 2,
-    ("l2", OVERFLOW_CLAMP, 1.7e308, -1.7e308): 2,
-    ("l2", OVERFLOW_CLAMP, 1.7e308, 1.79e308): 2,
+    ("linf", None, 1.7e308, 1.7e308): 1,
+    ("linf", None, 1.7e308, -1.7e308): 1,
+    ("linf", None, 1.7e308, 1.79e308): 1,
+    ("l2", None, 1e308, 1.79e308): 1,
+    ("l2", None, 1.7e308, 1.7e308): 1,
+    ("l2", None, 1.7e308, -1.7e308): 1,
+    ("l2", None, 1.7e308, 1.79e308): 1,
+    ("l2", OVERFLOW_CLAMP, 1e308, 1.79e308): 1,
+    ("l2", OVERFLOW_CLAMP, 1.7e308, 1.7e308): 1,
+    ("l2", OVERFLOW_CLAMP, 1.7e308, -1.7e308): 1,
+    ("l2", OVERFLOW_CLAMP, 1.7e308, 1.79e308): 1,
 }
 
 
@@ -531,11 +535,42 @@ def test_pgd_non_finite_parity(norm, clamp):
         cfg = AttackConfig(norm=norm, eps=eps, steps=steps, clamp=clamp)
         X = np.full((2, 3), x)
         if steps >= PER_STEP_RAISES_FROM.get((norm, clamp, eps, x), np.inf):
-            with pytest.raises(NonFiniteError):
-                pgd_attack(model, X, y, cfg)
+            for attack in (pgd_attack, per_step_pgd):
+                with pytest.raises(NonFiniteError):
+                    attack(model, X, y, cfg)
         else:
             got, ref = pgd_attack(model, X, y, cfg), per_step_pgd(model, X, y, cfg)
-            assert np.array_equal(got, ref, equal_nan=True), (eps, x, steps)
+            assert np.array_equal(got, ref), (eps, x, steps)
+
+
+def overflowing_net():
+    """A network whose input gradient at rows of 1e308 is finite and lies along feature 0."""
+    net = MlpClassifier.init([3, 4, 2], RngStream(0))
+    net.weights[0] = net.weights[0] * 1e-300
+    net.weights[0][1:] = 0.0
+    return net
+
+
+# (model, norm, row value, steps) whose last add overflows while every earlier iterate is finite
+OVERFLOWING_LAST_STEP = {
+    "linear-linf": (LinearClassifier(np.array([1.0, -2.0, 0.0])), "linf", 1.7e308, 1),
+    "linear-l2": (LinearClassifier(np.array([1.0, -2.0, 0.0])), "l2", 1.79e308, 1),
+    "mlp-linf": (overflowing_net(), "linf", 1e308, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_LAST_STEP))
+def test_pgd_raises_on_an_overflowing_last_step(case):
+    # the attack used to return the inf rows, and robust_accuracy leaked numpy's overflow warning
+    model, norm, x, steps = OVERFLOWING_LAST_STEP[case]
+    cfg = AttackConfig(norm=norm, eps=1e308, steps=steps)
+    data = Dataset(np.full((2, 3), x), np.array([1, -1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            pgd_attack(model, data.features, data.labels, cfg)
+        with pytest.raises(NonFiniteError):
+            robust_accuracy(model, data, cfg)
 
 
 def test_linear_attack_takes_one_gradient(monkeypatch):

@@ -136,6 +136,18 @@ def test_malformed_mlp_architecture_exits_one(tmp_path, capsys, arch):
     assert_exits_one_with(capsys, argv, f"bad mlp architecture '{arch}'")
 
 
+@pytest.mark.parametrize("key, value", [("architectures", ["linear", "linear"]), ("seeds", [0, 0]),
+                                        ("budgets", [0.4, 0.8, 0.4])])
+def test_repeated_evaluation_entry_exits_one(tmp_path, capsys, key, value):
+    # seeds [0, 0] exited 0 and wrote every cell twice
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["eval"][key] = value
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(config))
+    argv = ["evaluate", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")]
+    assert_exits_one_with(capsys, argv, "repeated architecture, seed or budget")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_learner_exits_one(tmp_path, capsys):
     config = json.loads(json.dumps(SMALL_CONFIG))

@@ -52,6 +52,19 @@ def test_plan_validation():
         EvalPlan(ds, ds, [], [0], [0.1], AttackConfig(eps=0.1), TRAIN)
 
 
+@pytest.mark.parametrize("architectures, seeds, budgets", [
+    (["linear", "linear"], [0], [0.1]),
+    (["linear"], [0, 0], [0.1]),
+    (["linear"], [0], [0.1, 0.2, 0.1 + 5e-13]),
+], ids=["architecture", "seed", "budget-within-1e-12"])
+def test_plan_rejects_repeats(architectures, seeds, budgets):
+    # a repeat wrote its cells twice, and RunReport.cell returned only the first
+    ds = two_gaussians(RngStream(0), 10)
+    with pytest.raises(ParameterError, match="repeated architecture, seed or budget"):
+        EvalPlan(ds, ds, architectures, seeds, budgets, AttackConfig(eps=0.1), TRAIN)
+    EvalPlan(ds, ds, ["linear", "mlp:4"], [0, 1], [0.1, 0.1 + 2e-12], AttackConfig(eps=0.1), TRAIN)
+
+
 def test_plan_rejects_test_set_of_another_width():
     # it used to fail at the first matmul with numpy's size message
     ds = two_gaussians(RngStream(0), 10)
@@ -121,11 +134,14 @@ def test_report_serialization(tmp_path):
 
 def test_training_time_is_counted_once_per_arch_and_seed(monkeypatch):
     # a fake clock that only training and attacks advance: every budget cell of
-    # one (arch, seed) shares that run's training time and has its own attack time
+    # one (arch, seed) shares that seed's training time and has its own attack
+    # time. A linear architecture's seeds train in one lock-step call, whose
+    # time each seed takes an equal share of; a network's train one call each.
     import robustdata.evaluation as evaluation
 
     now = [0.0]
     train, attack = evaluation.sgd_train, evaluation.robust_accuracy
+    train_calls = []
 
     def timed(fn, cost):
         def run(*args, **kwargs):
@@ -133,14 +149,25 @@ def test_training_time_is_counted_once_per_arch_and_seed(monkeypatch):
             return fn(*args, **kwargs)
         return run
 
+    def counted_train(models, *args):
+        train_calls.append(len(models))
+        return train(models, *args)
+
     monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-    monkeypatch.setattr(evaluation, "sgd_train", timed(train, 10.0))
+    monkeypatch.setattr(evaluation, "sgd_train", timed(counted_train, 10.0))
     monkeypatch.setattr(evaluation, "robust_accuracy", timed(attack, 1.0))
     ds = two_gaussians(RngStream(5), 50)
-    plan = EvalPlan(ds, ds, ["linear"], [0, 1], [0.2, 0.5, 1.0], AttackConfig(norm="linf", eps=0.5, steps=2), TRAIN)
+    plan = EvalPlan(ds, ds, ["linear", "mlp:4"], [0, 1], [0.2, 0.5, 1.0], AttackConfig(norm="linf", eps=0.5, steps=2),
+                    TRAIN)
     report = evaluate_dataset(plan, RngStream(6))
-    assert len(report.cells) == 6
-    assert [(c["train_seconds"], c["attack_seconds"]) for c in report.cells] == [(10.0, 1.0)] * 6
+    assert train_calls == [2, 1, 1]
+    assert len(report.cells) == 12
+    expected = {"linear": 5.0, "mlp:4": 10.0}
+    assert [(c["train_seconds"], c["attack_seconds"]) for c in report.cells] == [
+        (expected[c["arch"]], 1.0) for c in report.cells
+    ]
+    # the column, once per (arch, seed), still sums to the time spent training
+    assert sum(c["train_seconds"] for c in report.cells if c["budget"] == 0.2) == 10.0 * len(train_calls)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bit-exact digests of the learner, of both training loops and of the attack path.
+"""Bit-exact digests of the learner, of both training loops, of the attack path and of a report.
 
 The digests were computed once and are pinned here, so any change to the
 meta-gradient, the SGD loop, the loss or attack tapes, the chunking of
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from robustdata.attacks import AttackConfig, robust_accuracy
-from robustdata.evaluation import model_factory
+from robustdata.evaluation import EvalPlan, evaluate_dataset, model_factory
 from robustdata.learning import (
     ALTERNATING,
     META_GRADIENT,
@@ -60,6 +60,9 @@ ATTACKED = {
         "e248714990d3c2c7b3e7e2ddc2fe1e1cab1a15f72e8b0b4d1f3bedd6b6720f83",
     ),
 }
+
+# RunReport.canonical_bytes of evaluate_dataset on linear and mlp:16, 3 seeds, 2 budgets
+EVALUATED = "7f2458e613906d505c94f4a49f3ccff5d4f0bb7d9b57a7cadaf4f6e3a969242b"
 
 
 def digest(*arrays) -> str:
@@ -110,3 +113,11 @@ def attack_path_digests(arch, norm):
 @pytest.mark.parametrize("arch, norm", [pytest.param(a, n, id=f"{a}-{n}-False") for a, n in sorted(ATTACKED)])
 def test_attack_path_digest(arch, norm):
     assert attack_path_digests(arch, norm) == ATTACKED[arch, norm]
+
+
+def test_multi_seed_report_digest():
+    # 300 rows in batches of 64 end in a partial batch; linear seeds train in lock-step
+    test = sample(DistributionSpec(d=D, mu=0.4, p=0.9), 1000, RngStream(5).child(3))
+    plan = EvalPlan(natural_data(), test, ["linear", "mlp:16"], [0, 1, 2], [0.2, 0.4], ATTACK, TRAIN)
+    report = evaluate_dataset(plan, RngStream(0))
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == EVALUATED

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -292,6 +294,116 @@ def test_linear_sgd_builds_no_tape(monkeypatch):
     assert created == []
     sgd_train(MlpClassifier.init([3, 4, 2], RngStream(2)), ds, cfg)
     assert created  # the counter sees the network's tape
+
+
+# ---------------------------------------------------------------------------
+# lock-step linear training
+# ---------------------------------------------------------------------------
+
+
+def test_stacked_products_and_row_sums_match_per_seed_results():
+    # the lock-step loop relies on numpy running the per-seed kernel for each
+    # seed of a stacked product or row sum; a BLAS or numpy that does not
+    # fails here rather than in a digest
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        S, B, d = (int(v) for v in rng.integers(1, [6, 300, 64]))
+        pool = rng.normal(0, 10.0 ** rng.integers(-5, 5), (2 * B, d))
+        X = pool[rng.integers(0, 2 * B, (S, B))]  # a stacked gather, as the loop makes
+        w, c = rng.normal(0, 1, (S, d)), rng.normal(0, 1, (S, B))
+        margins = (X @ w[..., None])[..., 0]
+        back = (X.swapaxes(-1, -2) @ c[..., None])[..., 0]
+        sums, means = c.sum(-1), c.mean(axis=1)
+        for s in range(S):
+            assert np.array_equal(margins[s], X[s] @ w[s])
+            assert np.array_equal(back[s], X[s].T @ c[s])
+            assert np.array_equal(sums[s], np.sum(c[s]))
+            assert np.array_equal(means[s], np.mean(list(c[s])))
+
+
+def solo_linear_sgd(w, dataset, cfg):
+    """Reference: one linear model's SGD loop on 2-D batches, one hinge_parts call per step."""
+    y = dataset.labels.astype(np.float64)
+    velocity, shuffle, trace = np.zeros_like(w), RngStream(cfg.seed), []
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            order, losses = shuffle.permutation(dataset.n), []
+            for start in range(0, dataset.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, _, grad = hinge_parts(dataset.features[idx], y[idx], w, cfg.weight_decay)
+                velocity *= cfg.momentum
+                velocity += grad
+                w = w - cfg.lr * velocity
+                losses.append(float(loss))
+            trace.append(float(np.mean(losses)))
+    if not np.isfinite(w).all():
+        raise NonFiniteError("the last SGD update left non-finite parameters")
+    return w, trace
+
+
+@st.composite
+def lock_step_cases(draw):
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = binary_dataset(rows.normal(0, draw(st.sampled_from([1.0, 1e100])), (n, d)), rows.choice([-1, 1], n))
+    seeds = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))  # repeats are drawn often
+    inits = [rows.normal(0, 1, d) if draw(st.booleans()) else np.zeros(d) for _ in seeds]
+    cfg = TrainConfig(
+        lr=draw(st.sampled_from([1e-3, 0.1, 10.0, 1e300])),
+        momentum=draw(st.sampled_from([0.0, 0.9])),
+        weight_decay=draw(st.sampled_from([0.0, 1e-3, 1.0])),
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 16)),  # mostly not dividing n: a partial last batch
+    )
+    return ds, inits, [replace(cfg, seed=seed) for seed in seeds]
+
+
+def equal_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lock_step_cases())
+def test_lock_step_linear_training_equals_solo_runs(case):
+    ds, inits, cfgs = case
+    solo = []
+    for w, cfg in zip(inits, cfgs):
+        try:
+            solo.append(solo_linear_sgd(w, ds, cfg))
+        except NonFiniteError:
+            solo.append(None)
+    models_ = [LinearClassifier(w) for w in inits]
+    if None in solo:
+        with pytest.raises(NonFiniteError):
+            sgd_train(models_, ds, cfgs)
+        return
+    trained = sgd_train(models_, ds, cfgs)
+    assert [m for m, _ in trained] == models_
+    for (model, trace), (w, ref_trace), init, cfg in zip(trained, solo, inits, cfgs):
+        assert equal_bits(model.w, w) and equal_bits(trace, ref_trace)
+        alone, alone_trace = sgd_train(LinearClassifier(init), ds, cfg)  # the one-seed case
+        assert equal_bits(alone.w, w) and equal_bits(alone_trace, ref_trace)
+
+
+def test_lock_step_rejects_unlike_configs_and_hooks():
+    ds = binary_dataset([[1.0, 0.0], [-1.0, 0.0]], [1, -1])
+    cfg = TrainConfig(epochs=1)
+    models_ = [LinearClassifier.zeros(2), LinearClassifier.zeros(2)]
+    for cfgs, hook in (([cfg, replace(cfg, lr=0.5)], None), ([cfg], None), ([], None),
+                       ([cfg, replace(cfg, seed=1)], lambda X, y: X)):
+        with pytest.raises(ParameterError, match="lock-step training"):
+            sgd_train(models_ if cfgs else [], ds, cfgs, hook)
+
+
+def test_network_list_trains_one_by_one():
+    rng = RngStream(18)
+    ds = binary_dataset(rng.normal(0, 1, (30, 3)), np.where(rng.uniform(0, 1, 30) < 0.5, 1, -1))
+    cfgs = [TrainConfig(epochs=2, batch_size=8, seed=seed) for seed in (0, 1)]
+    trained = sgd_train([MlpClassifier.init([3, 4, 2], RngStream(seed)) for seed in (0, 1)], ds, cfgs)
+    for seed, (model, trace) in zip((0, 1), trained):
+        alone, alone_trace = sgd_train(MlpClassifier.init([3, 4, 2], RngStream(seed)), ds, cfgs[seed])
+        assert all(equal_bits(a, b) for a, b in zip(model.params(), alone.params()))
+        assert equal_bits(trace, alone_trace)
 
 
 def test_sgd_full_batch_permutation_invariance():
