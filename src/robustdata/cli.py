@@ -20,9 +20,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .attacks import closed_form_linear_robust_accuracy, robust_accuracy
+from .attacks import closed_form_linear_robust_accuracy
 from .config import ExperimentConfig, _has_kind, _kind_name
 from .datafile import atomic_write, read_dataset, write_csv, write_dataset
 from .dataset import Dataset, subsample
@@ -34,7 +32,7 @@ from .learning import (
     baseline_adv_dataset,
     learn_robust_dataset,
 )
-from .models import accuracy, sgd_train
+from .models import LinearClassifier, sgd_train
 from .rng import RngStream
 from .theory import (
     DistributionSpec,
@@ -43,7 +41,8 @@ from .theory import (
     ROBUST_STAR,
     SymmetricLaw,
     closed_form_accuracies,
-    optimal_linf_perturbation,
+    corner_oracle_gap,
+    natural_svm,
     sample,
     symmetric_sum_check,
     verify_weight_structure,
@@ -157,19 +156,15 @@ def _report(path, lines: list[str]) -> None:
 def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     dist = cfg.section("distribution")
     spec = cfg.distribution_spec()
-    eps = cfg.attack_config().eps
+    attack = cfg.attack_config()
 
     lines = [f"config_hash={cfg.config_hash()}", f"seed={seed}"]
     checks: list[tuple[str, bool]] = []
 
     train = sample(spec, dist["n_train"], rng.child(1))
     test = sample(spec, dist["n_test"], rng.child(2))
-    factory = model_factory("linear", spec.d + 1)
-    svm, _ = sgd_train(factory(seed), train, cfg.train_config(seed))
-
-    nat = accuracy(svm, test)
-    rob_pgd = robust_accuracy(svm, test, cfg.attack_config())
-    rob_closed = closed_form_linear_robust_accuracy(svm, test, eps)
+    svm, nat, rob_pgd = natural_svm(train, test, cfg.train_config(seed), attack)
+    rob_closed = closed_form_linear_robust_accuracy(svm, test, attack.eps)
     lines += [
         f"lemma1.natural_acc={nat:.4f}",
         f"lemma1.robust_acc_pgd={rob_pgd:.4f}",
@@ -189,15 +184,18 @@ def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) ->
     checks.append(("lemma1.nonnegative", structure.nonnegative))
     checks.append(("lemma1.ordering", structure.ordering))
 
-    cf_nat, cf_rob = closed_form_accuracies(svm.w, spec, eps)
+    try:
+        cf_nat, cf_rob = closed_form_accuracies(svm.w, spec, attack.eps)
+    except ParameterError:  # weights outside the closed form's domain fail the check; a non-gaussian model exits 1
+        if spec.mode != GAUSSIAN:
+            raise
+        cf_nat = cf_rob = float("nan")
     lines += [f"lemma1.closed_form_natural={cf_nat:.4f}", f"lemma1.closed_form_robust={cf_rob:.4f}"]
     checks.append(("lemma1.closed_form_agrees", abs(cf_nat - nat) <= 0.01 and abs(cf_rob - rob_pgd) <= 0.01))
 
     star_spec = DistributionSpec(d=spec.d, mu=spec.mu, p=spec.p, mode=ROBUST_STAR)
     star_train = sample(star_spec, dist["n_train"], rng.child(4))
-    star_svm, _ = sgd_train(factory(seed), star_train, cfg.train_config(seed))
-    star_nat = accuracy(star_svm, test)
-    star_rob = robust_accuracy(star_svm, test, cfg.attack_config().with_eps(0.5))
+    star_svm, star_nat, star_rob = natural_svm(star_train, test, cfg.train_config(seed), attack.with_eps(0.5))
     lines += [f"theorem2.natural_acc={star_nat:.4f}", f"theorem2.robust_acc={star_rob:.4f}"]
     checks.append(("theorem2.natural_acc", abs(star_nat - spec.p) <= 0.02))
     checks.append(("theorem2.robust_acc", abs(star_rob - spec.p) <= 0.02))
@@ -207,21 +205,7 @@ def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) ->
     checks.append(("theorem1.tail_vanishing", star_structure.tail_vanishing))
     checks.append(("theorem1.w1_positive", star_structure.w1 > 0))
 
-    corner_rng = rng.child(6)
-    lemma2_ok = True
-    for _ in range(100):
-        d_small = int(corner_rng.integers(1, 9))
-        w = corner_rng.normal(0.0, 1.0, (d_small + 1,))
-        x = corner_rng.normal(0.0, 1.0, (d_small + 1,))
-        yv = 1 if corner_rng.uniform(0, 1, ()) < 0.5 else -1
-        eps_t = float(corner_rng.uniform(0.05, 1.0, ()))
-        delta = optimal_linf_perturbation(w, yv, eps_t)
-        attained = max(0.0, 1.0 - yv * float(np.dot(w, x + delta)))
-        corners = eps_t * (np.array(np.meshgrid(*[[-1, 1]] * (d_small + 1))).reshape(d_small + 1, -1).T)
-        best = float(np.max(np.maximum(0.0, 1.0 - yv * ((x[None, :] + corners) @ w))))
-        if abs(attained - best) > 1e-9:
-            lemma2_ok = False
-            break
+    lemma2_ok = corner_oracle_gap(rng.child(6), 100, 9, 1.0) <= 1e-9
     lines.append(f"lemma2.corner_oracle_ok={int(lemma2_ok)}")
     checks.append(("lemma2.corner_oracle", lemma2_ok))
 
@@ -236,9 +220,9 @@ def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) ->
         gen_spec = DistributionSpec(d=spec.d, mu=spec.mu, p=spec.p, mode=GENERAL_SYMMETRIC, law=law)
         gen_train = sample(gen_spec, dist["n_train"], rng.child(8))
         gen_test = sample(gen_spec, dist["n_test"], rng.child(9))
-        gen_svm, _ = sgd_train(factory(seed), gen_train, cfg.train_config(seed))
-        gen_rob = closed_form_linear_robust_accuracy(gen_svm, gen_test, eps)
-        star_rob_gen = closed_form_linear_robust_accuracy(star_svm, gen_test, min(eps, 0.9))
+        gen_svm, _ = sgd_train(LinearClassifier.zeros(spec.d + 1), gen_train, cfg.train_config(seed))
+        gen_rob = closed_form_linear_robust_accuracy(gen_svm, gen_test, attack.eps)
+        star_rob_gen = closed_form_linear_robust_accuracy(star_svm, gen_test, min(attack.eps, 0.9))
         lines += [
             f"general.{law}.natural_model_robust_acc={gen_rob:.4f}",
             f"general.{law}.star_model_robust_acc={star_rob_gen:.4f}",

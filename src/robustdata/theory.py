@@ -19,14 +19,17 @@ the weak-feature mean from mu to mu - eps and moves x1 to y*(1 -+ eps).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .attacks import AttackConfig, robust_accuracy
 from .dataset import Dataset
 from .errors import ParameterError
+from .models import LinearClassifier, TrainConfig, accuracy, sgd_train
 from .rng import RngStream
 
 GAUSSIAN = "gaussian"
@@ -183,9 +186,32 @@ def monte_carlo_accuracies(
     return nat_hits / n, rob_hits / n
 
 
+def corner_oracle_gap(rng: RngStream, tuples: int, d_max: int, eps_max: float) -> float:
+    """Largest |hinge at optimal_linf_perturbation - max hinge over the ball's corners| in `tuples` draws."""
+    worst = 0.0
+    for _ in range(tuples):
+        d = int(rng.integers(1, d_max))
+        w = rng.normal(0.0, 1.0, (d + 1,))
+        x = rng.normal(0.0, 1.0, (d + 1,))
+        y = 1 if rng.uniform(0, 1, ()) < 0.5 else -1
+        eps = float(rng.uniform(0.05, eps_max, ()))
+        delta = optimal_linf_perturbation(w, y, eps)
+        attained = max(0.0, 1.0 - y * float(np.dot(w, x + delta)))
+        corners = eps * np.array(list(itertools.product([-1, 1], repeat=d + 1)))
+        best = float(np.max(np.maximum(0.0, 1.0 - y * ((x[None, :] + corners) @ w))))
+        worst = max(worst, abs(attained - best))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
+
+
+def natural_svm(train: Dataset, test: Dataset, cfg: TrainConfig, attack: AttackConfig):
+    """(model, natural accuracy, PGD robust accuracy on `test`) of a zero-start linear SVM trained on `train`."""
+    model, _ = sgd_train(LinearClassifier.zeros(train.width), train, cfg)
+    return model, accuracy(model, test), robust_accuracy(model, test, attack)
 
 
 @dataclass

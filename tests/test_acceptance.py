@@ -16,7 +16,6 @@ trained models does not claim more. At the theory-consistent parameters
 must reach robust accuracy >= 0.7.
 """
 
-import itertools
 import json
 import time
 
@@ -35,14 +34,15 @@ from robustdata.learning import (
     baseline_adv_dataset,
     learn_robust_dataset,
 )
-from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
+from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, batch_loss_graph, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import (
     DistributionSpec,
     ROBUST_STAR,
     closed_form_accuracies,
+    corner_oracle_gap,
     monte_carlo_accuracies,
-    optimal_linf_perturbation,
+    natural_svm,
     phi,
     sample,
     verify_weight_structure,
@@ -71,9 +71,7 @@ def lemma1_setup():
     spec = DistributionSpec(d=100, mu=0.4, p=0.9)
     train = sample(spec, 20000, rng.child(1))
     test = sample(spec, 10000, rng.child(2))
-    model, _ = sgd_train(model_factory("linear", 101)(NATURAL_TRAIN.seed), train, NATURAL_TRAIN)
-    nat = accuracy(model, test)
-    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.8, steps=10))
+    model, nat, rob = natural_svm(train, test, NATURAL_TRAIN, AttackConfig(norm="linf", eps=0.8, steps=10))
     return dict(spec=spec, model=model, test=test, natural=nat, robust=rob, seconds=time.perf_counter() - start)
 
 
@@ -85,9 +83,7 @@ def theorem2_setup():
     star = DistributionSpec(d=100, mu=0.4, p=0.9, mode=ROBUST_STAR)
     train = sample(star, 20000, rng.child(4))
     test = sample(spec, 10000, rng.child(2))
-    model, _ = sgd_train(model_factory("linear", 101)(SMALL_LR_TRAIN.seed), train, SMALL_LR_TRAIN)
-    nat = accuracy(model, test)
-    rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.5, steps=10))
+    model, nat, rob = natural_svm(train, test, SMALL_LR_TRAIN, AttackConfig(norm="linf", eps=0.5, steps=10))
     return dict(model=model, natural=nat, robust=rob, seconds=time.perf_counter() - start)
 
 
@@ -150,17 +146,16 @@ def test_criterion_02_theorem2_regime(theorem2_setup):
 
 
 def test_criterion_03_theorem1_structure(theorem2_setup):
-    w = theorem2_setup["model"].w
-    tail_ratio = float(np.max(np.abs(w[1:])) / abs(w[0]))
-    ok = tail_ratio <= 0.05 and w[0] > 0
+    rep = verify_weight_structure(theorem2_setup["model"].w, 100)
+    ok = rep.tail_vanishing and rep.w1 > 0
     assert report(
-        "criterion 3", ok, f"max|tail|/|w1|={tail_ratio:.5f} (<=0.05) w1={w[0]:.3f} (>0)"
+        "criterion 3", ok, f"max|tail|/|w1|={rep.tail_max_abs / abs(rep.w1):.5f} (<=0.05) w1={rep.w1:.3f} (>0)"
     )
 
 
 def test_criterion_04_appendix_weight_lemmas(lemma1_setup):
     rep = verify_weight_structure(lemma1_setup["model"].w, 100)
-    ok = rep.tail_cv <= 0.2 and rep.tail_min >= -1e-3 and rep.w1 < 1.1 * np.sqrt(100) * rep.tail_mean
+    ok = rep.tail_equal and rep.nonnegative and rep.ordering
     assert report(
         "criterion 4",
         ok,
@@ -170,19 +165,7 @@ def test_criterion_04_appendix_weight_lemmas(lemma1_setup):
 
 
 def test_criterion_05_lemma2_corner_oracle():
-    rng = RngStream(123)
-    worst = 0.0
-    for _ in range(500):
-        d = int(rng.integers(1, 10))
-        w = rng.normal(0, 1, (d + 1,))
-        x = rng.normal(0, 1, (d + 1,))
-        y = 1 if rng.uniform(0, 1, ()) < 0.5 else -1
-        eps = float(rng.uniform(0.05, 1.5, ()))
-        delta = optimal_linf_perturbation(w, y, eps)
-        attained = max(0.0, 1.0 - y * float(np.dot(w, x + delta)))
-        corners = eps * np.array(list(itertools.product([-1, 1], repeat=d + 1)))
-        best = float(np.max(np.maximum(0.0, 1.0 - y * ((x[None, :] + corners) @ w))))
-        worst = max(worst, abs(attained - best))
+    worst = corner_oracle_gap(RngStream(123), 500, 10, 1.5)
     ok = worst <= 1e-9
     assert report("criterion 5", ok, f"max |closed-form - corner max| over 500 tuples = {worst:.2e} (<=1e-9)")
 

@@ -11,7 +11,7 @@ from robustdata.config import ExperimentConfig
 from robustdata.datafile import read_dataset, write_dataset
 from robustdata.dataset import Dataset
 from robustdata.rng import RngStream
-from robustdata.theory import sample
+from robustdata.theory import corner_oracle_gap, sample
 
 SMALL_CONFIG = {
     "distribution": {"d": 20, "mu": 0.4, "p": 0.9, "n_train": 2000, "n_test": 2000},
@@ -257,6 +257,34 @@ def test_theory_verify_default_passes(tmp_path, config_path):
     report = (tmp_path / "out" / "theory_report.txt").read_text()
     assert "verdict=pass" in report
     assert "lemma1.natural_acc=" in report
+
+
+def test_theory_verify_failed_check_writes_report_and_exits_two(tmp_path):
+    # a negative tail mean puts the lemma-1 SVM outside the closed form's domain; this exited 1
+    # with no report
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"distribution": {"d": 20, "mu": -0.4, "n_train": 2000, "n_test": 2000}}))
+    out = tmp_path / "out"
+    assert cli_run(["theory-verify", "--config", str(path), "--seed", "0", "--out", str(out)]) == 2
+    report = (out / "theory_report.txt").read_text().splitlines()
+    for line in ("lemma1.closed_form_natural=nan", "lemma1.closed_form_robust=nan",
+                 "check.lemma1.closed_form_agrees=fail", "verdict=fail"):
+        assert line in report
+
+
+def test_theory_verify_of_a_non_gaussian_model_exits_one(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"distribution": {"d": 20, "mode": "general-symmetric", "n_train": 2000}}))
+    argv = ["theory-verify", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")]
+    assert_exits_one_with(capsys, argv, "closed forms cover the gaussian model only")
+
+
+def test_wrong_lemma2_perturbation_fails_the_shared_corner_check(tmp_path, capsys, config_path, monkeypatch):
+    # theory-verify and acceptance criterion 5 run the same corner_oracle_gap, so a wrong sign fails both
+    monkeypatch.setattr("robustdata.theory.optimal_linf_perturbation", lambda w, y, eps: eps * np.sign(y * w))
+    assert corner_oracle_gap(RngStream(123), 500, 10, 1.5) > 1e-9
+    assert cli_run(["theory-verify", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "out")]) == 2
+    assert "check.lemma2.corner_oracle=fail" in capsys.readouterr().out.splitlines()
 
 
 def test_learn_then_evaluate_uses_file_provenance(tmp_path, config_path):

@@ -1,4 +1,4 @@
-"""Bit-exact digests of the learner, of both training loops, of the attack path and of a report.
+"""Bit-exact digests of the learner, of both training loops, of the attack path and of two reports.
 
 The digests were computed once and are pinned here, so any change to the
 meta-gradient, the SGD loop, the loss or attack tapes, the chunking of
@@ -8,11 +8,13 @@ benchmark's reference pass covers only the meta-gradient mode at seed 0.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from robustdata.attacks import AttackConfig, robust_accuracy
+from robustdata.cli import cli_run
 from robustdata.evaluation import EvalPlan, evaluate_dataset, model_factory
 from robustdata.learning import (
     ALTERNATING,
@@ -25,6 +27,8 @@ from robustdata.learning import (
 from robustdata.models import TrainConfig, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
+
+from test_cli import SMALL_CONFIG
 
 D = 20
 ATTACK = AttackConfig(norm="linf", eps=0.4, steps=5)
@@ -63,6 +67,9 @@ ATTACKED = {
 
 # RunReport.canonical_bytes of evaluate_dataset on linear and mlp:16, 3 seeds, 2 budgets
 EVALUATED = "7f2458e613906d505c94f4a49f3ccff5d4f0bb7d9b57a7cadaf4f6e3a969242b"
+
+# theory_report.txt of theory-verify on test_cli.SMALL_CONFIG at --seed 0
+THEORY_REPORT = "d915e07f83c8a8c6c32fc1cea26bac43a4fbd1f62153ad437dc696809b29716d"
 
 
 def digest(*arrays) -> str:
@@ -121,3 +128,10 @@ def test_multi_seed_report_digest():
     plan = EvalPlan(natural_data(), test, ["linear", "mlp:16"], [0, 1, 2], [0.2, 0.4], ATTACK, TRAIN)
     report = evaluate_dataset(plan, RngStream(0))
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == EVALUATED
+
+
+def test_theory_report_digest(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIG))
+    assert cli_run(["theory-verify", "--config", str(path), "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "theory_report.txt").read_bytes()).hexdigest() == THEORY_REPORT
