@@ -6,7 +6,8 @@ expressed with Tensor operations, so the adjoints returned by `backward`
 live on a fresh tape and can be differentiated again (re-recording). That
 is exactly what `unrolled_grad` needs: the derivative of a loss through
 one gradient-descent parameter update. The network loss is built from
-the primitives; the linear loss is one node with closed-form vjps.
+the primitives; the linear loss is one node with closed-form vjps. So the
+tape is 2-D: matmul takes two matrices, and there is no 1-D product.
 
 `backward` forms only the adjoints on a path from the output to a
 requested input (activity analysis): adjoints of constants, of leaves not
@@ -83,8 +84,6 @@ def _unbroadcast(g: Tensor, shape: Shape) -> Tensor:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = tsum(g, axis=axes, keepdims=True)
-    if g.shape != shape:
-        g = reshape(g, shape)
     return g
 
 
@@ -112,10 +111,9 @@ def texp(a: Tensor) -> Tensor:
     # network loss) is a reference cycle that only the cyclic GC frees: one
     # mlp:64 loss+backward leaves 66 objects to gc.collect(), a 2-batch learn
     # 264, a linear run 0. Network attacks build no tape, so one pgd_attack
-    # leaves 0 (490 when its gradient was taken here). These cycles are why
-    # learn-mlp peak RSS grows with run length. A cycle-free texp kept it
-    # flat (about 70 MB against 183 MB) but cost more page faults and wall
-    # time; see CHANGES.md.
+    # leaves 0. These cycles are why learn-mlp peak RSS grows with run
+    # length. A cycle-free texp kept it flat (about 70 MB against 183 MB)
+    # but cost more page faults and wall time; see CHANGES.md.
     out = Tensor(np.exp(a.data), (a,), None)
     out._vjp = (lambda g: mul(g, out),)
     return out
@@ -147,9 +145,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), (vjp,))
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    total = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(total, constant(total.size / a.size))
+def mean(a: Tensor) -> Tensor:
+    return mul(tsum(a), constant(1 / a.size))
 
 
 def broadcast_to(a: Tensor, shape: Shape) -> Tensor:
@@ -169,22 +166,10 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    na, nb = a.data.ndim, b.data.ndim
-    if na == 2 and nb == 2:
-        vjps = (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g))
-    elif na == 2 and nb == 1:
-        vjps = (lambda g: outer(g, b), lambda g: matmul(transpose(a), g))
-    elif na == 1 and nb == 2:
-        vjps = (lambda g: matmul(b, g), lambda g: outer(a, g))
-    elif na == 1 and nb == 1:
-        vjps = (lambda g: mul(g, b), lambda g: mul(g, a))
-    else:
-        raise ContractError(f"matmul supports 1-D/2-D operands, got ndim {na} and {nb}")
-    return Tensor(a.data @ b.data, (a, b), vjps)
-
-
-def outer(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(np.outer(a.data, b.data), (a, b), (lambda g: matmul(g, b), lambda g: matmul(transpose(g), a)))
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ContractError(f"the tape is 2-D: matmul takes two 2-D operands, got ndim {a.data.ndim} "
+                            f"and {b.data.ndim}")
+    return Tensor(a.data @ b.data, (a, b), (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)))
 
 
 # ---------------------------------------------------------------------------

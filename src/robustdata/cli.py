@@ -275,18 +275,22 @@ def cmd_baseline(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
 
 
 def cmd_evaluate(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
+    ev = cfg.section("eval")
+    fractions = ev["subsample_fractions"]
+    tags = ["" if fraction == 1.0 else f"_frac{fraction:g}" for fraction in fractions]
+    if not tags or len(set(tags)) < len(tags):
+        raise ParameterError(f"eval.subsample_fractions {fractions} must name at least one fraction, each with "
+                             "its own report name (report_frac<fraction:g>, or report for 1)")
     dataset = _load_or_generate(args, cfg, rng)
     test = _test_set(dataset, cfg, rng)
-    ev = cfg.section("eval")
 
     os.makedirs(args.out, exist_ok=True)
-    for fraction in ev["subsample_fractions"]:
+    for fraction, tag in zip(fractions, tags):
         ds = dataset if fraction == 1.0 else subsample(dataset, fraction, rng.child(400))
         plan = EvalPlan(ds, test, ev["architectures"], ev["seeds"], ev["budgets"],
                         cfg.attack_config(), cfg.train_config())
         report = evaluate_dataset(plan, rng.child(401))
         report.provenance.update(config_hash=cfg.config_hash(), seed=seed, subsample_fraction=fraction)
-        tag = "" if fraction == 1.0 else f"_frac{fraction:g}"
         report.write_csv(os.path.join(args.out, f"report{tag}.csv"))
         report.write_json(os.path.join(args.out, f"report{tag}.json"))
         for cell in report.sorted_cells():

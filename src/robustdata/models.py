@@ -26,6 +26,7 @@ and the learner's second-order step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,8 +186,7 @@ def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tens
     logits = model.decision_graph(params, X)
     onehot = np.zeros((classes.size, model.num_classes))
     onehot[np.arange(classes.size), classes] = 1.0
-    shift = ad.constant(logits.data.max(axis=1, keepdims=True))  # stabilizer, constant on the tape
-    z = ad.add(logits, ad.neg(shift))
+    z = ad.add(logits, ad.constant(-logits.data.max(axis=1, keepdims=True)))  # stabilizer, constant on the tape
     lse = ad.tlog(ad.tsum(ad.texp(z), axis=1, keepdims=True))
     log_probs = ad.add(z, ad.neg(lse))
     return ad.mul(log_probs, ad.constant(onehot))
@@ -210,9 +210,7 @@ def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, 
         return Tensor(loss, (X, w), (lambda g: ad.mul(g, ad.constant(np.outer(c, w.data))), lambda g: ad.mul(g, G)))
     data_term = ad.neg(ad.mean(ad.tsum(true_class_log_probs(model, params, X, y), axis=1)))
     if lam > 0:
-        reg = ad.constant(0.0)
-        for i in range(0, len(params), 2):  # decay weights, not biases
-            reg = ad.add(reg, ad.tsum(ad.mul(params[i], params[i])))
+        reg = reduce(ad.add, [ad.tsum(ad.mul(W, W)) for W in params[0::2]])  # decay weights, not biases
         data_term = ad.add(data_term, ad.mul(ad.constant(lam), reg))
     return data_term
 

@@ -158,34 +158,6 @@ def closed_form_accuracies(w: np.ndarray, spec: DistributionSpec, eps: float) ->
     return natural, robust
 
 
-def monte_carlo_accuracies(
-    w: np.ndarray,
-    spec: DistributionSpec,
-    eps: float,
-    n: int,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Independent oracle for closed_form_accuracies: simulate the model directly.
-
-    Draws full (d+1)-dimensional samples in chunks of 200,000 rows,
-    applies the closed-form worst-case perturbation to each, and counts
-    sign agreements for both the clean and perturbed points.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    nat_hits = rob_hits = 0
-    done = 0
-    while done < n:
-        m = min(200_000, n - done)
-        ds = sample(spec, m, rng)
-        y = ds.labels.astype(np.float64)
-        margins = y * (ds.features @ w)
-        nat_hits += int(np.sum(margins > 0))
-        # per-row worst case: subtract eps * ||w||_1 from the signed margin
-        rob_hits += int(np.sum(margins - eps * np.abs(w).sum() > 0))
-        done += m
-    return nat_hits / n, rob_hits / n
-
-
 def corner_oracle_gap(rng: RngStream, tuples: int, d_max: int, eps_max: float) -> float:
     """Largest |hinge at optimal_linf_perturbation - max hinge over the ball's corners| in `tuples` draws."""
     worst = 0.0

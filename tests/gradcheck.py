@@ -1,9 +1,12 @@
-"""Reference gradients for the tests: `grad`, central finite differences and
-the linear objective and its margins written in tape primitives.
+"""Reference implementations for the tests: `grad`, central finite
+differences, the linear objective and its margins written in tape
+primitives, and a Monte-Carlo oracle for the closed-form accuracies.
 
-Nothing in the package calls these; the autodiff tests and the acceptance
-gate (criterion 7) compare the tape against them. `tape_loss_graph` is the
+Nothing in the package calls these; the tests and the acceptance gate
+(criteria 6 and 7) compare the package against them. `tape_loss_graph` is the
 bit-exact reference for the fused hinge node of `models.batch_loss_graph`.
+The package's tape is 2-D; the 1-D products the linear references need,
+`dot` and `outer`, are defined here.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from robustdata import autodiff as ad
 from robustdata.autodiff import Tensor, backward
 from robustdata.errors import ContractError, ParameterError
 from robustdata.models import LinearClassifier, batch_loss_graph
+from robustdata.rng import RngStream
+from robustdata.theory import DistributionSpec, sample
 
 
 def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Tensor]:
@@ -26,9 +31,27 @@ def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Ten
     return backward(out, inputs)
 
 
+def dot(a: Tensor, v: Tensor) -> Tensor:
+    """a @ v on the tape for a vector v and a matrix or vector a.
+
+    A matrix's adjoint is np.outer, whose signed zeros a (B,1)@(1,d) product does not keep.
+    """
+    if v.data.ndim != 1 or a.data.ndim not in (1, 2):
+        raise ContractError(f"dot takes a 1-D or 2-D and a 1-D operand, got ndim {a.data.ndim} and {v.data.ndim}")
+    if a.data.ndim == 1:
+        vjps = (lambda g: ad.mul(g, v), lambda g: ad.mul(g, a))
+    else:
+        vjps = (lambda g: outer(g, v), lambda g: dot(ad.transpose(a), g))
+    return Tensor(a.data @ v.data, (a, v), vjps)
+
+
+def outer(a: Tensor, b: Tensor) -> Tensor:
+    return Tensor(np.outer(a.data, b.data), (a, b), (lambda g: dot(g, b), lambda g: dot(ad.transpose(g), a)))
+
+
 def tape_margins(X: Tensor, w: Tensor, y) -> Tensor:
     """The hinge margins y * (X @ w) as two tape nodes; `y` is one label or one per row."""
-    return ad.mul(ad.constant(np.asarray(y, dtype=np.float64)), ad.matmul(X, w))
+    return ad.mul(ad.constant(np.asarray(y, dtype=np.float64)), dot(X, w))
 
 
 def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tensor:
@@ -100,3 +123,31 @@ def finite_diff_check(objective: Callable[[Tensor], Tensor], point: Tensor, step
     comparable = rel[~mask]
     max_err = float(comparable.max()) if comparable.size else 0.0
     return FiniteDiffReport(max_err, rel, mask)
+
+
+def monte_carlo_accuracies(
+    w: np.ndarray,
+    spec: DistributionSpec,
+    eps: float,
+    n: int,
+    rng: RngStream,
+) -> tuple[float, float]:
+    """Independent oracle for theory.closed_form_accuracies: simulate the model directly.
+
+    Draws full (d+1)-dimensional samples in chunks of 200,000 rows,
+    applies the closed-form worst-case perturbation to each, and counts
+    sign agreements for both the clean and perturbed points.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    nat_hits = rob_hits = 0
+    done = 0
+    while done < n:
+        m = min(200_000, n - done)
+        ds = sample(spec, m, rng)
+        y = ds.labels.astype(np.float64)
+        margins = y * (ds.features @ w)
+        nat_hits += int(np.sum(margins > 0))
+        # per-row worst case: subtract eps * ||w||_1 from the signed margin
+        rob_hits += int(np.sum(margins - eps * np.abs(w).sum() > 0))
+        done += m
+    return nat_hits / n, rob_hits / n

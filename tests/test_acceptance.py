@@ -41,14 +41,13 @@ from robustdata.theory import (
     ROBUST_STAR,
     closed_form_accuracies,
     corner_oracle_gap,
-    monte_carlo_accuracies,
     natural_svm,
     phi,
     sample,
     verify_weight_structure,
 )
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, monte_carlo_accuracies
 
 NATURAL_TRAIN = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, epochs=12, batch_size=128, seed=0)
 SMALL_LR_TRAIN = TrainConfig(lr=0.002, momentum=0.9, weight_decay=1e-3, epochs=40, batch_size=128, seed=0)

@@ -148,6 +148,19 @@ def test_repeated_evaluation_entry_exits_one(tmp_path, capsys, key, value):
     assert_exits_one_with(capsys, argv, "repeated architecture, seed or budget")
 
 
+@pytest.mark.parametrize("fractions", [[], [1, 1.0], [0.5, 0.5000001]], ids=["none", "one-twice", "same-tag"])
+def test_evaluate_fractions_without_a_report_each_exit_one(tmp_path, capsys, fractions):
+    # each exited 0: [] wrote no report, and the other two wrote one report over the other
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["eval"]["subsample_fractions"] = fractions
+    path = tmp_path / "fractions.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["evaluate", "--config", str(path), "--seed", "0", "--out", str(out)]
+    assert_exits_one_with(capsys, argv, f"eval.subsample_fractions {fractions}")
+    assert not out.exists()  # rejected before any training
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_learner_exits_one(tmp_path, capsys):
     config = json.loads(json.dumps(SMALL_CONFIG))

@@ -1,6 +1,8 @@
-"""The README's import block, CLI table and `__all__` name only what the package has."""
+"""The README's import block, CLI table and `__all__` name only what the package has,
+and the package defines only what its code reaches."""
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
@@ -30,3 +32,34 @@ def test_readme_cli_table_matches_parser():
     documented = re.findall(r"^\| `([a-z0-9-]+)", section, re.MULTILINE)
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(documented) == sorted(sub.choices)
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every identifier a module's code uses: names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_definition_is_reached():
+    # a top-level function or class that no other code in src/ or benchmarks/ names, that is not
+    # exported and is not the console entry point, runs in no command: it is dead or test-only
+    src = Path(robustdata.__file__).resolve().parent
+    files = sorted(src.glob("*.py")) + sorted((src.parents[1] / "benchmarks").glob("*.py"))
+    used, defined = set(), []
+    for path in files:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path.parent == src:
+                defined.append(f"{path.stem}.{stmt.name}")
+                # a definition's own body does not count: recursion reaches nothing
+                used |= {n for n in _referenced_names(stmt) if n != stmt.name}
+            else:
+                used |= _referenced_names(stmt)
+    unreached = [d for d in defined if d.split(".")[1] not in used | set(robustdata.__all__) and d != "cli.main"]
+    assert unreached == []

@@ -13,13 +13,14 @@ from robustdata.theory import (
     ROBUST_STAR,
     SymmetricLaw,
     closed_form_accuracies,
-    monte_carlo_accuracies,
     optimal_linf_perturbation,
     phi,
     sample,
     symmetric_sum_check,
     verify_weight_structure,
 )
+
+from gradcheck import monte_carlo_accuracies
 
 NATURAL_TRAIN = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, epochs=12, batch_size=128, seed=0)
 # small constant lr: tight limit cycle at the hinge kink, tails stay pinned
