@@ -12,10 +12,10 @@ model is confident, which would silently mask the attack. On a linear
 model the margin direction reproduces the closed-form worst case
 delta = -eps * sign(y*w) exactly, so the attained hinge loss equals
 max(0, 1 - y*w.x + eps*||w||_1) from any starting point. That input
-gradient is -y*w for every row, so it is returned in closed form without
-a tape (after checking X and w are finite, as tape leaves would), and
-pgd_attack computes a linear model's step once per attack. Under l-inf the
-attack is then one pass of in-place adds, projected after the first,
+gradient is -y*w for every row, so it is gathered from the rows -w and +w
+without a tape (after checking X and w are finite, as tape leaves would),
+and pgd_attack computes a linear model's step once per attack. Under l-inf
+the attack is then one pass of in-place adds, projected after the first,
 next-to-last and last adds, bit-identical to projecting every step. Every
 attack checks the iterate it returns, and a non-finite iterate stays
 non-finite, so overflow at any step raises NonFiniteError. A network's input
@@ -23,6 +23,9 @@ gradient of -sum(true-class log-softmax) comes from models.mlp_input_grad,
 a numpy backward that forms no weight or bias adjoint, so no attack builds
 a tape. The tape forms of both gradients and the per-step PGD loop are kept
 in the tests as the bit-exact references.
+
+A dataset is attacked in chunks sized by bytes (adversarial_chunks), so an
+attack's temporaries are reused from the heap rather than mapped afresh.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .models import LinearClassifier, mlp_input_grad
 
 LINF = "linf"
 L2 = "l2"
-CHUNK = 4096  # rows per pgd_attack call over a dataset
+CHUNK_BYTES = 120 * 1024  # feature bytes per pgd_attack call over a dataset: under glibc's 128 KiB mmap threshold
+ROW_BLOCK = 16  # chunks are whole blocks of this many rows when one fits (see adversarial_chunks)
 
 
 @dataclass
@@ -106,7 +110,11 @@ def project_to_ball(x: np.ndarray, center: np.ndarray, cfg: AttackConfig) -> np.
 
 
 def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row gradient of the model's attack objective w.r.t. the inputs; `y` is model.targets(labels)."""
+    """Per-row gradient of the model's attack objective w.r.t. the inputs; `y` is model.targets(labels).
+
+    A linear model's rows -y*w (y = +-1) are gathered from -w and +w rather
+    than formed as an N x d outer product: the same products, so the same bits.
+    """
     if isinstance(model, LinearClassifier):
         # d/dX of the unclamped surrogate -sum(y * (X @ w)) is -y w^T, whatever X is
         if len(params_arrays) != 1:
@@ -114,7 +122,8 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.nd
         (w,) = params_arrays
         if not (np.isfinite(X).all() and np.isfinite(w).all()):
             raise NonFiniteError("tensor contains NaN or Inf")
-        return np.outer(-np.asarray(y, dtype=np.float64), w).reshape(np.shape(X))
+        rows = np.take(np.outer([-1.0, 1.0], w), (np.asarray(y) < 0).astype(np.intp), axis=0)
+        return rows.reshape(np.shape(X))
     return mlp_input_grad(params_arrays, X, y)
 
 
@@ -126,8 +135,17 @@ def _ascent_step(g: np.ndarray, cfg: AttackConfig) -> np.ndarray:
 
 
 def _project_linf(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: AttackConfig) -> None:
-    """In place: clip to the l-inf ball [lo, hi], then to the clamp if one is set."""
-    np.clip(x, lo, hi, out=x)
+    """In place: clip to the l-inf ball [lo, hi], then to the clamp if one is set.
+
+    The ball clip is np.maximum then np.minimum, which differ from np.clip only
+    where x equals a bound as zeros of opposite sign. No -0.0 reaches it: an
+    l-inf step is alpha * sign(g) and np.sign never returns -0.0, so x + step
+    is -0.0 only if both are, and x_nat +- eps is not -0.0 for eps > 0. The
+    clamp's bounds are configured and may be -0.0, where np.clip(+0.0, -0.0,
+    -0.0) keeps +0.0 and max/min would give -0.0, so the clamp keeps np.clip.
+    """
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
     if cfg.clamp is not None:
         np.clip(x, cfg.clamp[0], cfg.clamp[1], out=x)
 
@@ -190,17 +208,29 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
 
 
 def adversarial_chunks(model, dataset: Dataset, cfg: AttackConfig) -> Iterator:
-    """(x_adv, targets) of CHUNK rows at a time, attacked inside the dataset's value range.
+    """(x_adv, targets) of chunks of rows attacked inside the dataset's value range.
 
+    A chunk's float64 feature block fits CHUNK_BYTES, so each attack's row-sized
+    temporaries (the iterate, the ball bounds, the step, the gradient) stay
+    below glibc's mmap threshold: they are reused from the heap, and stay in
+    cache, instead of being mapped and unmapped on every attack. A chunk is
+    the most whole ROW_BLOCK-row blocks that fit, or the most rows that fit
+    (at least one) when no block does. Linear attacks and l-inf network
+    attacks do not depend on the chunk size. An l2 network step scales with
+    the gradient, whose last bits BLAS may round by a row's place in its
+    matmul block: whole blocks keep every row where 4096-row chunks put it,
+    so small networks keep those bits (wide ones may not; see the README).
     Labels are converted once. An empty dataset is a DataError.
     """
     if dataset.n == 0:
         raise DataError("cannot attack an empty dataset")
     cfg = attack_for_dataset(cfg, dataset)
     targets = model.targets(dataset.labels)
-    for start in range(0, dataset.n, CHUNK):
-        y = targets[start : start + CHUNK]
-        yield pgd_attack(model, dataset.features[start : start + CHUNK], y, cfg), y
+    fit = CHUNK_BYTES // (8 * max(1, dataset.width))
+    rows = fit - fit % ROW_BLOCK if fit >= ROW_BLOCK else max(1, fit)
+    for start in range(0, dataset.n, rows):
+        y = targets[start : start + rows]
+        yield pgd_attack(model, dataset.features[start : start + rows], y, cfg), y
 
 
 def robust_accuracy(model, dataset: Dataset, cfg: AttackConfig) -> float:

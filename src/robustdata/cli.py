@@ -281,6 +281,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     if not tags or len(set(tags)) < len(tags):
         raise ParameterError(f"eval.subsample_fractions {fractions} must name at least one fraction, each with "
                              "its own report name (report_frac<fraction:g>, or report for 1)")
+    if not all(0.0 < fraction <= 1.0 for fraction in fractions):
+        raise ParameterError(f"eval.subsample_fractions {fractions} must each be in (0, 1]")
     dataset = _load_or_generate(args, cfg, rng)
     test = _test_set(dataset, cfg, rng)
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,6 +12,7 @@ from robustdata import attacks
 from robustdata import autodiff as ad
 from robustdata.attacks import (
     AttackConfig,
+    adversarial_chunks,
     attack_for_dataset,
     attack_gradient,
     closed_form_linear_robust_accuracy,
@@ -23,7 +24,7 @@ from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
-from robustdata.learning import RobustLearnConfig, learn_robust_dataset
+from robustdata.learning import RobustLearnConfig, baseline_adv_dataset, learn_robust_dataset
 from robustdata.models import (
     LinearClassifier,
     MlpClassifier,
@@ -489,6 +490,9 @@ def linear_linf_cases(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(linear_linf_cases())
+# a zero step meets a (-0.0, -0.0) clamp: np.clip keeps +0.0 where a max/min clamp gives -0.0
+@example((LinearClassifier(np.array([0.0])), np.array([[0.0]]), np.array([1]),
+          AttackConfig(norm="linf", eps=1.0, steps=1, clamp=(-0.0, -0.0))))
 def test_linear_linf_pgd_matches_per_step_reference(case):
     model, X, y, cfg = case
     got = pgd_attack(model, X, y, cfg)
@@ -655,12 +659,48 @@ def test_multiclass_mlp_attack_feasible_and_weaker_than_clean():
 
 
 def test_robust_accuracy_independent_of_chunking(monkeypatch):
-    model, test = trained_svm()
+    # one pgd_attack call over every row is the reference; the default budget and 7-row
+    # chunks must give the same bytes, signed zeros included, on both model families
+    linear, test = trained_svm()
     cfg = AttackConfig(norm="linf", eps=0.3, steps=5)
-    big = robust_accuracy(model, test, cfg)
-    monkeypatch.setattr(attacks, "CHUNK", 7)
-    small = robust_accuracy(model, test, cfg)
-    assert small == big
+    for model in (linear, model_factory("mlp:8-8", test.width)(0)):
+        whole = pgd_attack(model, test.features, test.labels, attack_for_dataset(cfg, test))
+        whole_acc = int(np.sum(model.predict(whole) == model.targets(test.labels))) / test.n
+        for budget in (attacks.CHUNK_BYTES, 7 * 8 * test.width + 5):
+            monkeypatch.setattr(attacks, "CHUNK_BYTES", budget)
+            assert baseline_adv_dataset(model, test, cfg).features.tobytes() == whole.tobytes()
+            assert robust_accuracy(model, test, cfg) == whole_acc
+
+
+def test_small_network_l2_attack_independent_of_whole_block_chunking(monkeypatch):
+    # an l2 step scales with the gradient, whose last bits BLAS rounds by a row's place in its block
+    _, test = trained_svm()
+    model, cfg = model_factory("mlp:16", test.width)(0), AttackConfig(norm="l2", eps=0.3, steps=5)
+    whole = pgd_attack(model, test.features, test.labels, cfg)
+    for rows in (attacks.CHUNK_BYTES // (8 * test.width), 3 * attacks.ROW_BLOCK):
+        monkeypatch.setattr(attacks, "CHUNK_BYTES", rows * 8 * test.width)
+        assert baseline_adv_dataset(model, test, cfg).features.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 21, 101, 2000])
+def test_attack_chunks_fit_the_byte_budget(monkeypatch, width):
+    rng = RngStream(63)
+    ds = Dataset(rng.normal(0, 1, (1000, width)), np.where(rng.uniform(0, 1, 1000) < 0.5, 1, -1))
+    model, cfg = LinearClassifier(rng.normal(0, 1, (width,))), AttackConfig(norm="linf", eps=0.3, steps=3)
+    row_bytes, block = 8 * width, attacks.ROW_BLOCK
+    # the default budget keeps every attack's row-sized temporaries under glibc's 128 KiB mmap threshold
+    assert attacks.CHUNK_BYTES < 128 * 1024
+    for budget in (attacks.CHUNK_BYTES, 1000, row_bytes - 1):
+        monkeypatch.setattr(attacks, "CHUNK_BYTES", budget)
+        rows = [x_adv.shape[0] for x_adv, _ in adversarial_chunks(model, ds, cfg)]
+        size = rows[0]
+        assert sum(rows) == ds.n and set(rows[:-1]) <= {size} and rows[-1] <= size
+        if size == ds.n:
+            continue
+        if budget >= block * row_bytes:  # the most whole blocks that fit
+            assert size % block == 0 and size * row_bytes <= budget < (size + block) * row_bytes
+        else:  # the most rows that fit, and one row wider than the budget is attacked alone
+            assert size == max(1, budget // row_bytes)
 
 
 def test_robust_accuracy_attacks_inside_the_value_range():

@@ -1,13 +1,15 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from robustdata import autodiff as ad
 from robustdata import learning
+from robustdata import rng as rng_module
 from robustdata.attacks import AttackConfig
 from robustdata.autodiff import Tensor, backward, unrolled_grad
 from robustdata.dataset import Dataset
@@ -15,7 +17,7 @@ from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
 from robustdata.learning import RobustLearnConfig, learn_robust_dataset
 from robustdata.models import LinearClassifier, MlpClassifier
-from robustdata.rng import RngStream
+from robustdata.rng import RngStream, philox_key
 from robustdata.theory import DistributionSpec, sample
 
 from gradcheck import finite_diff_check, grad, tape_loss_graph
@@ -589,6 +591,45 @@ def test_rng_counter_advances_and_changes_draws():
     first = s.normal(0, 1, (4,))
     second = s.normal(0, 1, (4,))
     assert not np.array_equal(first, second)
+
+
+def test_rng_generator_is_not_part_of_the_state():
+    drawn = RngStream(9)
+    drawn.normal(0, 1, (4,))
+    assert drawn == RngStream(9, 1) and repr(drawn) == repr(RngStream(9, 1)) == "RngStream(seed=9, counter=1)"
+
+
+seeds = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, seeds)
+def test_rng_key_is_numpys_tuple_key(seed, counter):
+    # every draw used to build Generator(Philox(key=pair)); a stream re-keys one generator with philox_key(pair)
+    stream = RngStream(seed, counter)
+    for draw in (lambda g: g.permutation(50), lambda g: g.normal(0.0, 1.0, 5)):
+        pair = (rng_module._mix64(seed ^ rng_module._mix64(stream.counter)), seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fresh = np.random.Philox(key=pair)
+        assume(not caught)  # a value rounding to 2^64: numpy's float-to-uint64 cast is invalid, platform-defined
+        assert philox_key(pair) == tuple(fresh.state["state"]["key"].tolist())
+        assert np.array_equal(draw(stream._generator()), draw(np.random.Generator(fresh)))
+
+
+def test_rng_key_maps_two_to_the_64_to_zero():
+    # 2^64 - 1 next to a value below 2^63 goes through float64 and rounds to 2^64
+    assert philox_key((5, 2**64 - 1)) == (5, 0)
+    assert philox_key((2**64 - 1, 2**64 - 1)) == (2**64 - 1, 2**64 - 1)  # both uint64: no float64
+
+
+def test_rng_draws_of_the_top_seed_emit_no_warning():
+    # RngStream(-1) is seed 2^64 - 1, and numpy's cast of its key warned "invalid value encountered in cast"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream = RngStream(-1)
+        for _ in range(20):
+            stream.normal(0, 1, (2,))
 
 
 def test_rng_children_are_independent_streams():

@@ -148,17 +148,27 @@ def test_repeated_evaluation_entry_exits_one(tmp_path, capsys, key, value):
     assert_exits_one_with(capsys, argv, "repeated architecture, seed or budget")
 
 
-@pytest.mark.parametrize("fractions", [[], [1, 1.0], [0.5, 0.5000001]], ids=["none", "one-twice", "same-tag"])
-def test_evaluate_fractions_without_a_report_each_exit_one(tmp_path, capsys, fractions):
-    # each exited 0: [] wrote no report, and the other two wrote one report over the other
+def assert_evaluate_rejects_fractions(tmp_path, capsys, fractions, message):
     config = json.loads(json.dumps(SMALL_CONFIG))
     config["eval"]["subsample_fractions"] = fractions
     path = tmp_path / "fractions.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     argv = ["evaluate", "--config", str(path), "--seed", "0", "--out", str(out)]
-    assert_exits_one_with(capsys, argv, f"eval.subsample_fractions {fractions}")
+    assert_exits_one_with(capsys, argv, f"eval.subsample_fractions {fractions}{message}")
     assert not out.exists()  # rejected before any training
+
+
+@pytest.mark.parametrize("fractions", [[], [1, 1.0], [0.5, 0.5000001]], ids=["none", "one-twice", "same-tag"])
+def test_evaluate_fractions_without_a_report_each_exit_one(tmp_path, capsys, fractions):
+    # each exited 0: [] wrote no report, and the other two wrote one report over the other
+    assert_evaluate_rejects_fractions(tmp_path, capsys, fractions, "")
+
+
+@pytest.mark.parametrize("fractions", [[1.0, 1.5], [0.0, 1.0], [-0.5]], ids=["above-one", "zero", "negative"])
+def test_evaluate_fraction_out_of_range_exits_one_before_any_run(tmp_path, capsys, fractions):
+    # [1.0, 1.5] wrote the 1.0 report and only then exited 1, when subsample rejected 1.5
+    assert_evaluate_rejects_fractions(tmp_path, capsys, fractions, " must each be in (0, 1]")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
