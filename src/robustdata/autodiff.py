@@ -26,6 +26,7 @@ training use numpy closed forms and build no tape.
 
 from __future__ import annotations
 
+import weakref
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -39,7 +40,7 @@ Shape = tuple[int, ...]
 class Tensor:
     """Dense float64 array plus tape bookkeeping."""
 
-    __slots__ = ("data", "_parents", "_vjp")
+    __slots__ = ("data", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -107,15 +108,13 @@ def power(a: Tensor, k: float) -> Tensor:
 
 
 def texp(a: Tensor) -> Tensor:
-    # The vjp closes over its own output, so every tape through texp (each
-    # network loss) is a reference cycle that only the cyclic GC frees: one
-    # mlp:64 loss+backward leaves 66 objects to gc.collect(), a 2-batch learn
-    # 264, a linear run 0. Network attacks build no tape, so one pgd_attack
-    # leaves 0. These cycles are why learn-mlp peak RSS grows with run
-    # length. A cycle-free texp kept it flat (about 70 MB against 183 MB)
-    # but cost more page faults and wall time; see CHANGES.md.
+    # The vjp reaches its own output through a weak reference, so a tape has
+    # no reference cycle: refcounting frees it when its batch lets go of it,
+    # without waiting for the cyclic GC. The reference is always live when the
+    # vjp runs, since only `backward` calls a vjp and it holds the node then.
     out = Tensor(np.exp(a.data), (a,), None)
-    out._vjp = (lambda g: mul(g, out),)
+    ref = weakref.ref(out)
+    out._vjp = (lambda g: mul(g, ref()),)
     return out
 
 
@@ -150,7 +149,8 @@ def mean(a: Tensor) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape: Shape) -> Tensor:
-    return Tensor(np.broadcast_to(a.data, shape).copy(), (a,), (lambda g: _unbroadcast(g, a.shape),))
+    # a read-only view: no tensor's data is written in place
+    return Tensor(np.broadcast_to(a.data, shape), (a,), (lambda g: _unbroadcast(g, a.shape),))
 
 
 def reshape(a: Tensor, shape: Shape) -> Tensor:

@@ -106,7 +106,7 @@ def learn_robust_dataset(
             try:
                 with np.errstate(all="ignore"):  # NonFiniteError is the only report
                     idx = order[start : start + cfg.batch_size]
-                    b_nat, yb = x_natural[idx], y[idx]
+                    b_rob, b_nat, yb = x_rob[idx], x_natural[idx], y[idx]
 
                     def train_loss(theta, data):
                         return batch_loss_graph(model, theta, data, yb, cfg.lam)
@@ -125,13 +125,13 @@ def learn_robust_dataset(
                     # steps 1 and 3: one gradient step on the robust batch, then the
                     # signed meta-gradient update of that batch through the step
                     meta, params, train_out = ad.unrolled_grad(
-                        train_loss, adv_grad, [Tensor(p) for p in params], Tensor(x_rob[idx]), cfg.gamma
+                        train_loss, adv_grad, [Tensor(p) for p in params], Tensor(b_rob), cfg.gamma
                     )
                     step = -cfg.beta * np.sign(meta)
-                    updated = x_rob[idx] + step
+                    updated = b_rob + step
                     if box is not None:
                         np.clip(updated, box[0], box[1], out=updated)
-                    update_norms.append(float(np.linalg.norm(updated - x_rob[idx])))
+                    update_norms.append(float(np.linalg.norm(updated - b_rob)))
                     x_rob[idx] = updated
 
                     clean_losses.append(train_out.item())

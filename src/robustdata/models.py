@@ -271,11 +271,15 @@ def mlp_input_grad(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndar
         raise NonFiniteError("tensor contains NaN or Inf")
     weights, biases = params[0::2], params[1::2]
     with np.errstate(all="ignore"):
+        # in place: each product is a fresh array; a bool mask multiplies as
+        # 1.0/0.0, so a negative pre-activation gives -0.0, as on the tape
         h, masks = X, []
         for W, b in zip(weights[:-1], biases[:-1]):
-            s = h @ W + b
-            masks.append((s > 0).astype(np.float64))  # relu'(0) = 0, as on the tape
-            h = s * masks[-1]
+            h = h @ W
+            h += b
+            m = h > 0  # relu'(0) = 0, as on the tape
+            h *= m
+            masks.append(m)
         logits = h @ weights[-1] + biases[-1]
         z = logits + (-logits.max(axis=1, keepdims=True))
         e = np.exp(z)
@@ -286,7 +290,8 @@ def mlp_input_grad(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndar
         g_lp = -onehot  # the seed -1 times the one-hot mask, signed zeros included
         g = g_lp + ((-np.sum(g_lp, axis=(1,), keepdims=True)) * S**-1.0) * e
         for W, m in zip(weights[:0:-1], masks[::-1]):
-            g = (g @ W.T) * m
+            g = g @ W.T
+            g *= m
         g = g @ weights[0].T
     if not (np.isfinite(objective) and np.isfinite(g).all()):
         raise NonFiniteError("tensor contains NaN or Inf")
@@ -340,15 +345,15 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
             orders = np.stack([shuffle.permutation(dataset.n) for shuffle in shuffles])
             for b, start in enumerate(starts):
                 idx = orders[:, start : start + cfg.batch_size]
-                X, y = dataset.features[idx], y_all[idx]
+                X = dataset.features[idx]
                 if perturb is not None:  # one model: the hook sees its 2-D batch
                     models[0].set_params([p[0] for p in params])
-                    X = perturb(X[0], y[0])[None]
+                    X = perturb(X[0], y_all[idx[0]])[None]
                 if linear:
                     losses[:, b], _, *grads = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
                 else:  # one network
                     leaves = [Tensor(p[0]) for p in params]
-                    out = batch_loss_graph(models[0], leaves, Tensor(X[0]), y[0], cfg.weight_decay)
+                    out = batch_loss_graph(models[0], leaves, Tensor(X[0]), y_all[idx[0]], cfg.weight_decay)
                     grads = [g.data[None] for g in ad.backward(out, leaves)]
                     losses[0, b] = out.item()
                 for v, g in zip(velocity, grads):

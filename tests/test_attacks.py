@@ -326,6 +326,12 @@ def mlp_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(mlp_cases())
+# integer weights and rows put pre-activations exactly at the kink, where the bool mask
+# must give relu'(0) = 0, and below it, where h*mask keeps the tape's -0.0; the first
+# row has every hidden unit off
+@example((MlpClassifier([np.array([[1.0, -1.0, 2.0], [0.0, 1.0, -1.0]]), np.array([[1.0, -2.0], [2.0, 1.0], [-1.0, 1.0]])],
+                        [np.array([0.0, -1.0, 0.0]), np.array([0.0, 1.0])]),
+          np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 2.0], [2.0, -3.0]]), np.array([0, 1, 1, 0])))
 def test_closed_form_mlp_gradient_matches_tape(case):
     model, X, y = case
     got = attack_gradient(model, model.params(), X, y)

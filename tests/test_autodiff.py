@@ -1,3 +1,4 @@
+import gc
 import itertools
 import warnings
 
@@ -16,7 +17,7 @@ from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
 from robustdata.learning import RobustLearnConfig, learn_robust_dataset
-from robustdata.models import LinearClassifier, MlpClassifier
+from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, batch_loss_graph, sgd_train
 from robustdata.rng import RngStream, philox_key
 from robustdata.theory import DistributionSpec, sample
 
@@ -553,6 +554,49 @@ def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
     built = count_tensors(monkeypatch)
     learn_robust_dataset(train, factory, cfg, RngStream(0))
     assert len(built) == 2 * tensors  # 256 rows in batches of 128
+
+
+def learner_train_set():
+    return sample(DistributionSpec(d=20, mu=0.4, p=0.9), 256, RngStream(3))
+
+
+def network_batch():
+    rng = RngStream(41)
+    model = MlpClassifier.init([5, 8, 8, 3], rng)
+    return model, [Tensor(p) for p in model.params()], Tensor(rng.normal(0, 1, (16, 5))), np.arange(16) % 3
+
+
+def network_loss_and_backward():
+    model, leaves, X, y = network_batch()
+    backward(batch_loss_graph(model, leaves, X, y, 1e-3), leaves)
+
+
+def network_unrolled_grad():
+    model, leaves, X, y = network_batch()
+    unrolled_grad(lambda theta, data: batch_loss_graph(model, theta, data, y, 1e-3),
+                  lambda updated: [np.ones_like(p) for p in updated], leaves, X, 0.1)
+
+
+def network_learn():
+    cfg = RobustLearnConfig(epochs=1, gamma=0.05, beta=0.01, attack=AttackConfig(eps=0.8, steps=2))
+    learn_robust_dataset(learner_train_set(), model_factory("mlp:8-8", 21), cfg, RngStream(0))
+
+
+def network_sgd_train():
+    sgd_train(model_factory("mlp:8-8", 21)(0), learner_train_set(), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("run", [network_loss_and_backward, network_unrolled_grad, network_learn, network_sgd_train])
+def test_network_tapes_leave_no_cyclic_garbage(run):
+    # refcounting alone must free each tape when its batch ends: a vjp that
+    # holds its own node strongly makes every network tape a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
