@@ -19,10 +19,10 @@ the attack is then one pass of in-place adds, projected after the first,
 next-to-last and last adds, bit-identical to projecting every step. Every
 attack checks the iterate it returns, and a non-finite iterate stays
 non-finite, so overflow at any step raises NonFiniteError. A network's input
-gradient of -sum(true-class log-softmax) comes from models.mlp_input_grad,
-a numpy backward that forms no weight or bias adjoint, so no attack builds
-a tape. The tape forms of both gradients and the per-step PGD loop are kept
-in the tests as the bit-exact references.
+gradient of -sum(true-class log-softmax) comes from the attack form of
+models.mlp_parts, a numpy backward that forms no weight or bias adjoint,
+so no attack builds a tape. The tape forms of both gradients and the
+per-step PGD loop are kept in the tests as the bit-exact references.
 
 A dataset is attacked in chunks sized by bytes (adversarial_chunks), so an
 attack's temporaries are reused from the heap rather than mapped afresh.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ContractError, DataError, NonFiniteError, ParameterError
-from .models import LinearClassifier, mlp_input_grad
+from .models import LinearClassifier, mlp_parts
 
 LINF = "linf"
 L2 = "l2"
@@ -124,7 +124,7 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.nd
             raise NonFiniteError("tensor contains NaN or Inf")
         rows = np.take(np.outer([-1.0, 1.0], w), (np.asarray(y) < 0).astype(np.intp), axis=0)
         return rows.reshape(np.shape(X))
-    return mlp_input_grad(params_arrays, X, y)
+    return mlp_parts(params_arrays, X, y)[1][0]
 
 
 def _ascent_step(g: np.ndarray, cfg: AttackConfig) -> np.ndarray:

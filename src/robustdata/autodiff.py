@@ -19,9 +19,9 @@ relu'(0) = 0 (the flat side of the hinge wins at the kink).
 Every tensor is checked on creation and NonFiniteError is the only report
 of overflow or NaN. The primitives do not silence numpy's floating-point
 warnings themselves (a per-node np.errstate costs more than many of the
-nodes); the package's entry points to the tape do: sgd_train's network
-step and the batch body of learn_robust_dataset. Attacks and linear
-training use numpy closed forms and build no tape.
+nodes); the package's one entry point to the tape does: the batch body
+of learn_robust_dataset. Attacks and training use numpy closed forms and
+build no tape.
 """
 
 from __future__ import annotations

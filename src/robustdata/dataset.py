@@ -28,8 +28,8 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise DataError(f"features must be 2-D, got shape {self.features.shape}")
+        if self.features.ndim != 2 or self.features.shape[1] == 0:
+            raise DataError(f"features must be 2-D with at least one column, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise DataError(
                 f"labels shape {self.labels.shape} does not match {self.features.shape[0]} rows"

@@ -2,7 +2,7 @@
 attacks on clean-distribution test data.
 
 A fresh classifier is always re-initialized from the plan's seed, so
-nothing leaks from whatever produced the dataset; a linear architecture's
+nothing leaks from whatever produced the dataset; an architecture's
 seeds train in one lock-step sgd_train call, each as it would alone.
 Robustness is always measured on perturbations of clean test points,
 never of the candidate dataset itself.
@@ -120,8 +120,8 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
     """Train naturally per (arch, seed), then attack on the clean test set.
 
     With `budgets=[attack.eps]` this is the architecture x seed transfer grid.
-    A cell's train_seconds is its seed's share of the training call (a
-    linear architecture's seeds share one) plus its clean-accuracy time.
+    A cell's train_seconds is its seed's share of its architecture's one
+    training call plus its clean-accuracy time.
     `rng` is unused: each model is initialised from its plan seed and the
     attacks draw no randomness. The parameter stays for existing callers.
     """
@@ -138,21 +138,18 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
     labels = np.concatenate([plan.dataset.labels, plan.test.labels])
     num_classes = 2 if not np.any(np.abs(labels) != 1) else max(2, int(labels.max()) + 1)
     for arch in plan.architectures:
-        # a linear architecture's seeds train in one lock-step call, a network's one by one
-        lock_step = parse_arch(arch)[0] == "linear"
-        for seeds in [plan.seeds] if lock_step else [[seed] for seed in plan.seeds]:
+        start = time.perf_counter()
+        models = [make_model(arch, plan.dataset.width, num_classes, seed) for seed in plan.seeds]
+        sgd_train(models, plan.dataset, [replace(plan.train, seed=seed) for seed in plan.seeds])
+        share = (time.perf_counter() - start) / len(plan.seeds)
+        for seed, model in zip(plan.seeds, models):
             start = time.perf_counter()
-            models = [make_model(arch, plan.dataset.width, num_classes, seed) for seed in seeds]
-            sgd_train(models, plan.dataset, [replace(plan.train, seed=seed) for seed in seeds])
-            share = (time.perf_counter() - start) / len(seeds)
-            for seed, model in zip(seeds, models):
+            natural = accuracy(model, plan.test)
+            train_seconds = share + (time.perf_counter() - start)
+            for budget in plan.budgets:
                 start = time.perf_counter()
-                natural = accuracy(model, plan.test)
-                train_seconds = share + (time.perf_counter() - start)
-                for budget in plan.budgets:
-                    start = time.perf_counter()
-                    robust = robust_accuracy(model, plan.test, plan.attack.with_eps(budget))
-                    report.add_cell(arch, seed, budget, natural, robust, train_seconds, time.perf_counter() - start)
+                robust = robust_accuracy(model, plan.test, plan.attack.with_eps(budget))
+                report.add_cell(arch, seed, budget, natural, robust, train_seconds, time.perf_counter() - start)
     return report
 
 

@@ -15,12 +15,12 @@ one fused tape node whose value and vjps come from hinge_parts.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
-Linear training builds no tape: one loop steps S models in lock-step, one
-stacked hinge_parts call per batch, and a single model is its S=1 case.
-hinge_parts and mlp_input_grad (a network attack's input gradient) are
-numpy closed forms, bit-identical to their objectives written in tape
-primitives plus backward. The tape serves the network's training steps
-and the learner's second-order step.
+Training builds no tape: one loop steps S models of one architecture in
+lock-step, one stacked hinge_parts or mlp_parts call per batch, and a
+single model is its S=1 case. hinge_parts and mlp_parts (which also gives
+a network attack's input gradient) are numpy closed forms, bit-identical
+to their objectives written in tape primitives plus backward. The tape
+serves only the learner's steps 1 and 3.
 """
 
 from __future__ import annotations
@@ -250,52 +250,68 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
     return loss, c, grad
 
 
-def mlp_input_grad(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """d/dX of -sum(true-class log-softmax) of a network, without a tape.
+def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, lam: float | None = None):
+    """A network's objective and its adjoints in numpy: (loss, adjoints).
 
-    `params` is model.params() and `classes` is model.targets(labels). Every
-    operation is the tape's, in the tape's order, so the result is
-    bit-identical to true_class_log_probs plus backward; no weight or bias
-    adjoint is formed.
+    `params` is model.params() and `classes` model.targets(labels). lam=None
+    gives the attack form: -sum(true-class log-softmax) and [d/dX]. A float
+    gives the training form: batch_loss_graph's objective and every weight
+    and bias adjoint in params order, a weight's ridge added as
+    (h.T@g + lam*W) + lam*W. Each operation is the tape's, in the tape's
+    order, so both forms are bit-identical to that graph plus backward and
+    form only the adjoints asked for. As in hinge_parts, a leading seed axis
+    gives each seed's loss and adjoints, byte for byte its 2-D call's.
 
-    NonFiniteError is raised where the tape raises it; the tape's backward
-    forms no weight or bias adjoint either. The leaves are checked first, as
-    on the tape. Any other non-finite value spreads along its row to the
-    objective (an overflowing logits - max, or a sum of huge
-    log-probabilities) or to the gradient, and those two are checked last.
-    numpy's floating-point warnings are silenced: NonFiniteError is the only
-    report.
+    NonFiniteError is raised where the tape raises it: the leaves are checked
+    first, and any later non-finite value spreads along its row to the loss
+    or into the next adjoint (each bias adjoint sums its layer's g), which
+    are checked last. numpy's floating-point warnings are silenced.
     """
-    X = np.asarray(X, dtype=np.float64)
     if not (np.isfinite(X).all() and all(np.isfinite(p).all() for p in params)):
         raise NonFiniteError("tensor contains NaN or Inf")
-    weights, biases = params[0::2], params[1::2]
+    weights, biases = params[0::2], [b[..., None, :] for b in params[1::2]]  # a bias broadcasts over rows
+    train, last = lam is not None, len(weights) - 1
     with np.errstate(all="ignore"):
         # in place: each product is a fresh array; a bool mask multiplies as
         # 1.0/0.0, so a negative pre-activation gives -0.0, as on the tape
-        h, masks = X, []
-        for W, b in zip(weights[:-1], biases[:-1]):
+        h, inputs, masks = X, [], []
+        for i, (W, b) in enumerate(zip(weights, biases)):
+            if train:  # the layer input of a weight adjoint; the attack form keeps none
+                inputs.append(h)
             h = h @ W
             h += b
-            m = h > 0  # relu'(0) = 0, as on the tape
-            h *= m
-            masks.append(m)
-        logits = h @ weights[-1] + biases[-1]
-        z = logits + (-logits.max(axis=1, keepdims=True))
+            if i < last:
+                masks.append(h > 0)  # relu'(0) = 0, as on the tape
+                h *= masks[-1]
+        z = h + (-h.max(axis=-1, keepdims=True))
         e = np.exp(z)
-        S = np.sum(e, axis=1, keepdims=True)
+        total = np.sum(e, axis=-1, keepdims=True)
         onehot = np.zeros_like(z)
-        onehot[np.arange(classes.size), classes] = 1.0
-        objective = np.sum((z + (-np.log(S))) * onehot)
-        g_lp = -onehot  # the seed -1 times the one-hot mask, signed zeros included
-        g = g_lp + ((-np.sum(g_lp, axis=(1,), keepdims=True)) * S**-1.0) * e
-        for W, m in zip(weights[:0:-1], masks[::-1]):
-            g = g @ W.T
-            g *= m
-        g = g @ weights[0].T
-    if not (np.isfinite(objective) and np.isfinite(g).all()):
+        np.put_along_axis(onehot, np.asarray(classes)[..., None], 1.0, axis=-1)
+        picked = (z + (-np.log(total))) * onehot
+        if train:
+            loss = -(picked.sum(-1).sum(-1) * (1 / z.shape[-2]))
+            if lam > 0:  # weights are decayed, biases not
+                loss = loss + lam * reduce(np.add, [(W * W).sum((-2, -1)) for W in weights])
+        else:
+            loss = -picked.sum((-2, -1))
+        g_lp = (-1.0 * (1 / z.shape[-2]) if train else -1.0) * onehot  # signed zeros included
+        g = g_lp + ((-np.sum(g_lp, axis=(-1,), keepdims=True)) * total**-1.0) * e
+        adjoints = []
+        for i in range(last, -1, -1):
+            if train:
+                g_W = inputs[i].swapaxes(-1, -2) @ g
+                if lam > 0:
+                    g_W = (g_W + lam * weights[i]) + lam * weights[i]
+                adjoints[:0] = [g_W, np.sum(g, axis=(-2,))]
+            if i or not train:
+                g = g @ weights[i].swapaxes(-1, -2)
+            if i:
+                g *= masks[i - 1]
+        adjoints = adjoints or [g]  # the attack form's input adjoint
+    if not (np.isfinite(loss).all() and all(np.isfinite(a).all() for a in adjoints)):
         raise NonFiniteError("tensor contains NaN or Inf")
-    return g
+    return loss, adjoints
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +324,22 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
 
     With a hook, every batch is replaced by perturb(X, y) before its step;
     the model holds the current parameters when the hook is called. A
-    linear step is hinge_parts; a network step is batch_loss_graph
-    and backward on the tape. numpy's floating-point warnings are silenced
-    here: a diverging run reports itself by NonFiniteError alone.
+    step is a numpy closed form, hinge_parts or mlp_parts, and builds no
+    tape. numpy's floating-point warnings are silenced here: a diverging
+    run reports itself by NonFiniteError alone.
 
-    Given lists of models and of their configs, alike but for `seed`, it
-    returns a list of (model, trace), each byte for byte the model's alone.
-    Linear models train in lock-step: each seed draws its own batch order,
-    and a batch is one stacked gather, hinge_parts call and momentum update
-    for all; one linear model is the one-seed case. Networks train alone.
+    Given lists of models of one architecture and of their configs, alike
+    but for `seed`, it trains them in lock-step and returns a list of
+    (model, trace), each byte for byte the model's alone: each seed draws
+    its own batch order, and a batch is one stacked gather, closed-form
+    call and momentum update for all. One model is the one-seed case.
     """
     if isinstance(model, list):
-        if not model or len(model) != len(cfg) or perturb is not None \
+        archs = [(type(m), [p.shape for p in m.params()]) for m in model]
+        if not model or len(model) != len(cfg) or perturb is not None or any(a != archs[0] for a in archs) \
                 or any(replace(c, seed=0) != replace(cfg[0], seed=0) for c in cfg):
-            raise ParameterError("lock-step training takes one config per model, alike but for seed, and no hook")
-        if not all(isinstance(m, LinearClassifier) for m in model):
-            return [sgd_train(m, dataset, c) for m, c in zip(model, cfg)]
+            raise ParameterError("lock-step training takes models of one architecture, one config per model, "
+                                 "alike but for seed, and no hook")
         models, cfgs = model, cfg
     else:
         models, cfgs = [model], [cfg]
@@ -351,15 +367,12 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                     X = perturb(X[0], y_all[idx[0]])[None]
                 if linear:
                     losses[:, b], _, *grads = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
-                else:  # one network
-                    leaves = [Tensor(p[0]) for p in params]
-                    out = batch_loss_graph(models[0], leaves, Tensor(X[0]), y_all[idx[0]], cfg.weight_decay)
-                    grads = [g.data[None] for g in ad.backward(out, leaves)]
-                    losses[0, b] = out.item()
+                else:
+                    losses[:, b], grads = mlp_parts(params, X, y_all[idx], cfg.weight_decay)
                 for v, g in zip(velocity, grads):
                     v *= cfg.momentum
                     v += g
-                # out of place: the step read the old arrays (w, or the tape leaves wrapping them)
+                # out of place: the step read the old arrays
                 params = [p - cfg.lr * v for p, v in zip(params, velocity)]
             traces.append(losses.mean(axis=1))
 

@@ -242,6 +242,24 @@ def test_empty_dataset_exits_one(tmp_path, capsys, command, message):
     assert not (tmp_path / "out" / "robust_dataset.rds").exists()
 
 
+@pytest.mark.parametrize("arch", ["linear", "mlp:4"])
+@pytest.mark.parametrize("command", ["learn", "baseline", "evaluate"])
+def test_zero_width_dataset_exits_one(tmp_path, capsys, command, arch):
+    # a header of width 0 was read as a 10 x 0 feature matrix: the linear commands wrote a
+    # 0-column dataset and exited 0, and an mlp init divided by its fan-in of 0
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["model"] = {"arch": arch}
+    config["eval"]["architectures"] = [arch]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    data = tmp_path / "zero-width.rds"
+    labels = np.array([1, -1] * 5, dtype="<i4").tobytes()
+    data.write_bytes(struct.pack("<4sHIIIBdd", b"RDS1", 1, 10, 0, 2, 0, 0.0, 0.0) + labels + struct.pack("<I", 2) + b"{}")
+    argv = [command, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out"), "--data", str(data)]
+    assert_exits_one_with(capsys, argv, "features must be 2-D with at least one column, got shape (10, 0)")
+    assert not (tmp_path / "out" / "robust_dataset.rds").exists()
+
+
 def test_dataset_width_unlike_test_set_exits_one(tmp_path, capsys, config_path):
     # with no `d` in provenance the test set has the config's width, 21; numpy's matmul message named neither
     data = tmp_path / "narrow.rds"

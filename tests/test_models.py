@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -212,6 +213,83 @@ def test_cross_entropy_rejects_out_of_range_class():
         training_loss(model, batch)
 
 
+def tape_network_step(params, X, classes, lam):
+    """The network objective on the tape and its weight and bias adjoints: the reference for mlp_parts."""
+    model = MlpClassifier(params[0::2], params[1::2])
+    leaves = [Tensor(p) for p in params]
+    out = batch_loss_graph(model, leaves, Tensor(X), classes, lam)
+    return out.data, [g.data for g in ad.backward(out, leaves)]
+
+
+@st.composite
+def network_steps(draw):
+    """S stacked seeds of one network's training step; integer entries put relu kinks and tied logits at exact values."""
+    d, k, S, B = draw(st.integers(1, 12)), draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 70))
+    sizes = [d, *draw(st.lists(st.integers(1, 40), min_size=1, max_size=2)), k]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))  # hypothesis draws shapes, the stream the entries
+    integer = draw(st.booleans())
+
+    def entries(shape):
+        return rng.integers(-2, 3, shape).astype(np.float64) if integer else rng.normal(0, 1, shape)
+
+    params = [np.stack([entries(shape) for _ in range(S)])
+              for a, b in zip(sizes[:-1], sizes[1:]) for shape in ((a, b), (b,))]
+    X = entries((S, B, d))
+    X[..., rng.random(d) < 0.3] = 0.0  # exact-zero feature columns
+    return params, X, rng.integers(0, k, (S, B)), draw(st.sampled_from([0.0, 1e-3, 0.37]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_steps())
+def test_closed_form_network_step_matches_tape(case):
+    # the training form is batch_loss_graph plus backward bit for bit, signed zeros
+    # included, and a stacked call is its per-seed calls
+    params, X, classes, lam = case
+    loss, adjoints = models.mlp_parts(params, X, classes, lam)
+    for s in range(X.shape[0]):
+        seed_params = [p[s] for p in params]
+        ref_loss, ref_adjoints = tape_network_step(seed_params, X[s], classes[s], lam)
+        solo_loss, solo_adjoints = models.mlp_parts(seed_params, X[s], classes[s], lam)
+        assert equal_bits(solo_loss, ref_loss) and equal_bits(loss[s], ref_loss)
+        assert len(solo_adjoints) == len(adjoints) == len(ref_adjoints) == len(params)
+        for got, solo, ref in zip(adjoints, solo_adjoints, ref_adjoints):
+            assert solo.shape == ref.shape and equal_bits(solo, ref) and equal_bits(got[s], ref)
+
+
+def _step_outcome(step, params, X, classes, lam):
+    try:
+        return step(params, X, classes, lam)
+    except NonFiniteError:
+        return None
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("hidden", [1, 2])
+def test_closed_form_network_step_non_finite_parity(hidden, lam):
+    base = MlpClassifier.init([3, *[4] * hidden, 3 - hidden % 2], RngStream(4 + hidden))
+    # a bias of 1e-300 keeps the forward pass finite where the backward pass overflows
+    grid = itertools.product(
+        (1.0, 1e10, 1e100, 1e154, 1e300, 1e308), (0.0, 1e-300, 1e308),
+        (0.0, 1.0, -1.0, 1e308, -1e308, 1.7e308, 1.79e308),
+    )
+    classes, raised = np.array([0, 1]), 0
+    for scale, bias, x in grid:
+        with np.errstate(over="ignore"):  # a weight scaled past 1.8e308 is an infinite leaf
+            params = [p * scale if p.ndim == 2 else np.full_like(p, bias) for p in base.params()]
+        X = x * np.array([[1.0, -0.5, 0.25], [-1.0, 0.5, 0.0]])
+        got = _step_outcome(models.mlp_parts, params, X, classes, lam)
+        with np.errstate(all="ignore"):  # the bare tape is no entry point
+            ref = _step_outcome(tape_network_step, params, X, classes, lam)
+        case = (hidden, lam, scale, bias, x)
+        raised += ref is None
+        if ref is None:
+            assert got is None, case
+        else:
+            assert got is not None and equal_bits(got[0], ref[0]), case
+            assert all(equal_bits(a, b) for a, b in zip(got[1], ref[1], strict=True)), case
+    assert raised > 0  # the grid reaches overflow
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -253,28 +331,28 @@ def test_sgd_rejects_empty_dataset():
 
 
 def test_sgd_leaves_every_step_tape_leaf_unchanged(monkeypatch):
-    # each step's inputs wrap the parameters it starts from: the tape leaves of a
-    # network step, the w of a closed-form linear step; the update must not write into them
+    # each closed-form step reads the parameters it starts from, the w of a
+    # linear step and every weight and bias of a network step; the update must not write into them
     seen = []
-    original_graph, original_hinge = models.batch_loss_graph, models.hinge_parts
+    original_network, original_hinge = models.mlp_parts, models.hinge_parts
 
-    def snapshotting_graph(model, params, *args):
-        seen.extend((leaf.data, leaf.data.copy()) for leaf in params)
-        return original_graph(model, params, *args)
+    def snapshotting_network(params, *args):
+        seen.extend((p, p.copy()) for p in params)
+        return original_network(params, *args)
 
     def snapshotting_hinge(X, y, w, lam):
         seen.append((w, w.copy()))
         return original_hinge(X, y, w, lam)
 
-    monkeypatch.setattr(models, "batch_loss_graph", snapshotting_graph)
+    monkeypatch.setattr(models, "mlp_parts", snapshotting_network)
     monkeypatch.setattr(models, "hinge_parts", snapshotting_hinge)
     rng = RngStream(16)
     ds = binary_dataset(rng.normal(0, 1, (60, 3)), np.where(rng.uniform(0, 1, 60) < 0.5, 1, -1))
     cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, epochs=2, batch_size=20, seed=0)
     sgd_train(LinearClassifier.zeros(3), ds, cfg)
-    assert len(seen) == 6 * 1  # 6 closed-form steps, one weight vector each
+    assert len(seen) == 6 * 1  # 6 linear steps, one weight vector each
     sgd_train(MlpClassifier.init([3, 4, 2], RngStream(2)), ds, cfg)
-    assert len(seen) == 6 * 1 + 6 * 4  # and 6 tape steps with 4 leaves each
+    assert len(seen) == 6 * 1 + 6 * 4  # and 6 network steps with 4 parameter arrays each
     assert all(np.array_equal(data, snapshot) for data, snapshot in seen)
 
 
@@ -291,9 +369,11 @@ def test_linear_sgd_builds_no_tape(monkeypatch):
     ds = binary_dataset(rng.normal(0, 1, (60, 3)), np.where(rng.uniform(0, 1, 60) < 0.5, 1, -1))
     cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, epochs=2, batch_size=20, seed=0)
     sgd_train(LinearClassifier.zeros(3), ds, cfg)
-    assert created == []
-    sgd_train(MlpClassifier.init([3, 4, 2], RngStream(2)), ds, cfg)
-    assert created  # the counter sees the network's tape
+    sgd_train([MlpClassifier.init([3, 4, 2], RngStream(seed)) for seed in (2, 3)], ds,
+              [replace(cfg, seed=seed) for seed in (0, 1)])
+    assert created == []  # neither model family builds a tape
+    training_loss(MlpClassifier.init([3, 4, 2], RngStream(2)), ds)
+    assert created  # the counter sees a tape
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +468,90 @@ def test_lock_step_linear_training_equals_solo_runs(case):
 def test_lock_step_rejects_unlike_configs_and_hooks():
     ds = binary_dataset([[1.0, 0.0], [-1.0, 0.0]], [1, -1])
     cfg = TrainConfig(epochs=1)
-    models_ = [LinearClassifier.zeros(2), LinearClassifier.zeros(2)]
-    for cfgs, hook in (([cfg, replace(cfg, lr=0.5)], None), ([cfg], None), ([], None),
-                       ([cfg, replace(cfg, seed=1)], lambda X, y: X)):
+    linear = [LinearClassifier.zeros(2), LinearClassifier.zeros(2)]
+    for models_, cfgs, hook in ((linear, [cfg, replace(cfg, lr=0.5)], None), (linear, [cfg], None), ([], [], None),
+                                (linear, [cfg, replace(cfg, seed=1)], lambda X, y: X),
+                                # models of unlike architectures
+                                ([network(2, [4], 0), network(2, [8], 1)], [cfg, replace(cfg, seed=1)], None),
+                                ([LinearClassifier.zeros(2), network(2, [4], 1)], [cfg, replace(cfg, seed=1)], None)):
         with pytest.raises(ParameterError, match="lock-step training"):
-            sgd_train(models_ if cfgs else [], ds, cfgs, hook)
+            sgd_train(models_, ds, cfgs, hook)
 
 
-def test_network_list_trains_one_by_one():
-    rng = RngStream(18)
-    ds = binary_dataset(rng.normal(0, 1, (30, 3)), np.where(rng.uniform(0, 1, 30) < 0.5, 1, -1))
-    cfgs = [TrainConfig(epochs=2, batch_size=8, seed=seed) for seed in (0, 1)]
-    trained = sgd_train([MlpClassifier.init([3, 4, 2], RngStream(seed)) for seed in (0, 1)], ds, cfgs)
-    for seed, (model, trace) in zip((0, 1), trained):
-        alone, alone_trace = sgd_train(MlpClassifier.init([3, 4, 2], RngStream(seed)), ds, cfgs[seed])
-        assert all(equal_bits(a, b) for a, b in zip(model.params(), alone.params()))
-        assert equal_bits(trace, alone_trace)
+# ---------------------------------------------------------------------------
+# lock-step network training
+# ---------------------------------------------------------------------------
+
+
+def network(width, hidden, seed, classes=2):
+    return MlpClassifier.init([width, *hidden, classes], RngStream(seed))
+
+
+def solo_network_sgd(model, dataset, cfg):
+    """Reference: one network's SGD loop on the tape, batch_loss_graph and backward per step."""
+    y = model.targets(dataset.labels)
+    params = model.params()
+    velocity, shuffle, trace = [np.zeros_like(p) for p in params], RngStream(cfg.seed), []
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            order, losses = shuffle.permutation(dataset.n), []
+            for start in range(0, dataset.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                leaves = [Tensor(p) for p in params]
+                out = batch_loss_graph(model, leaves, Tensor(dataset.features[idx]), y[idx], cfg.weight_decay)
+                for v, g in zip(velocity, ad.backward(out, leaves)):
+                    v *= cfg.momentum
+                    v += g.data
+                params = [p - cfg.lr * v for p, v in zip(params, velocity)]
+                losses.append(out.item())
+            trace.append(float(np.mean(losses)))
+    if not all(np.isfinite(p).all() for p in params):
+        raise NonFiniteError("the last SGD update left non-finite parameters")
+    return params, trace
+
+
+@st.composite
+def lock_step_network_cases(draw):
+    n, d, k = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rows.choice([-1, 1], n) if k == 2 and draw(st.booleans()) else rows.integers(0, k, n)
+    ds = Dataset(rows.normal(0, draw(st.sampled_from([1.0, 1e100])), (n, d)), labels)
+    hidden = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    seeds = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))  # repeats are drawn often
+    cfg = TrainConfig(
+        lr=draw(st.sampled_from([1e-3, 0.1, 10.0, 1e300])),
+        momentum=draw(st.sampled_from([0.0, 0.9])),
+        weight_decay=draw(st.sampled_from([0.0, 1e-3, 1.0])),
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 12)),  # mostly not dividing n: a partial last batch
+    )
+    inits = [network(d, hidden, draw(st.integers(0, 9)), k) for _ in seeds]
+    return ds, inits, [replace(cfg, seed=seed) for seed in seeds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lock_step_network_cases())
+def test_lock_step_network_training_equals_solo_runs(case):
+    ds, inits, cfgs = case
+    solo = []
+    for init, cfg in zip(inits, cfgs):
+        try:
+            solo.append(solo_network_sgd(init, ds, cfg))
+        except NonFiniteError:
+            solo.append(None)
+    models_ = [MlpClassifier(m.weights, m.biases) for m in inits]
+    if None in solo:
+        with pytest.raises(NonFiniteError):
+            sgd_train(models_, ds, cfgs)
+        return
+    trained = sgd_train(models_, ds, cfgs)
+    assert [m for m, _ in trained] == models_
+    for (model, trace), (params, ref_trace), init, cfg in zip(trained, solo, inits, cfgs):
+        assert all(equal_bits(a, b) for a, b in zip(model.params(), params, strict=True))
+        assert equal_bits(trace, ref_trace)
+        alone, alone_trace = sgd_train(MlpClassifier(init.weights, init.biases), ds, cfg)  # the one-seed case
+        assert all(equal_bits(a, b) for a, b in zip(alone.params(), params, strict=True))
+        assert equal_bits(alone_trace, ref_trace)
 
 
 def test_sgd_full_batch_permutation_invariance():
