@@ -5,16 +5,14 @@ Each primitive keeps one vjp per parent. Backward passes are themselves
 expressed with Tensor operations, so the adjoints returned by `backward`
 live on a fresh tape and can be differentiated again (re-recording). That
 is exactly what `unrolled_grad` needs: the derivative of a loss through
-one gradient-descent parameter update. The network loss is built from
-the primitives; the linear loss is one node with closed-form vjps. So the
-tape is 2-D: matmul takes two matrices, and there is no 1-D product.
+one gradient-descent parameter update. Each model's loss is one fused
+node with closed-form vjps (models.batch_loss_graph), so the tape keeps
+only the primitives that `backward` and `unrolled_grad` build themselves;
+the primitives a loss was once written in are the tests' reference.
 
 `backward` forms only the adjoints on a path from the output to a
 requested input (activity analysis): adjoints of constants, of leaves not
 asked for and of anything computed from those alone are never formed.
-
-Convention fixed here and relied on by the rest of the package:
-relu'(0) = 0 (the flat side of the hinge wins at the kink).
 
 Every tensor is checked on creation and NonFiniteError is the only report
 of overflow or NaN. The primitives do not silence numpy's floating-point
@@ -26,7 +24,6 @@ build no tape.
 
 from __future__ import annotations
 
-import weakref
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -40,7 +37,7 @@ Shape = tuple[int, ...]
 class Tensor:
     """Dense float64 array plus tape bookkeeping."""
 
-    __slots__ = ("data", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("data", "_parents", "_vjp")
 
     def __init__(self, data, _parents=(), _vjp=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -93,38 +90,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data + b.data, (a, b), vjps)
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, (a,), (neg,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     vjps = (lambda g: _unbroadcast(mul(g, b), a.shape), lambda g: _unbroadcast(mul(g, a), b.shape))
     return Tensor(a.data * b.data, (a, b), vjps)
-
-
-def power(a: Tensor, k: float) -> Tensor:
-    k = float(k)
-    return Tensor(a.data**k, (a,), (lambda g: mul(g, mul(constant(k), power(a, k - 1.0))),))
-
-
-def texp(a: Tensor) -> Tensor:
-    # The vjp reaches its own output through a weak reference, so a tape has
-    # no reference cycle: refcounting frees it when its batch lets go of it,
-    # without waiting for the cyclic GC. The reference is always live when the
-    # vjp runs, since only `backward` calls a vjp and it holds the node then.
-    out = Tensor(np.exp(a.data), (a,), None)
-    ref = weakref.ref(out)
-    out._vjp = (lambda g: mul(g, ref()),)
-    return out
-
-
-def tlog(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.data), (a,), (lambda g: mul(g, power(a, -1.0)),))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = (a.data > 0).astype(np.float64)  # strict: subgradient 0 at the kink
-    return Tensor(a.data * mask, (a,), (lambda g: mul(g, constant(mask)),))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -144,10 +112,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), (vjp,))
 
 
-def mean(a: Tensor) -> Tensor:
-    return mul(tsum(a), constant(1 / a.size))
-
-
 def broadcast_to(a: Tensor, shape: Shape) -> Tensor:
     # a read-only view: no tensor's data is written in place
     return Tensor(np.broadcast_to(a.data, shape), (a,), (lambda g: _unbroadcast(g, a.shape),))
@@ -156,20 +120,6 @@ def broadcast_to(a: Tensor, shape: Shape) -> Tensor:
 def reshape(a: Tensor, shape: Shape) -> Tensor:
     old = a.shape
     return Tensor(a.data.reshape(shape), (a,), (lambda g: reshape(g, old),))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ContractError("transpose expects a 2-D tensor")
-    # a view is safe: no array is written in place while a tape built on it is in use
-    return Tensor(a.data.T, (a,), (transpose,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ContractError(f"the tape is 2-D: matmul takes two 2-D operands, got ndim {a.data.ndim} "
-                            f"and {b.data.ndim}")
-    return Tensor(a.data @ b.data, (a, b), (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)))
 
 
 # ---------------------------------------------------------------------------

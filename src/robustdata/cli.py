@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .attacks import closed_form_linear_robust_accuracy
+from .attacks import LINF, closed_form_linear_robust_accuracy
 from .config import ExperimentConfig, _has_kind, _kind_name
 from .datafile import atomic_write, read_dataset, write_csv, write_dataset
 from .dataset import Dataset, subsample
@@ -157,6 +157,8 @@ def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) ->
     dist = cfg.section("distribution")
     spec = cfg.distribution_spec()
     attack = cfg.attack_config()
+    if attack.norm != LINF:  # the closed forms it checks PGD against are l-inf
+        raise ParameterError(f"theory-verify checks l-inf closed forms; attack.norm must be '{LINF}', got {attack.norm!r}")
 
     lines = [f"config_hash={cfg.config_hash()}", f"seed={seed}"]
     checks: list[tuple[str, bool]] = []

@@ -11,9 +11,10 @@ One learning run keeps a single classifier alive and, per mini-batch:
      step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>, and
      clips it to the attack's box (`attack_for_dataset`).
 
-Steps 1 and 3 are one call of `autodiff.unrolled_grad`, the function the
-acceptance gate checks against finite differences; step 2 is its
-callback.
+Steps 1 and 3 are one call of `autodiff.unrolled_grad` on the fused node
+`models.batch_loss_graph` over theta, the parameters as one flat vector;
+the acceptance gate checks that call against finite differences. Step 2
+is its callback.
 
 The adversarial examples are constants with respect to the data: the
 meta-gradient flows only through the parameter update. In the default
@@ -35,7 +36,7 @@ from .autodiff import Tensor
 from .attacks import AttackConfig, adversarial_chunks, attack_for_dataset, pgd_attack
 from .dataset import Dataset
 from .errors import DataError, NonFiniteError, ParameterError
-from .models import TrainConfig, batch_loss_graph, sgd_train
+from .models import TrainConfig, batch_loss_graph, flatten, sgd_train, unflatten
 from .rng import RngStream
 
 META_GRADIENT = "meta-gradient"
@@ -95,7 +96,7 @@ def learn_robust_dataset(
     attack_cfg = attack_for_dataset(cfg.attack, x_nat)
     box = attack_cfg.clamp
 
-    params = [p.copy() for p in model.params()]
+    params = [flatten(model.params())]  # theta, one flat vector
     shuffle = rng.child(1)
     trace: list[EpochTrace] = []
 
@@ -115,7 +116,7 @@ def learn_robust_dataset(
                         # step 2: adversarial examples of the natural batch against the
                         # step-1 estimate (constants below); g is taken at that estimate,
                         # or at the pre-step parameters in the alternating mode
-                        model.set_params(updated)
+                        model.set_params(unflatten(model, updated[0]))
                         x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
                         leaves = [Tensor(p) for p in (updated if cfg.mode == META_GRADIENT else params)]
                         adv_out = batch_loss_graph(model, leaves, Tensor(x_adv), yb, cfg.lam)

@@ -9,9 +9,9 @@ layers (cross-entropy). Both expose the same small surface:
                                  network takes {-1,+1} or {0,1} labels alike
   * predict(X)                   labels in that target space, plain numpy
 
-The model's type picks its loss in batch_loss_graph. Only the network
-builds its logits on the tape (decision_graph); the linear objective is
-one fused tape node whose value and vjps come from hinge_parts.
+The model's type picks its loss in batch_loss_graph: one fused tape node
+over (X, theta), theta the parameters as one flat vector, whose value and
+vjps come from hinge_parts or mlp_parts.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
@@ -19,8 +19,8 @@ Training builds no tape: one loop steps S models of one architecture in
 lock-step, one stacked hinge_parts or mlp_parts call per batch, and a
 single model is its S=1 case. hinge_parts and mlp_parts (which also gives
 a network attack's input gradient) are numpy closed forms, bit-identical
-to their objectives written in tape primitives plus backward. The tape
-serves only the learner's steps 1 and 3.
+to their objectives written in tape primitives plus backward (the tests'
+reference). The tape serves only the learner's steps 1 and 3.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
-from .errors import DataError, NonFiniteError, ParameterError
+from .errors import ContractError, DataError, NonFiniteError, ParameterError
 from .rng import RngStream
 
 
@@ -116,16 +116,6 @@ class MlpClassifier:
         self.weights = [np.asarray(params[2 * i], dtype=np.float64) for i in range(len(self.weights))]
         self.biases = [np.asarray(params[2 * i + 1], dtype=np.float64) for i in range(len(self.biases))]
 
-    def decision_graph(self, params: Sequence[Tensor], X: Tensor) -> Tensor:
-        h = X
-        n_layers = len(params) // 2
-        for i in range(n_layers):
-            W, b = params[2 * i], params[2 * i + 1]
-            h = ad.add(ad.matmul(h, W), b)
-            if i < n_layers - 1:
-                h = ad.relu(h)
-        return h
-
     def logits(self, X: np.ndarray) -> np.ndarray:
         h = X
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
@@ -181,38 +171,44 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def true_class_log_probs(model: MlpClassifier, params: Sequence[Tensor], X: Tensor, classes: np.ndarray) -> Tensor:
-    """Log-softmax of the logits, kept at each row's true class (model.targets) and zero elsewhere."""
-    logits = model.decision_graph(params, X)
-    onehot = np.zeros((classes.size, model.num_classes))
-    onehot[np.arange(classes.size), classes] = 1.0
-    z = ad.add(logits, ad.constant(-logits.data.max(axis=1, keepdims=True)))  # stabilizer, constant on the tape
-    lse = ad.tlog(ad.tsum(ad.texp(z), axis=1, keepdims=True))
-    log_probs = ad.add(z, ad.neg(lse))
-    return ad.mul(log_probs, ad.constant(onehot))
+def flatten(params: Sequence[np.ndarray]) -> np.ndarray:
+    """Parameter arrays as one flat vector, in params() order."""
+    return np.concatenate([p.ravel() for p in params])
+
+
+def unflatten(model, theta: np.ndarray) -> list[np.ndarray]:
+    """flatten's inverse: views of `theta` shaped like model.params()."""
+    end = 0  # each slice's start is evaluated, moving `end` to the slice's end, before its stop
+    return [theta[(end := end + p.size) - p.size : end].reshape(p.shape) for p in model.params()]
+
+
+def _unformed(g):
+    raise ContractError("the fused objective forms no such derivative (see batch_loss_graph)")
 
 
 def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, lam: float) -> Tensor:
-    """The model's training objective on the tape; `y` is model.targets(labels).
+    """The model's training objective as one tape node over (X, theta); `y` is model.targets(labels).
 
-    The linear classifier's is mean(max(0, 1 - y * w.x)) + lam * ||w||^2 as
-    one node over (X, w) from hinge_parts. Its w vjp is g * grad, a node over
-    (X, w) whose X vjp outer(c, gg) is the meta-gradient and whose w vjp,
-    gg*lam twice, is the ridge Hessian. The network's is the mean negative
-    log-softmax of the true class plus lam times the squared weights
-    (biases are not decayed).
+    `params` is [theta], the parameters as one flat vector (flatten). The
+    objective is hinge_parts' mean hinge plus lam * ||w||^2, or mlp_parts'
+    mean negative true-class log-softmax plus lam times the squared weights
+    (biases are not decayed). Its X vjp is g times the data gradient,
+    outer(c, w) or g_1 @ W_1.T; its theta vjp is g * G, G the parameter
+    gradient as a node whose X vjp is the meta-gradient's closed form
+    d/dX <G, gg>: outer(c, gg), or mlp_parts' Hessian-vector product. Any
+    other derivative, G's theta vjp or one of those results', raises
+    ContractError: the node does not form it.
     """
+    (theta,) = params
     if isinstance(model, LinearClassifier):
-        (w,) = params
-        loss, c, grad = hinge_parts(X.data, y.astype(np.float64), w.data, lam)
-        hessian = lambda gg: ad.add(ad.mul(gg, ad.constant(lam)), ad.mul(gg, ad.constant(lam)))
-        G = Tensor(grad, (X, w), (lambda gg: ad.constant(np.outer(c, gg.data)), hessian))
-        return Tensor(loss, (X, w), (lambda g: ad.mul(g, ad.constant(np.outer(c, w.data))), lambda g: ad.mul(g, G)))
-    data_term = ad.neg(ad.mean(ad.tsum(true_class_log_probs(model, params, X, y), axis=1)))
-    if lam > 0:
-        reg = reduce(ad.add, [ad.tsum(ad.mul(W, W)) for W in params[0::2]])  # decay weights, not biases
-        data_term = ad.add(data_term, ad.mul(ad.constant(lam), reg))
-    return data_term
+        loss, c, grad = hinge_parts(X.data, y.astype(np.float64), theta.data, lam)
+        data_grad, meta = (lambda: np.outer(c, theta.data)), (lambda v: np.outer(c, v))
+    else:
+        loss, adjoints, (data_grad, hvp) = mlp_parts(unflatten(model, theta.data), X.data, y, lam)
+        grad, meta = flatten(adjoints), (lambda v: hvp(unflatten(model, v)))
+    G = Tensor(grad, (X, theta), (lambda gg: Tensor(meta(gg.data), (X, theta, gg), (_unformed,) * 3), _unformed))
+    data_vjp = lambda g: ad.mul(g, Tensor(data_grad(), (X, theta), (_unformed,) * 2))
+    return Tensor(loss, (X, theta), (data_vjp, lambda g: ad.mul(g, G)))
 
 
 def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
@@ -251,16 +247,19 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
 
 
 def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, lam: float | None = None):
-    """A network's objective and its adjoints in numpy: (loss, adjoints).
+    """A network's objective and its adjoints in numpy: (loss, adjoints[, (data_grad, hvp)]).
 
     `params` is model.params() and `classes` model.targets(labels). lam=None
     gives the attack form: -sum(true-class log-softmax) and [d/dX]. A float
-    gives the training form: batch_loss_graph's objective and every weight
-    and bias adjoint in params order, a weight's ridge added as
-    (h.T@g + lam*W) + lam*W. Each operation is the tape's, in the tape's
-    order, so both forms are bit-identical to that graph plus backward and
-    form only the adjoints asked for. As in hinge_parts, a leading seed axis
-    gives each seed's loss and adjoints, byte for byte its 2-D call's.
+    gives the training form: batch_loss_graph's objective, every weight and
+    bias adjoint in params order, a weight's ridge added as
+    (h.T@g + lam*W) + lam*W, and two 2-D closures over the pass's arrays:
+    data_grad(), the loss's X adjoint, and hvp(v), the mixed second
+    derivative d/dX <adjoints, v> (the logits' tangent along v, through the
+    log-softmax's second derivative and back down). Each operation is the
+    tape's, in the tape's order, so all of it is bit-identical to the
+    objective in tape primitives plus backward. As in hinge_parts, a leading
+    seed axis gives each seed's loss and adjoints, byte for byte its 2-D call's.
 
     NonFiniteError is raised where the tape raises it: the leaves are checked
     first, and any later non-finite value spreads along its row to the loss
@@ -296,10 +295,13 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
         else:
             loss = -picked.sum((-2, -1))
         g_lp = (-1.0 * (1 / z.shape[-2]) if train else -1.0) * onehot  # signed zeros included
-        g = g_lp + ((-np.sum(g_lp, axis=(-1,), keepdims=True)) * total**-1.0) * e
-        adjoints = []
+        K = -np.sum(g_lp, axis=(-1,), keepdims=True)
+        s = K * total**-1.0
+        g = g_lp + s * e
+        adjoints, signals = [], []  # signals[i]: the adjoint of layer i's pre-activation
         for i in range(last, -1, -1):
             if train:
+                signals[:0] = [g]
                 g_W = inputs[i].swapaxes(-1, -2) @ g
                 if lam > 0:
                     g_W = (g_W + lam * weights[i]) + lam * weights[i]
@@ -311,7 +313,28 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
         adjoints = adjoints or [g]  # the attack form's input adjoint
     if not (np.isfinite(loss).all() and all(np.isfinite(a).all() for a in adjoints)):
         raise NonFiniteError("tensor contains NaN or Inf")
-    return loss, adjoints
+    if not train:
+        return loss, adjoints
+
+    def data_grad():
+        with np.errstate(all="ignore"):
+            return signals[0] @ weights[0].T
+
+    def hvp(v):
+        vW, vb = v[0::2], v[1::2]
+        with np.errstate(all="ignore"):  # the grouping is the tape's: keep each ( )
+            t = X @ vW[0] + vb[0]
+            for i in range(1, last + 1):
+                t = ((t * masks[i - 1]) @ weights[i] + inputs[i] @ vW[i]) + vb[i]
+            r = np.sum(t * e, axis=-1, keepdims=True) * K
+            t = (t * s + r * (-1.0 * total**-2.0)) * e
+            for i in range(last, -1, -1):
+                t = (vW[i] @ signals[i].T).T + t @ weights[i].T
+                if i:
+                    t *= masks[i - 1]
+        return t
+
+    return loss, adjoints, (data_grad, hvp)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +357,9 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
     its own batch order, and a batch is one stacked gather, closed-form
     call and momentum update for all. One model is the one-seed case.
     """
-    if isinstance(model, list):
-        archs = [(type(m), [p.shape for p in m.params()]) for m in model]
-        if not model or len(model) != len(cfg) or perturb is not None or any(a != archs[0] for a in archs) \
+    if isinstance(model, list) or isinstance(cfg, list):
+        if not (isinstance(model, list) and isinstance(cfg, list)) or not model or len(model) != len(cfg) \
+                or perturb is not None or len({(type(m), *(p.shape for p in m.params())) for m in model}) > 1 \
                 or any(replace(c, seed=0) != replace(cfg[0], seed=0) for c in cfg):
             raise ParameterError("lock-step training takes models of one architecture, one config per model, "
                                  "alike but for seed, and no hook")
@@ -368,7 +391,7 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                 if linear:
                     losses[:, b], _, *grads = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
                 else:
-                    losses[:, b], grads = mlp_parts(params, X, y_all[idx], cfg.weight_decay)
+                    losses[:, b], grads, _ = mlp_parts(params, X, y_all[idx], cfg.weight_decay)
                 for v, g in zip(velocity, grads):
                     v *= cfg.momentum
                     v += g

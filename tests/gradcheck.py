@@ -1,24 +1,29 @@
 """Reference implementations for the tests: `grad`, central finite
-differences, the linear objective and its margins written in tape
-primitives, and a Monte-Carlo oracle for the closed-form accuracies.
+differences, both model objectives written in tape primitives, and a
+Monte-Carlo oracle for the closed-form accuracies.
 
 Nothing in the package calls these; the tests and the acceptance gate
-(criteria 6 and 7) compare the package against them. `tape_loss_graph` is the
-bit-exact reference for the fused hinge node of `models.batch_loss_graph`.
-The package's tape is 2-D; the 1-D products the linear references need,
-`dot` and `outer`, are defined here.
+(criteria 6 and 7) compare the package against them. `tape_loss_graph` is
+the bit-exact reference for the fused node of `models.batch_loss_graph`,
+for both model families. The package's tape keeps only the primitives
+that `backward` and `unrolled_grad` build; the ones the objectives need
+are defined here: `neg`, `power`, `texp`, `tlog`, `relu`, `mean`,
+`transpose` and `matmul` (2-D), the 1-D products `dot` and `outer` of the
+linear references, and `take`, which cuts one parameter out of the flat
+`theta`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from robustdata import autodiff as ad
-from robustdata.autodiff import Tensor, backward
+from robustdata.autodiff import Tensor, backward, constant, mul
 from robustdata.errors import ContractError, ParameterError
-from robustdata.models import LinearClassifier, batch_loss_graph
+from robustdata.models import LinearClassifier
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -31,6 +36,52 @@ def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Ten
     return backward(out, inputs)
 
 
+# ---------------------------------------------------------------------------
+# primitives
+# ---------------------------------------------------------------------------
+
+
+def neg(a: Tensor) -> Tensor:
+    return Tensor(-a.data, (a,), (neg,))
+
+
+def power(a: Tensor, k: float) -> Tensor:
+    k = float(k)
+    return Tensor(a.data**k, (a,), (lambda g: mul(g, mul(constant(k), power(a, k - 1.0))),))
+
+
+def texp(a: Tensor) -> Tensor:
+    out = Tensor(np.exp(a.data), (a,), None)
+    out._vjp = (lambda g: mul(g, out),)  # a reference cycle: the cyclic GC frees this tape
+    return out
+
+
+def tlog(a: Tensor) -> Tensor:
+    return Tensor(np.log(a.data), (a,), (lambda g: mul(g, power(a, -1.0)),))
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = (a.data > 0).astype(np.float64)  # strict: subgradient 0 at the kink
+    return Tensor(a.data * mask, (a,), (lambda g: mul(g, constant(mask)),))
+
+
+def mean(a: Tensor) -> Tensor:
+    return mul(ad.tsum(a), constant(1 / a.size))
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ContractError("transpose expects a 2-D tensor")
+    return Tensor(a.data.T, (a,), (transpose,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ContractError(f"the tape is 2-D: matmul takes two 2-D operands, got ndim {a.data.ndim} "
+                            f"and {b.data.ndim}")
+    return Tensor(a.data @ b.data, (a, b), (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)))
+
+
 def dot(a: Tensor, v: Tensor) -> Tensor:
     """a @ v on the tape for a vector v and a matrix or vector a.
 
@@ -39,33 +90,96 @@ def dot(a: Tensor, v: Tensor) -> Tensor:
     if v.data.ndim != 1 or a.data.ndim not in (1, 2):
         raise ContractError(f"dot takes a 1-D or 2-D and a 1-D operand, got ndim {a.data.ndim} and {v.data.ndim}")
     if a.data.ndim == 1:
-        vjps = (lambda g: ad.mul(g, v), lambda g: ad.mul(g, a))
+        vjps = (lambda g: mul(g, v), lambda g: mul(g, a))
     else:
-        vjps = (lambda g: outer(g, v), lambda g: dot(ad.transpose(a), g))
+        vjps = (lambda g: outer(g, v), lambda g: dot(transpose(a), g))
     return Tensor(a.data @ v.data, (a, v), vjps)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(np.outer(a.data, b.data), (a, b), (lambda g: dot(g, b), lambda g: dot(ad.transpose(g), a)))
+    return Tensor(np.outer(a.data, b.data), (a, b), (lambda g: dot(g, b), lambda g: dot(transpose(g), a)))
+
+
+def take(theta: Tensor, start: int, shape) -> Tensor:
+    """theta[start : start + size] as an array of `shape`.
+
+    Its vjp scatters the adjoint into -0.0s, the additive identity, so the
+    sum of a flat theta's scattered adjoints keeps every signed zero.
+    """
+    stop = start + int(np.prod(shape))
+
+    def scatter(g: Tensor) -> Tensor:
+        flat = np.full(theta.shape, -0.0)
+        flat[start:stop] = g.data.ravel()
+        return Tensor(flat, (g,), (lambda gg: take(gg, start, shape),))
+
+    return Tensor(theta.data[start:stop].reshape(shape), (theta,), (scatter,))
+
+
+# ---------------------------------------------------------------------------
+# the objectives
+# ---------------------------------------------------------------------------
+
+
+def decision_graph(params: Sequence[Tensor], X: Tensor) -> Tensor:
+    """A network's logits: rectifier hidden layers, a linear output layer."""
+    h = X
+    n_layers = len(params) // 2
+    for i in range(n_layers):
+        W, b = params[2 * i], params[2 * i + 1]
+        h = ad.add(matmul(h, W), b)
+        if i < n_layers - 1:
+            h = relu(h)
+    return h
+
+
+def true_class_log_probs(model, params: Sequence[Tensor], X: Tensor, classes: np.ndarray) -> Tensor:
+    """Log-softmax of the logits, kept at each row's true class (model.targets) and zero elsewhere."""
+    logits = decision_graph(params, X)
+    onehot = np.zeros((classes.size, model.num_classes))
+    onehot[np.arange(classes.size), classes] = 1.0
+    z = ad.add(logits, constant(-logits.data.max(axis=1, keepdims=True)))  # stabilizer, constant on the tape
+    lse = tlog(ad.tsum(texp(z), axis=1, keepdims=True))
+    log_probs = ad.add(z, neg(lse))
+    return mul(log_probs, constant(onehot))
+
+
+def split(model, theta: Tensor) -> list[Tensor]:
+    """The flat theta cut into one `take` node per array of model.params()."""
+    out, start = [], 0
+    for p in model.params():
+        out.append(take(theta, start, p.shape))
+        start += p.size
+    return out
 
 
 def tape_margins(X: Tensor, w: Tensor, y) -> Tensor:
     """The hinge margins y * (X @ w) as two tape nodes; `y` is one label or one per row."""
-    return ad.mul(ad.constant(np.asarray(y, dtype=np.float64)), dot(X, w))
+    return mul(constant(np.asarray(y, dtype=np.float64)), dot(X, w))
 
 
 def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tensor:
-    """batch_loss_graph with the linear objective built from tape primitives, one node per operation.
+    """batch_loss_graph built from tape primitives, one node per operation.
 
-    mean(max(0, 1 - y * X@w)) + lam * ||w||^2 as 15 small nodes; the network
-    objective is batch_loss_graph's own. Patch it over
-    `robustdata.learning.batch_loss_graph` to run the learner on it.
+    `params` is [theta], as for batch_loss_graph. The linear objective
+    mean(max(0, 1 - y * X@w)) + lam * ||w||^2 is 15 small nodes, w being
+    theta itself. The network objective is the mean negative true-class
+    log-softmax plus lam times the squared weights, over one `take` node per
+    parameter. Patch it over `robustdata.learning.batch_loss_graph` to run
+    the learner on it.
     """
-    if not isinstance(model, LinearClassifier):
-        return batch_loss_graph(model, params, X, y, lam)
-    (w,) = params
-    hinge = ad.mean(ad.relu(ad.add(ad.constant(1.0), ad.neg(tape_margins(X, w, y)))))
-    return ad.add(hinge, ad.mul(ad.constant(lam), ad.tsum(ad.mul(w, w))))
+    (theta,) = params
+    if isinstance(model, LinearClassifier):
+        hinge = mean(relu(ad.add(constant(1.0), neg(tape_margins(X, theta, y)))))
+        return ad.add(hinge, mul(constant(lam), ad.tsum(mul(theta, theta))))
+    data_term = neg(mean(ad.tsum(true_class_log_probs(model, split(model, theta), X, y), axis=1)))
+    if lam > 0:  # decay weights, not biases
+        # each factor is its own `take` node, so every weight adjoint is (h.T@g + lam*W) + lam*W and the
+        # second pass meets the parameters in the order it met per-parameter leaves
+        factors = zip(split(model, theta)[0::2], split(model, theta)[0::2])
+        reg = reduce(ad.add, [ad.tsum(mul(W, W2)) for W, W2 in factors])
+        data_term = ad.add(data_term, mul(constant(lam), reg))
+    return data_term
 
 
 class FiniteDiffReport:

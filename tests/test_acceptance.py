@@ -34,7 +34,7 @@ from robustdata.learning import (
     baseline_adv_dataset,
     learn_robust_dataset,
 )
-from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, batch_loss_graph, sgd_train
+from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, batch_loss_graph, flatten, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import (
     DistributionSpec,
@@ -192,9 +192,9 @@ def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
     """Relative errors of the learner's meta-gradient and of the loss's data gradient against central differences.
 
     The meta-gradient is unrolled_grad on batch_loss_graph, called as the
-    learner calls it, with PGD's output fixed at X_adv.
+    learner calls it, on one flat parameter leaf, with PGD's output fixed at X_adv.
     """
-    params0 = [p.copy() for p in model.params()]
+    params0 = [flatten(model.params())]
 
     def train_loss(ps, data):
         return batch_loss_graph(model, ps, data, y, lam)

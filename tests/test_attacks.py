@@ -32,12 +32,11 @@ from robustdata.models import (
     accuracy,
     batch_loss_graph,
     sgd_train,
-    true_class_log_probs,
 )
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
-from gradcheck import tape_margins
+from gradcheck import neg, tape_margins, true_class_log_probs
 
 
 def test_config_validation():
@@ -223,7 +222,7 @@ def test_pgd_loss_does_not_decrease_single_step():
 def tape_hinge_gradient(w, X, y):
     """Reference: d/dX of the unclamped surrogate -sum(y * (X @ w)) on the tape."""
     leaf = Tensor(X)
-    return ad.backward(ad.neg(ad.tsum(tape_margins(leaf, Tensor(w), y))), [leaf])[0].data
+    return ad.backward(neg(ad.tsum(tape_margins(leaf, Tensor(w), y))), [leaf])[0].data
 
 
 def tape_mlp_gradient(model, params_arrays, X, y):
@@ -231,7 +230,7 @@ def tape_mlp_gradient(model, params_arrays, X, y):
     with np.errstate(all="ignore"):
         leaf = Tensor(X)
         params = [Tensor(p) for p in params_arrays]
-        objective = ad.neg(ad.tsum(true_class_log_probs(model, params, leaf, y)))
+        objective = neg(ad.tsum(true_class_log_probs(model, params, leaf, y)))
         return ad.backward(objective, [leaf])[0].data
 
 

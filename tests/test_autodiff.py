@@ -17,11 +17,13 @@ from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
 from robustdata.learning import RobustLearnConfig, learn_robust_dataset
-from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, batch_loss_graph, sgd_train
+from robustdata.models import LinearClassifier, MlpClassifier, TrainConfig, batch_loss_graph, flatten, sgd_train
 from robustdata.rng import RngStream, philox_key
 from robustdata.theory import DistributionSpec, sample
 
-from gradcheck import finite_diff_check, grad, tape_loss_graph
+from gradcheck import (
+    finite_diff_check, grad, matmul, mean, neg, power, relu, tape_loss_graph, texp, tlog, transpose,
+)
 
 
 def test_grad_square():
@@ -35,7 +37,7 @@ def test_grad_hinge_flat_region():
     x = np.array([[2.0, 5.0]])
 
     def f(wt):
-        return ad.tsum(ad.relu(ad.add(ad.constant(1.0), ad.neg(ad.matmul(ad.constant(x), wt)))))
+        return ad.tsum(relu(ad.add(ad.constant(1.0), neg(matmul(ad.constant(x), wt)))))
 
     g = grad(f, [w])[0]
     np.testing.assert_array_equal(g.data, np.zeros((2, 1)))
@@ -50,10 +52,10 @@ def test_grad_matches_finite_differences_on_mlp():
     onehot[np.arange(5), np.array([0, 2, 1, 1, 0])] = 1.0
 
     def ce(w1, bb1, w2, bb2):
-        h = ad.relu(ad.add(ad.matmul(ad.constant(X), w1), bb1))
-        logits = ad.add(ad.matmul(h, w2), bb2)
-        lse = ad.tlog(ad.tsum(ad.texp(logits), axis=1, keepdims=True))
-        return ad.neg(ad.mean(ad.tsum(ad.mul(ad.add(logits, ad.neg(lse)), ad.constant(onehot)), axis=1)))
+        h = relu(ad.add(matmul(ad.constant(X), w1), bb1))
+        logits = ad.add(matmul(h, w2), bb2)
+        lse = tlog(ad.tsum(texp(logits), axis=1, keepdims=True))
+        return neg(mean(ad.tsum(ad.mul(ad.add(logits, neg(lse)), ad.constant(onehot)), axis=1)))
 
     for i, leaf in enumerate([W1, b1, W2, b2]):
         others = [W1, b1, W2, b2]
@@ -81,7 +83,7 @@ def test_grad_linearity():
         return ad.tsum(ad.mul(x, ad.mul(x, x)))
 
     def g(x):
-        return ad.tsum(ad.texp(ad.mul(x, ad.constant(0.3))))
+        return ad.tsum(texp(ad.mul(x, ad.constant(0.3))))
 
     def combo(x):
         return ad.add(ad.mul(ad.constant(a), f(x)), ad.mul(ad.constant(b), g(x)))
@@ -94,7 +96,7 @@ def test_grad_linearity():
 
 def test_second_order_by_rerecording():
     x = Tensor(2.0)
-    first = backward(ad.power(x, 3.0), [x])[0]
+    first = backward(power(x, 3.0), [x])[0]
     second = backward(first, [x])[0]
     assert second.data == pytest.approx(12.0)
 
@@ -102,7 +104,7 @@ def test_second_order_by_rerecording():
 @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,)), ((2, 2, 3), (3, 2))])
 def test_matmul_takes_only_2d_operands(a_shape, b_shape):
     with pytest.raises(ContractError, match="2-D"):
-        ad.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+        matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,13 +128,13 @@ def test_non_finite_rejected():
     with pytest.raises(NonFiniteError):
         Tensor(np.array([1.0, np.inf]))
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-        ad.tlog(Tensor(0.0))  # -inf
+        tlog(Tensor(0.0))  # -inf
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        ad.texp(Tensor(1000.0))  # overflow to +inf
+        texp(Tensor(1000.0))  # overflow to +inf
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         ad.mul(Tensor(1e200), Tensor(1e200))  # overflow to +inf
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-        ad.power(Tensor(0.0), -1)  # division by zero
+        power(Tensor(0.0), -1)  # division by zero
     with pytest.raises(NonFiniteError):
         Tensor(np.array([[0.0, np.nan]]))
 
@@ -156,10 +158,10 @@ def test_unrolled_grad_scalar_chain():
     # train = (theta - x)^2, adv = theta^2, theta=1, x=0, lr=0.1:
     # theta+ = 0.8, d theta+/dx = 0.2, d adv/dx = 2 * 0.8 * 0.2 = 0.32
     def train(ps, d):
-        return ad.power(ad.add(ps[0], ad.neg(d)), 2.0)
+        return power(ad.add(ps[0], neg(d)), 2.0)
 
     def adv(ps):
-        return ad.power(ps[0], 2.0)
+        return power(ps[0], 2.0)
 
     meta, updated, train_out = unrolled_grad(train, adv_grad_of(adv), [Tensor(1.0)], Tensor(0.0), 0.1)
     assert meta == pytest.approx(0.32, abs=1e-12)
@@ -194,10 +196,10 @@ def test_unrolled_grad_matches_finite_differences_on_mlp():
     lr = 0.05
 
     def net(ps, X):
-        h = ad.relu(ad.add(ad.matmul(X, ps[0]), ps[1]))
-        logits = ad.add(ad.matmul(h, ps[2]), ps[3])
-        lse = ad.tlog(ad.tsum(ad.texp(logits), axis=1, keepdims=True))
-        return ad.neg(ad.mean(ad.tsum(ad.mul(ad.add(logits, ad.neg(lse)), ad.constant(onehot)), axis=1)))
+        h = relu(ad.add(matmul(X, ps[0]), ps[1]))
+        logits = ad.add(matmul(h, ps[2]), ps[3])
+        lse = tlog(ad.tsum(texp(logits), axis=1, keepdims=True))
+        return neg(mean(ad.tsum(ad.mul(ad.add(logits, neg(lse)), ad.constant(onehot)), axis=1)))
 
     def train(ps, d):
         return net(ps, d)
@@ -230,7 +232,7 @@ def test_unrolled_grad_matches_finite_differences_on_mlp():
 
 
 def test_finite_diff_smooth_polynomial():
-    report = finite_diff_check(lambda x: ad.power(x, 3.0), Tensor(2.0), 1e-5)
+    report = finite_diff_check(lambda x: power(x, 3.0), Tensor(2.0), 1e-5)
     assert report.max_rel_error <= 1e-8
     assert report.n_non_comparable == 0
 
@@ -238,7 +240,7 @@ def test_finite_diff_smooth_polynomial():
 def test_finite_diff_flags_hinge_kink():
     # margin exactly 1: the stencil straddles the kink
     def f(x):
-        return ad.tsum(ad.relu(ad.add(ad.constant(1.0), ad.neg(x))))
+        return ad.tsum(relu(ad.add(ad.constant(1.0), neg(x))))
 
     report = finite_diff_check(f, Tensor(np.array([1.0])), 1e-5)
     assert report.n_non_comparable == 1
@@ -251,7 +253,7 @@ def test_finite_diff_quadratic_form():
     x0 = rng.normal(0, 1, (20, 1))
 
     def f(x):
-        return ad.tsum(ad.matmul(ad.transpose(x), ad.matmul(ad.constant(A), x)))
+        return ad.tsum(matmul(transpose(x), matmul(ad.constant(A), x)))
 
     report = finite_diff_check(f, Tensor(x0), 1e-6)
     assert report.max_rel_error <= 1e-7
@@ -274,16 +276,16 @@ def random_smooth_expression(rng: RngStream, x: Tensor) -> Tensor:
     A = ad.constant(rng.normal(0, 1, (x.size, x.size)))
     b = ad.constant(rng.normal(0, 1, (x.size,)).reshape(-1, 1))
     column = ad.reshape(x, (x.size, 1))
-    h = ad.matmul(A, column)
+    h = matmul(A, column)
     choice = int(rng.integers(0, 4))
     if choice == 0:
-        h = ad.texp(ad.mul(h, ad.constant(0.3)))
+        h = texp(ad.mul(h, ad.constant(0.3)))
     elif choice == 1:
-        h = ad.tlog(ad.add(ad.mul(h, h), ad.constant(1.0)))
+        h = tlog(ad.add(ad.mul(h, h), ad.constant(1.0)))
     elif choice == 2:
-        h = ad.power(ad.add(ad.mul(h, h), ad.constant(0.5)), 1.5)
+        h = power(ad.add(ad.mul(h, h), ad.constant(0.5)), 1.5)
     else:
-        h = ad.mul(h, ad.texp(ad.neg(ad.mul(h, ad.constant(0.1)))))
+        h = ad.mul(h, texp(neg(ad.mul(h, ad.constant(0.1)))))
     return ad.mul(ad.tsum(ad.mul(h, b)), ad.constant(1.0 / x.size))
 
 
@@ -509,9 +511,9 @@ def test_pruned_backward_non_finite_parity(family):
             assert got is None, case
         else:
             assert got is not None and np.array_equal(got, ref), case
-        if family == "linear":  # the fused hinge node against the tape graph, both pruned: equal in every case
-            tape = with_backward(ad.backward, lambda: learn_outcome(*case), tape_loss_graph)
-            assert (got is None and tape is None) or (got is not None and np.array_equal(got, tape)), case
+        # the fused node against the tape graph, both pruned: equal in every case
+        tape = with_backward(ad.backward, lambda: learn_outcome(*case), tape_loss_graph)
+        assert (got is None and tape is None) or (got is not None and np.array_equal(got, tape)), case
     assert raised > 0  # the grid reaches overflow
 
 
@@ -541,13 +543,15 @@ def test_backward_builds_only_adjoints(monkeypatch):
     assert np.array_equal(g_off.data, np.zeros((2, 3))) and not np.signbit(g_off.data).any()
 
 
-@pytest.mark.parametrize("arch, tensors", [("linear", 21), ("mlp:8-8", 280)])
+@pytest.mark.parametrize("arch, tensors", [("linear", 21), ("mlp:8-8", 21)])
 def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
+    # both objectives are one fused node over (X, theta); mlp:8-8 built 280 as
+    # primitives over per-parameter leaves, and 286 when the ridge sum started
+    # from constant(0.0) and the log-softmax shift was neg(constant(max));
     # 115 and 387 when backward formed an adjoint for every parent of every node;
     # linear 82 with the hinge as 15 tape primitives instead of one fused node;
     # 26 and 301 when backward built zeros for every input and unrolled_grad's
-    # inner product started from constant(0.0); mlp:8-8 286 when the ridge sum
-    # started from constant(0.0) and the log-softmax shift was neg(constant(max))
+    # inner product started from constant(0.0)
     train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 256, RngStream(3))
     cfg = RobustLearnConfig(epochs=1, gamma=0.05, beta=0.01, attack=AttackConfig(eps=0.8, steps=10))
     factory = model_factory(arch, 21)
@@ -563,7 +567,7 @@ def learner_train_set():
 def network_batch():
     rng = RngStream(41)
     model = MlpClassifier.init([5, 8, 8, 3], rng)
-    return model, [Tensor(p) for p in model.params()], Tensor(rng.normal(0, 1, (16, 5))), np.arange(16) % 3
+    return model, [Tensor(flatten(model.params()))], Tensor(rng.normal(0, 1, (16, 5))), np.arange(16) % 3
 
 
 def network_loss_and_backward():
@@ -589,7 +593,7 @@ def network_sgd_train():
 @pytest.mark.parametrize("run", [network_loss_and_backward, network_unrolled_grad, network_learn, network_sgd_train])
 def test_network_tapes_leave_no_cyclic_garbage(run):
     # refcounting alone must free each tape when its batch ends: a vjp that
-    # holds its own node strongly makes every network tape a reference cycle
+    # held its own node strongly would make every network tape a reference cycle
     gc.collect()
     gc.disable()
     try:

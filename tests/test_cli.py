@@ -320,6 +320,17 @@ def test_theory_verify_of_a_non_gaussian_model_exits_one(tmp_path, capsys):
     assert_exits_one_with(capsys, argv, "closed forms cover the gaussian model only")
 
 
+def test_theory_verify_of_an_l2_attack_exits_one(tmp_path, capsys):
+    # the closed forms are l-inf: an l2 PGD accuracy was paired with them, failed
+    # lemma1.closed_form_agrees and exited 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"distribution": {"d": 20, "n_train": 2000}, "attack": {"norm": "l2"}}))
+    out = tmp_path / "out"
+    argv = ["theory-verify", "--config", str(path), "--seed", "0", "--out", str(out)]
+    assert_exits_one_with(capsys, argv, "attack.norm must be 'linf', got 'l2'")
+    assert not out.exists()  # rejected before any work
+
+
 def test_wrong_lemma2_perturbation_fails_the_shared_corner_check(tmp_path, capsys, config_path, monkeypatch):
     # theory-verify and acceptance criterion 5 run the same corner_oracle_gap, so a wrong sign fails both
     monkeypatch.setattr("robustdata.theory.optimal_linf_perturbation", lambda w, y, eps: eps * np.sign(y * w))

@@ -10,9 +10,9 @@ from robustdata import autodiff as ad
 from robustdata import models
 from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
-from robustdata.errors import DataError, NonFiniteError, ParameterError
+from robustdata.errors import ContractError, DataError, NonFiniteError, ParameterError
 from robustdata.models import (
-    LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, hinge_parts, sgd_train,
+    LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, flatten, hinge_parts, sgd_train, unflatten,
 )
 from robustdata.rng import RngStream
 
@@ -25,8 +25,8 @@ def binary_dataset(X, y):
 
 def training_loss(model, batch, lam=0.0):
     """The objective sgd_train steps on, at the model's parameters: hinge or cross-entropy by model type."""
-    params = [Tensor(p) for p in model.params()]
-    return batch_loss_graph(model, params, Tensor(batch.features), model.targets(batch.labels), lam).item()
+    theta = [Tensor(flatten(model.params()))]
+    return batch_loss_graph(model, theta, Tensor(batch.features), model.targets(batch.labels), lam).item()
 
 
 # ---------------------------------------------------------------------------
@@ -130,29 +130,48 @@ def learner_steps(draw):
     return X, y, w, lam, draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-3, 10.0)), g
 
 
-def hinge_derivatives(graph, X, y, w, lam, lr, g):
-    """The loss, its X and w adjoints, unrolled_grad's meta and updated, and the ridge Hessian times g."""
-    model = LinearClassifier.zeros(w.size)  # the model only picks the loss
-    X_leaf, w_leaf = Tensor(X), Tensor(w)
-    out = graph(model, [w_leaf], X_leaf, y, lam)
-    g_X, g_w = ad.backward(out, [X_leaf, w_leaf])
-    hvp = ad.backward(ad.tsum(ad.mul(g_w, ad.constant(g))), [w_leaf])[0]
-    meta, updated, _ = ad.unrolled_grad(
-        lambda ps, data: graph(model, ps, data, y, lam), lambda updated: [g], [Tensor(w)], Tensor(X), lr
+def node_derivatives(graph, model, X, y, theta, lam, lr, g):
+    """The loss, its X and theta adjoints, and unrolled_grad's meta, updated and loss; the model only
+    gives the loss and the parameter shapes, `theta` the flat parameters."""
+    X_leaf, theta_leaf = Tensor(X), Tensor(theta)
+    out = graph(model, [theta_leaf], X_leaf, y, lam)
+    g_X, g_theta = ad.backward(out, [X_leaf, theta_leaf])
+    if graph is batch_loss_graph:  # the fused node forms no parameter Hessian, and says so
+        with pytest.raises(ContractError, match="forms no such derivative"):
+            ad.backward(ad.tsum(ad.mul(g_theta, ad.constant(g))), [theta_leaf])
+    meta, updated, train_out = ad.unrolled_grad(
+        lambda ps, data: graph(model, ps, data, y, lam), lambda updated: [g], [Tensor(theta)], Tensor(X), lr
     )
-    return [out.data, g_X.data, g_w.data, meta, *updated, hvp.data]
+    return [out.data, g_X.data, g_theta.data, meta, *updated, train_out.data]
+
+
+def assert_all_equal_bits(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape and equal_bits(a, b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(learner_steps())
 def test_hinge_node_matches_tape_graph(case):
     # the learner's calls on the fused node give the tape graph's values, signed zeros included
-    got = hinge_derivatives(batch_loss_graph, *case)
-    ref = hinge_derivatives(tape_loss_graph, *case)
-    for a, b in zip(got, ref, strict=True):
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+    X, y, w, lam, lr, g = case
+    model = LinearClassifier.zeros(w.size)
+    assert_all_equal_bits(node_derivatives(batch_loss_graph, model, X, y, w, lam, lr, g),
+                          node_derivatives(tape_loss_graph, model, X, y, w, lam, lr, g))
+
+
+@pytest.mark.parametrize("model", [LinearClassifier(np.array([1.0, -2.0])), MlpClassifier.init([2, 3, 2], RngStream(1))],
+                         ids=["linear", "mlp"])
+def test_fused_node_raises_on_derivatives_it_does_not_form(model):
+    # it forms the loss's X and theta adjoints and the meta-gradient d/dX <G, gg>; none of those
+    # results has a derivative, and G has none by theta: each raises instead of returning zeros
+    X, theta = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]])), Tensor(flatten(model.params()))
+    out = batch_loss_graph(model, [theta], X, model.targets(np.array([1, -1])), 1e-3)
+    g_X, g_theta = ad.backward(out, [X, theta])
+    (meta,) = ad.backward(ad.tsum(ad.mul(g_theta, ad.constant(np.ones(theta.shape)))), [X])
+    for adjoint, leaf in ((g_theta, theta), (g_X, X), (g_X, theta), (meta, X), (meta, theta)):
+        with pytest.raises(ContractError, match="forms no such derivative"):
+            ad.backward(ad.tsum(ad.mul(adjoint, adjoint)), [leaf])
 
 
 @pytest.mark.parametrize(
@@ -214,11 +233,11 @@ def test_cross_entropy_rejects_out_of_range_class():
 
 
 def tape_network_step(params, X, classes, lam):
-    """The network objective on the tape and its weight and bias adjoints: the reference for mlp_parts."""
+    """The network objective in tape primitives and its weight and bias adjoints: the reference for mlp_parts."""
     model = MlpClassifier(params[0::2], params[1::2])
-    leaves = [Tensor(p) for p in params]
-    out = batch_loss_graph(model, leaves, Tensor(X), classes, lam)
-    return out.data, [g.data for g in ad.backward(out, leaves)]
+    theta = Tensor(flatten(params))
+    out = tape_loss_graph(model, [theta], Tensor(X), classes, lam)
+    return out.data, unflatten(model, ad.backward(out, [theta])[0].data)
 
 
 @st.composite
@@ -242,18 +261,57 @@ def network_steps(draw):
 @settings(max_examples=300, deadline=None)
 @given(network_steps())
 def test_closed_form_network_step_matches_tape(case):
-    # the training form is batch_loss_graph plus backward bit for bit, signed zeros
-    # included, and a stacked call is its per-seed calls
+    # the training form is the objective in tape primitives plus backward bit for bit,
+    # signed zeros included, and a stacked call is its per-seed calls
     params, X, classes, lam = case
-    loss, adjoints = models.mlp_parts(params, X, classes, lam)
+    loss, adjoints, _ = models.mlp_parts(params, X, classes, lam)
     for s in range(X.shape[0]):
         seed_params = [p[s] for p in params]
         ref_loss, ref_adjoints = tape_network_step(seed_params, X[s], classes[s], lam)
-        solo_loss, solo_adjoints = models.mlp_parts(seed_params, X[s], classes[s], lam)
+        solo_loss, solo_adjoints, _ = models.mlp_parts(seed_params, X[s], classes[s], lam)
         assert equal_bits(solo_loss, ref_loss) and equal_bits(loss[s], ref_loss)
         assert len(solo_adjoints) == len(adjoints) == len(ref_adjoints) == len(params)
         for got, solo, ref in zip(adjoints, solo_adjoints, ref_adjoints):
             assert solo.shape == ref.shape and equal_bits(solo, ref) and equal_bits(got[s], ref)
+
+
+@st.composite
+def network_learner_steps(draw):
+    """A network's learner step: 1-3 hidden layers, 2-4 classes, exact-zero feature columns, a step size
+    and an adversarial gradient g with +0.0 and -0.0 entries; integer entries put kinks at exact values."""
+    d, k, B = draw(st.integers(1, 12)), draw(st.integers(2, 4)), draw(st.integers(1, 70))
+    sizes = [d, *draw(st.lists(st.integers(1, 40), min_size=1, max_size=3)), k]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))  # hypothesis draws shapes, the stream the entries
+    integer = draw(st.booleans())
+
+    def entries(shape):
+        return rng.integers(-2, 3, shape).astype(np.float64) if integer else rng.normal(0, 1, shape)
+
+    model = MlpClassifier([entries(shape) for shape in zip(sizes[:-1], sizes[1:])], [entries(n) for n in sizes[1:]])
+    X = entries((B, d))
+    X[:, rng.random(d) < 0.3] = 0.0
+    theta = flatten(model.params())
+    g = entries(theta.size)
+    g[rng.random(theta.size) < 0.2] = 0.0
+    g[rng.random(theta.size) < 0.2] = -0.0
+    lam, lr = draw(st.sampled_from([0.0, 1e-3, 0.37])), draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-3, 10.0))
+    return model, X, rng.integers(0, k, B), theta, lam, lr, g
+
+
+def wide_network_step():
+    """A step wide enough that the tape's transposed product (vW @ g.T).T and g @ vW.T differ in the last bits."""
+    rng = np.random.default_rng(5)
+    model = MlpClassifier.init([10, 300, 300, 3], RngStream(5))
+    theta = flatten(model.params())
+    return model, rng.normal(0, 1, (200, 10)), rng.integers(0, 3, 200), theta, 1e-3, 0.05, rng.normal(0, 1, theta.size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_learner_steps())
+@example(wide_network_step())
+def test_network_node_matches_tape_graph(case):
+    # the closed-form meta-gradient is the tape's second pass bit for bit, signed zeros included
+    assert_all_equal_bits(node_derivatives(batch_loss_graph, *case), node_derivatives(tape_loss_graph, *case))
 
 
 def _step_outcome(step, params, X, classes, lam):
@@ -473,7 +531,10 @@ def test_lock_step_rejects_unlike_configs_and_hooks():
                                 (linear, [cfg, replace(cfg, seed=1)], lambda X, y: X),
                                 # models of unlike architectures
                                 ([network(2, [4], 0), network(2, [8], 1)], [cfg, replace(cfg, seed=1)], None),
-                                ([LinearClassifier.zeros(2), network(2, [4], 1)], [cfg, replace(cfg, seed=1)], None)):
+                                ([LinearClassifier.zeros(2), network(2, [4], 1)], [cfg, replace(cfg, seed=1)], None),
+                                # a list on one side only: these raised TypeError and AttributeError
+                                (linear, cfg, None), (LinearClassifier.zeros(2), [cfg], None),
+                                (network(2, [4], 0), [cfg], None)):
         with pytest.raises(ParameterError, match="lock-step training"):
             sgd_train(models_, ds, cfgs, hook)
 
@@ -488,7 +549,7 @@ def network(width, hidden, seed, classes=2):
 
 
 def solo_network_sgd(model, dataset, cfg):
-    """Reference: one network's SGD loop on the tape, batch_loss_graph and backward per step."""
+    """Reference: one network's SGD loop on the tape, the objective in primitives and backward per step."""
     y = model.targets(dataset.labels)
     params = model.params()
     velocity, shuffle, trace = [np.zeros_like(p) for p in params], RngStream(cfg.seed), []
@@ -497,11 +558,11 @@ def solo_network_sgd(model, dataset, cfg):
             order, losses = shuffle.permutation(dataset.n), []
             for start in range(0, dataset.n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                leaves = [Tensor(p) for p in params]
-                out = batch_loss_graph(model, leaves, Tensor(dataset.features[idx]), y[idx], cfg.weight_decay)
-                for v, g in zip(velocity, ad.backward(out, leaves)):
+                theta = Tensor(flatten(params))
+                out = tape_loss_graph(model, [theta], Tensor(dataset.features[idx]), y[idx], cfg.weight_decay)
+                for v, g in zip(velocity, unflatten(model, ad.backward(out, [theta])[0].data)):
                     v *= cfg.momentum
-                    v += g.data
+                    v += g
                 params = [p - cfg.lr * v for p, v in zip(params, velocity)]
                 losses.append(out.item())
             trace.append(float(np.mean(losses)))
