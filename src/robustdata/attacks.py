@@ -15,8 +15,9 @@ max(0, 1 - y*w.x + eps*||w||_1) from any starting point. That input
 gradient is -y*w for every row, so it is gathered from the rows -w and +w
 without a tape (after checking X and w are finite, as tape leaves would),
 and pgd_attack computes a linear model's step once per attack. Under l-inf
-the attack is then one pass of in-place adds, projected after the first,
-next-to-last and last adds, bit-identical to projecting every step. Every
+the attack is then K in-place adds projected once, bit-identical to
+projecting every step: x_nat +- alpha lies in the ball for alpha <= eps, and
+P(P(y) + s) == P(y + s) for a step of one sign (_linear_linf_pgd). Every
 attack checks the iterate it returns, and a non-finite iterate stays
 non-finite, so overflow at any step raises NonFiniteError. A network's input
 gradient of -sum(true-class log-softmax) comes from the attack form of
@@ -151,26 +152,24 @@ def _project_linf(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: AttackConf
 
 
 def _linear_linf_pgd(x_nat: np.ndarray, step: np.ndarray, cfg: AttackConfig) -> np.ndarray:
-    """cfg.steps projected steps of a constant l-inf step, with three projections.
+    """cfg.steps projected steps of a constant l-inf step, with one projection, or two.
 
-    Per coordinate the step has one sign and float addition is monotone, and
-    the projection P (ball clip, then clamp) clips to an interval holding
-    x_1 = P(x_nat + step), or is constant where ball and box do not meet. So
-    an iterate that reaches a bound stays there and one that does not is the
-    unprojected running sum: x_{K-1} is P of x_1 plus K-2 steps, and
-    x_K = P(x_{K-1} + step), bit for bit. A non-finite iterate stays
-    non-finite, so pgd_attack's check of x_K raises where checking every
-    iterate did.
+    P (ball clip, then clamp) clips to an interval, or is constant where ball and
+    box do not meet. x_1 = P(x_nat + step) is projected, before more adds, only
+    under a clamp or alpha > eps; else P does nothing to it, as x_nat +- alpha
+    lies in [fl(x_nat - eps), fl(x_nat + eps)] by monotone rounding. Per
+    coordinate the step has one sign and float addition is monotone, so an
+    iterate past a bound stays past it: P(P(z) + step) == P(z + step), also where
+    ball and box do not meet and for an overflowing sum. So x_K = P(x_1 + K-1
+    adds) bit for bit, and as a non-finite iterate stays so, checking x_K suffices.
     """
     lo, hi = x_nat - cfg.eps, x_nat + cfg.eps
     x_adv = x_nat + step  # a new array: x_nat is never written
-    _project_linf(x_adv, lo, hi, cfg)
-    if cfg.steps > 1:
-        for _ in range(cfg.steps - 2):  # an overflowing running sum projects to its bound
-            x_adv += step
+    if cfg.steps > 1 and (cfg.clamp is not None or cfg.alpha > cfg.eps):
         _project_linf(x_adv, lo, hi, cfg)
+    for _ in range(cfg.steps - 1):
         x_adv += step
-        _project_linf(x_adv, lo, hi, cfg)
+    _project_linf(x_adv, lo, hi, cfg)
     return x_adv
 
 

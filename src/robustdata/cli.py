@@ -159,6 +159,8 @@ def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) ->
     attack = cfg.attack_config()
     if attack.norm != LINF:  # the closed forms it checks PGD against are l-inf
         raise ParameterError(f"theory-verify checks l-inf closed forms; attack.norm must be '{LINF}', got {attack.norm!r}")
+    if spec.mode != GAUSSIAN:
+        raise ParameterError(f"closed forms cover the gaussian model only; distribution.mode must be '{GAUSSIAN}', got {spec.mode!r}")
 
     lines = [f"config_hash={cfg.config_hash()}", f"seed={seed}"]
     checks: list[tuple[str, bool]] = []
@@ -188,9 +190,7 @@ def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) ->
 
     try:
         cf_nat, cf_rob = closed_form_accuracies(svm.w, spec, attack.eps)
-    except ParameterError:  # weights outside the closed form's domain fail the check; a non-gaussian model exits 1
-        if spec.mode != GAUSSIAN:
-            raise
+    except ParameterError:  # weights outside the closed form's domain fail the check
         cf_nat = cf_rob = float("nan")
     lines += [f"lemma1.closed_form_natural={cf_nat:.4f}", f"lemma1.closed_form_robust={cf_rob:.4f}"]
     checks.append(("lemma1.closed_form_agrees", abs(cf_nat - nat) <= 0.01 and abs(cf_rob - rob_pgd) <= 0.01))

@@ -222,25 +222,22 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
     each seed's loss (S,), c and grad, byte for byte its 2-D call's, since
     numpy's stacked products and row sums run the per-seed kernels.
 
-    NonFiniteError is raised where that graph plus backward raises it. The tape
-    checks its leaves, so X and w are checked first; every later value
-    reaches the loss or the gradient, which are checked last. A non-finite
-    margin makes slack*a inf or NaN (inf*0 is NaN) and so the loss, an
-    overflowing w*w makes the ridge term and the loss inf or NaN, and the
-    partial sums of the gradient carry any inf or NaN into it. The tape
-    values formed from c later, outer(c, w) and outer(c, gg), are finite
-    whenever w and gg are, since |c| <= 1/B. numpy's floating-point
-    warnings are silenced: NonFiniteError is the only report.
+    NonFiniteError is raised where that graph plus backward raises it, by
+    checking the loss and gradient last. X is checked where it is made (a
+    Dataset, sgd_train's features and hook batches, the learner's tape
+    leaves), and a NaN or Inf in w makes lam * (w*w).sum() and so its loss
+    non-finite (0*inf is NaN). A non-finite margin makes slack*a inf or NaN
+    and so the loss, an overflowing w*w the ridge term, and the gradient's
+    partial sums carry any inf or NaN into it; outer(c, w) and outer(c, gg) are
+    finite whenever w and gg are, as |c| <= 1/B. numpy's warnings are silenced.
     """
-    if not (np.isfinite(X).all() and np.isfinite(w).all()):
-        raise NonFiniteError("tensor contains NaN or Inf")
     with np.errstate(all="ignore"):
         slack = 1.0 - y * (X @ w[..., None])[..., 0]
         a = (slack > 0).astype(np.float64)  # relu'(0) = 0, as on the tape
         inv_b = 1.0 / y.shape[-1]
         loss = (slack * a).sum(-1) * inv_b + lam * (w * w).sum(-1)
         c = -(inv_b * a) * y
-        grad = ((X.swapaxes(-1, -2) @ c[..., None])[..., 0] + lam * w) + lam * w
+        grad = ((X.swapaxes(-1, -2) @ c[..., None])[..., 0] + (ridge := lam * w)) + ridge
     if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
         raise NonFiniteError("tensor contains NaN or Inf")
     return loss, c, grad
@@ -345,11 +342,11 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
 def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | None = None):
     """Train in place by mini-batch SGD with momentum; returns (model, per-epoch loss trace).
 
-    With a hook, every batch is replaced by perturb(X, y) before its step;
-    the model holds the current parameters when the hook is called. A
-    step is a numpy closed form, hinge_parts or mlp_parts, and builds no
-    tape. numpy's floating-point warnings are silenced here: a diverging
-    run reports itself by NonFiniteError alone.
+    With a hook, every batch is replaced by perturb(X, y), checked finite,
+    before its step; the model holds the current parameters when the hook
+    is called. A step is hinge_parts or mlp_parts, a numpy closed form that
+    builds no tape; the features are checked finite once per call. numpy's
+    warnings are silenced: a diverging run reports itself by NonFiniteError.
 
     Given lists of models of one architecture and of their configs, alike
     but for `seed`, it trains them in lock-step and returns a list of
@@ -368,6 +365,8 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
         models, cfgs = [model], [cfg]
     if dataset.n == 0:
         raise DataError("cannot train on an empty dataset")
+    if not np.isfinite(dataset.features).all():  # a Dataset's features may be rewritten after construction
+        raise NonFiniteError("training features contain NaN or Inf")
     cfg, linear = cfgs[0], isinstance(models[0], LinearClassifier)
     y_all = models[0].targets(dataset.labels)
     y_float = y_all.astype(np.float64)
@@ -388,6 +387,8 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                 if perturb is not None:  # one model: the hook sees its 2-D batch
                     models[0].set_params([p[0] for p in params])
                     X = perturb(X[0], y_all[idx[0]])[None]
+                    if not np.isfinite(X).all():
+                        raise NonFiniteError("the perturbed batch contains NaN or Inf")
                 if linear:
                     losses[:, b], _, *grads = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
                 else:

@@ -493,17 +493,48 @@ def linear_linf_cases(draw):
     return model, X, y, cfg
 
 
+def linear_linf_example(**cfg):
+    """Rows of both signs, exact and signed zeros, and steps of both signs and of zero."""
+    model = LinearClassifier(np.array([1.0, -2.0, 0.0, 0.5]))
+    X = np.array([[0.3, -0.2, 0.0, 1.1], [-0.7, 0.1, -0.0, 0.45], [0.0, 0.6, 0.2, -0.35]])
+    return model, X, np.array([1, -1, 1]), AttackConfig(norm="linf", **{"eps": 0.5, "steps": 10, **cfg})
+
+
 @settings(max_examples=500, deadline=None)
 @given(linear_linf_cases())
 # a zero step meets a (-0.0, -0.0) clamp: np.clip keeps +0.0 where a max/min clamp gives -0.0
 @example((LinearClassifier(np.array([0.0])), np.array([[0.0]]), np.array([1]),
           AttackConfig(norm="linf", eps=1.0, steps=1, clamp=(-0.0, -0.0))))
+@example(linear_linf_example(steps=1))
+@example(linear_linf_example(alpha=0.5))  # alpha == eps: the first iterate reaches the ball's bound
+@example(linear_linf_example(alpha=0.75))  # alpha = 1.5 * eps with no clamp: the first iterate overshoots
+@example(linear_linf_example(clamp=(-5.0, -3.0)))  # a clamp entirely below every ball
+@example(linear_linf_example(clamp=(3.0, 5.0)))  # and entirely above
 def test_linear_linf_pgd_matches_per_step_reference(case):
     model, X, y, cfg = case
     got = pgd_attack(model, X, y, cfg)
     ref = per_step_pgd(model, X, y, cfg)
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+@pytest.mark.parametrize(
+    "alpha, clamp, projections",
+    [(None, None, 1), (0.5, None, 1), (0.75, None, 2), (None, (-1.0, 1.0), 2), (0.75, (-1.0, 1.0), 2)],
+    ids=["alpha-eps/10", "alpha-eps", "alpha-1.5eps", "clamp", "alpha-1.5eps-clamp"],
+)
+def test_linear_linf_pgd_projects_once_unless_the_first_iterate_may_leave_the_box(monkeypatch, steps, alpha, clamp,
+                                                                                 projections):
+    # with no clamp and alpha <= eps the first iterate lies in the ball, and the projection
+    # before the last add changes nothing; one attack made three projections
+    calls = []
+    project = attacks._project_linf
+    monkeypatch.setattr(attacks, "_project_linf", lambda *args: calls.append(1) or project(*args))
+    model, X, y, cfg = linear_linf_example(steps=steps, alpha=alpha, clamp=clamp)
+    got = pgd_attack(model, X, y, cfg)
+    assert len(calls) == (1 if steps == 1 else projections)
+    assert np.array_equal(got, per_step_pgd(model, X, y, cfg))
 
 
 # The per-step loop's outcomes on an overflow grid of a linear model: for each

@@ -313,11 +313,18 @@ def test_theory_verify_failed_check_writes_report_and_exits_two(tmp_path):
         assert line in report
 
 
-def test_theory_verify_of_a_non_gaussian_model_exits_one(tmp_path, capsys):
+def test_theory_verify_of_a_non_gaussian_model_exits_one(tmp_path, capsys, monkeypatch):
+    # the mode was checked only after both sets were sampled, the SVM trained and the test set attacked
+    def no_sampling(*args):
+        raise AssertionError("theory-verify sampled before rejecting the mode")
+
+    monkeypatch.setattr("robustdata.cli.sample", no_sampling)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"distribution": {"d": 20, "mode": "general-symmetric", "n_train": 2000}}))
-    argv = ["theory-verify", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")]
-    assert_exits_one_with(capsys, argv, "closed forms cover the gaussian model only")
+    out = tmp_path / "out"
+    argv = ["theory-verify", "--config", str(path), "--seed", "0", "--out", str(out)]
+    assert_exits_one_with(capsys, argv, "distribution.mode must be 'gaussian', got 'general-symmetric'")
+    assert not out.exists()  # rejected before any work
 
 
 def test_theory_verify_of_an_l2_attack_exits_one(tmp_path, capsys):

@@ -195,6 +195,19 @@ def test_closed_form_hinge_raises_where_tape_does(X, w):
         batch_loss_graph(LinearClassifier.zeros(2), [Tensor(w)], Tensor(X), y, 1e-3)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_hinge_parts_raises_on_a_non_finite_w_it_does_not_check(bad, lam):
+    # w is not checked up front: a NaN or Inf in it reaches the loss, 0*inf being NaN at lam = 0
+    X, y = np.array([[1.0, -2.0], [0.5, 0.0]]), np.array([1.0, -1.0])
+    with pytest.raises(NonFiniteError):
+        hinge_parts(X, y, np.array([bad, 1.0]), lam)
+    # on the seed axis, one seed's non-finite w is enough
+    w = np.array([[0.5, 1.0], [0.0, bad], [1.0, 1.0]])
+    with pytest.raises(NonFiniteError):
+        hinge_parts(np.stack([X] * 3), np.stack([y] * 3), w, lam)
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 # ---------------------------------------------------------------------------
@@ -380,6 +393,29 @@ def test_sgd_checks_the_last_update():
     cfg = TrainConfig(lr=1e10, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=2)
     with pytest.raises(NonFiniteError):
         sgd_train(LinearClassifier.zeros(2), ds, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sgd_rejects_features_made_non_finite_after_construction(bad):
+    ds = binary_dataset([[1.0, 0.5], [-1.0, -0.5], [0.5, 2.0]], [1, -1, 1])
+    ds.features[2, 1] = bad  # a Dataset checks its features only when it is built
+    cfg = TrainConfig(epochs=1, batch_size=2)
+    with pytest.raises(NonFiniteError):
+        sgd_train(LinearClassifier.zeros(2), ds, cfg)
+    with pytest.raises(NonFiniteError):  # lock-step training
+        sgd_train([LinearClassifier.zeros(2), LinearClassifier.zeros(2)], ds, [cfg, replace(cfg, seed=1)])
+
+
+def test_sgd_rejects_a_hook_batch_with_an_infinite_row():
+    ds = binary_dataset([[1.0, 0.5], [-1.0, -0.5], [0.5, 2.0]], [1, -1, 1])
+
+    def perturb(X, y):
+        X = X.copy()
+        X[0] = np.inf
+        return X
+
+    with pytest.raises(NonFiniteError):
+        sgd_train(LinearClassifier.zeros(2), ds, TrainConfig(epochs=1, batch_size=2), perturb)
 
 
 def test_sgd_rejects_empty_dataset():
