@@ -1,7 +1,6 @@
 """Robust dataset learning: make natural training yield robust classifiers."""
 
 from .attacks import AttackConfig, pgd_attack, project_to_ball, robust_accuracy
-from .autodiff import Tensor, unrolled_grad
 from .config import ExperimentConfig
 from .datafile import read_dataset, write_dataset
 from .dataset import Dataset, subsample
@@ -36,7 +35,6 @@ __all__ = [
     "RobustLearnConfig",
     "RunReport",
     "SymmetricLaw",
-    "Tensor",
     "TrainConfig",
     "accuracy",
     "adversarially_train_reference",
@@ -54,7 +52,6 @@ __all__ = [
     "sgd_train",
     "subsample",
     "symmetric_sum_check",
-    "unrolled_grad",
     "verify_weight_structure",
     "write_dataset",
 ]

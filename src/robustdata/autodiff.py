@@ -4,11 +4,12 @@ Tensors are immutable float64 arrays that remember how they were computed.
 Each primitive keeps one vjp per parent. Backward passes are themselves
 expressed with Tensor operations, so the adjoints returned by `backward`
 live on a fresh tape and can be differentiated again (re-recording). That
-is exactly what `unrolled_grad` needs: the derivative of a loss through
-one gradient-descent parameter update. Each model's loss is one fused
-node with closed-form vjps (models.batch_loss_graph), so the tape keeps
-only the primitives that `backward` and `unrolled_grad` build themselves;
-the primitives a loss was once written in are the tests' reference.
+is exactly what `learning.learner_batch` needs: the derivative of a loss
+through one gradient-descent parameter update. Each model's loss is one
+fused node with closed-form vjps (models.batch_loss_graph), so the tape
+keeps only the primitives that `backward` and `learner_batch` build
+themselves; the primitives a loss was once written in are the tests'
+reference.
 
 `backward` forms only the adjoints on a path from the output to a
 requested input (activity analysis): adjoints of constants, of leaves not
@@ -24,12 +25,11 @@ build no tape.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError, ParameterError
+from .errors import ContractError, NonFiniteError
 
 Shape = tuple[int, ...]
 
@@ -180,31 +180,3 @@ def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
                 prev = adjoint.get(parent)
                 adjoint[parent] = pg if prev is None else add(prev, pg)
     return [adjoint[t] if t in adjoint else constant(np.zeros(t.shape)) for t in inputs]
-
-
-def unrolled_grad(
-    train_loss: Callable[[Sequence[Tensor], Tensor], Tensor],
-    adv_grad: Callable[[list[np.ndarray]], Sequence[np.ndarray]],
-    params: Sequence[Tensor],
-    data: Tensor,
-    lr: float,
-) -> tuple[np.ndarray, list[np.ndarray], Tensor]:
-    """Gradient w.r.t. data of an adversarial loss through one descent step.
-
-    Takes the step updated = params - lr * d(train_loss)/d(params), calls
-    adv_grad(updated) for g (one array per parameter, treated as constant)
-    and returns (meta, updated, train_out), where
-    meta = -lr * d/d(data) < d(train_loss)/d(params), g >. When g is the
-    adversarial-loss gradient at `updated`, meta is the derivative of that
-    loss through the step. The train-loss gradient is kept on the tape,
-    which is where the second-order dependence on `data` lives.
-    """
-    if lr <= 0:
-        raise ParameterError(f"lr must be positive, got {lr}")
-    train_out = train_loss(params, data)
-    param_grads = backward(train_out, params)
-    updated = [p.data - lr * g.data for p, g in zip(params, param_grads)]
-
-    inner = reduce(add, [tsum(mul(pg, constant(g))) for pg, g in zip(param_grads, adv_grad(updated))])
-    meta = -lr * backward(inner, [data])[0].data
-    return meta, updated, train_out

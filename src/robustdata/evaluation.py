@@ -68,6 +68,8 @@ class EvalPlan:
     def __post_init__(self):
         if not self.architectures or not self.seeds or not self.budgets:
             raise ParameterError("need at least one architecture, seed, and budget")
+        for b in self.budgets:  # before any model trains: AttackConfig's check of eps
+            self.attack.with_eps(b)
         budgets = sorted(self.budgets)  # budgets within RunReport.cell's 1e-12 are one cell
         if len(set(self.architectures)) < len(self.architectures) or len(set(self.seeds)) < len(self.seeds) \
                 or any(b - a < 1e-12 for a, b in zip(budgets, budgets[1:])):

@@ -11,10 +11,9 @@ One learning run keeps a single classifier alive and, per mini-batch:
      step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>, and
      clips it to the attack's box (`attack_for_dataset`).
 
-Steps 1 and 3 are one call of `autodiff.unrolled_grad` on the fused node
+`learner_batch` runs steps 1-3 of one batch on the fused node
 `models.batch_loss_graph` over theta, the parameters as one flat vector;
-the acceptance gate checks that call against finite differences. Step 2
-is its callback.
+the acceptance gate checks its meta-gradient against finite differences.
 
 The adversarial examples are constants with respect to the data: the
 meta-gradient flows only through the parameter update. In the default
@@ -77,6 +76,32 @@ class EpochTrace:
     update_norm: float
 
 
+def learner_batch(model, theta, b_rob, b_nat, yb, cfg: RobustLearnConfig, attack_cfg: AttackConfig):
+    """Steps 1-3 of one batch on the tape: (meta-gradient, step-1 theta, step-1 loss node, adversarial loss).
+
+    G, the train-loss gradient on `b_rob`, stays on the tape: the meta-gradient
+    -gamma * d/d(b_rob) <G, g> is the data's second-order dependence through
+    the step. `model` is left at the step-1 theta.
+    """
+    leaf, X = Tensor(theta), Tensor(b_rob)
+    train_out = batch_loss_graph(model, [leaf], X, yb, cfg.lam)
+    (G,) = ad.backward(train_out, [leaf])
+    updated = theta - cfg.gamma * G.data
+    g, adv_loss = _adversarial_gradient(model, theta, updated, b_nat, yb, cfg, attack_cfg)
+    (meta,) = ad.backward(ad.tsum(ad.mul(G, ad.constant(g))), [X])
+    return -cfg.gamma * meta.data, updated, train_out, adv_loss
+
+
+def _adversarial_gradient(model, theta, updated, b_nat, yb, cfg: RobustLearnConfig, attack_cfg: AttackConfig):
+    """Step 2 and (g, adversarial loss); its tape is freed before the meta-gradient's backward."""
+    model.set_params(unflatten(model, updated))
+    x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
+    leaf = Tensor(updated if cfg.mode == META_GRADIENT else theta)
+    adv_out = batch_loss_graph(model, [leaf], Tensor(x_adv), yb, cfg.lam)
+    (g,) = ad.backward(adv_out, [leaf])
+    return g.data, adv_out.item()
+
+
 def learn_robust_dataset(
     x_nat: Dataset,
     model_factory: Callable[[int], object],
@@ -96,7 +121,7 @@ def learn_robust_dataset(
     attack_cfg = attack_for_dataset(cfg.attack, x_nat)
     box = attack_cfg.clamp
 
-    params = [flatten(model.params())]  # theta, one flat vector
+    theta = flatten(model.params())  # one flat vector
     shuffle = rng.child(1)
     trace: list[EpochTrace] = []
 
@@ -108,26 +133,8 @@ def learn_robust_dataset(
                 with np.errstate(all="ignore"):  # NonFiniteError is the only report
                     idx = order[start : start + cfg.batch_size]
                     b_rob, b_nat, yb = x_rob[idx], x_natural[idx], y[idx]
-
-                    def train_loss(theta, data):
-                        return batch_loss_graph(model, theta, data, yb, cfg.lam)
-
-                    def adv_grad(updated):
-                        # step 2: adversarial examples of the natural batch against the
-                        # step-1 estimate (constants below); g is taken at that estimate,
-                        # or at the pre-step parameters in the alternating mode
-                        model.set_params(unflatten(model, updated[0]))
-                        x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
-                        leaves = [Tensor(p) for p in (updated if cfg.mode == META_GRADIENT else params)]
-                        adv_out = batch_loss_graph(model, leaves, Tensor(x_adv), yb, cfg.lam)
-                        adv_losses.append(adv_out.item())
-                        return [g.data for g in ad.backward(adv_out, leaves)]
-
-                    # steps 1 and 3: one gradient step on the robust batch, then the
-                    # signed meta-gradient update of that batch through the step
-                    meta, params, train_out = ad.unrolled_grad(
-                        train_loss, adv_grad, [Tensor(p) for p in params], Tensor(b_rob), cfg.gamma
-                    )
+                    # train_out holds the step-1 tape until the next batch's learner_batch returns
+                    meta, theta, train_out, adv_loss = learner_batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg)
                     step = -cfg.beta * np.sign(meta)
                     updated = b_rob + step
                     if box is not None:
@@ -136,6 +143,7 @@ def learn_robust_dataset(
                     x_rob[idx] = updated
 
                     clean_losses.append(train_out.item())
+                    adv_losses.append(adv_loss)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"learner diverged at epoch {epoch}, batch {batch}: {exc}") from exc
         trace.append(

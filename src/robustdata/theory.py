@@ -57,6 +57,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ParameterError(f"d must be >= 1, got {self.d}")
+        if not abs(self.mu) < np.inf:  # abs(nan) < inf is False too
+            raise ParameterError(f"mu must be finite, got {self.mu}")
         if not 0.5 < self.p <= 1.0:
             raise ParameterError(f"p must be in (0.5, 1], got {self.p}")
         if self.mode not in (GAUSSIAN, GENERAL_SYMMETRIC, ROBUST_STAR):

@@ -1,13 +1,14 @@
-"""Reference implementations for the tests: `grad`, central finite
-differences, both model objectives written in tape primitives, and a
-Monte-Carlo oracle for the closed-form accuracies.
+"""Reference implementations for the tests: `grad`, `unrolled_grad`,
+central finite differences, both model objectives written in tape
+primitives, and a Monte-Carlo oracle for the closed-form accuracies.
 
 Nothing in the package calls these; the tests and the acceptance gate
 (criteria 6 and 7) compare the package against them. `tape_loss_graph` is
 the bit-exact reference for the fused node of `models.batch_loss_graph`,
-for both model families. The package's tape keeps only the primitives
-that `backward` and `unrolled_grad` build; the ones the objectives need
-are defined here: `neg`, `power`, `texp`, `tlog`, `relu`, `mean`,
+for both model families, and `unrolled_grad` is the generic form of
+`learning.learner_batch`'s steps 1 and 3. The package's tape keeps only
+the primitives that `backward` and `learner_batch` build; the ones the
+objectives need are defined here: `neg`, `power`, `texp`, `tlog`, `relu`, `mean`,
 `transpose` and `matmul` (2-D), the 1-D products `dot` and `outer` of the
 linear references, and `take`, which cuts one parameter out of the flat
 `theta`.
@@ -34,6 +35,33 @@ def grad(objective: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[Ten
     if not isinstance(out, Tensor):
         raise ContractError("objective must return a Tensor")
     return backward(out, inputs)
+
+
+def unrolled_grad(
+    train_loss: Callable[[Sequence[Tensor], Tensor], Tensor],
+    adv_grad: Callable[[list[np.ndarray]], Sequence[np.ndarray]],
+    params: Sequence[Tensor],
+    data: Tensor,
+    lr: float,
+) -> tuple[np.ndarray, list[np.ndarray], Tensor]:
+    """Gradient w.r.t. data of an adversarial loss through one descent step.
+
+    Takes the step updated = params - lr * d(train_loss)/d(params), calls
+    adv_grad(updated) for g (one array per parameter, treated as constant)
+    and returns (meta, updated, train_out), where
+    meta = -lr * d/d(data) < d(train_loss)/d(params), g >. When g is the
+    adversarial-loss gradient at `updated`, meta is the derivative of that
+    loss through the step. `backward` is looked up on the autodiff module at
+    each call, so a test may patch it there.
+    """
+    if lr <= 0:
+        raise ParameterError(f"lr must be positive, got {lr}")
+    train_out = train_loss(params, data)
+    param_grads = ad.backward(train_out, params)
+    updated = [p.data - lr * g.data for p, g in zip(params, param_grads)]
+    inner = reduce(ad.add, [ad.tsum(mul(pg, constant(g))) for pg, g in zip(param_grads, adv_grad(updated))])
+    meta = -lr * ad.backward(inner, [data])[0].data
+    return meta, updated, train_out
 
 
 # ---------------------------------------------------------------------------

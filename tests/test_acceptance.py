@@ -22,8 +22,9 @@ import time
 import numpy as np
 import pytest
 
+from robustdata import learning
 from robustdata.attacks import AttackConfig, closed_form_linear_robust_accuracy, robust_accuracy
-from robustdata.autodiff import Tensor, backward, unrolled_grad
+from robustdata.autodiff import Tensor, backward
 from robustdata.cli import cli_run
 from robustdata.datafile import read_dataset, write_dataset
 from robustdata.dataset import subsample
@@ -191,8 +192,8 @@ def test_criterion_06_closed_form_vs_monte_carlo():
 def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
     """Relative errors of the learner's meta-gradient and of the loss's data gradient against central differences.
 
-    The meta-gradient is unrolled_grad on batch_loss_graph, called as the
-    learner calls it, on one flat parameter leaf, with PGD's output fixed at X_adv.
+    The meta-gradient is learning.learner_batch's, on batch_loss_graph over one
+    flat parameter leaf, as the learner calls it, with PGD's output fixed at X_adv.
     """
     params0 = [flatten(model.params())]
 
@@ -202,11 +203,10 @@ def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
     def adv_loss(ps):
         return batch_loss_graph(model, ps, Tensor(X_adv), y, lam)
 
-    def adv_grad(updated):  # the learner's callback
-        leaves = [Tensor(p) for p in updated]
-        return [g.data for g in backward(adv_loss(leaves), leaves)]
-
-    meta, _, _ = unrolled_grad(train_loss, adv_grad, [Tensor(p) for p in params0], Tensor(X0), lr)
+    cfg = RobustLearnConfig(epochs=1, gamma=lr, beta=0.01, attack=AttackConfig(eps=0.1), lam=lam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "pgd_attack", lambda *args: X_adv)
+        meta = learning.learner_batch(model, params0[0], X0, X0, y, cfg, cfg.attack)[0]
 
     def composed(Xv):
         leaves = [Tensor(p) for p in params0]

@@ -12,7 +12,7 @@ from robustdata import autodiff as ad
 from robustdata import learning
 from robustdata import rng as rng_module
 from robustdata.attacks import AttackConfig
-from robustdata.autodiff import Tensor, backward, unrolled_grad
+from robustdata.autodiff import Tensor, backward
 from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
@@ -22,7 +22,7 @@ from robustdata.rng import RngStream, philox_key
 from robustdata.theory import DistributionSpec, sample
 
 from gradcheck import (
-    finite_diff_check, grad, matmul, mean, neg, power, relu, tape_loss_graph, texp, tlog, transpose,
+    finite_diff_check, grad, matmul, mean, neg, power, relu, tape_loss_graph, texp, tlog, transpose, unrolled_grad,
 )
 
 
@@ -365,8 +365,8 @@ def assert_bit_identical(got, ref):
 
 
 def with_backward(impl, run, graph=None):
-    """run() with autodiff.backward replaced by `impl` (unrolled_grad looks it up there too)
-    and, given a `graph`, the learner's batch_loss_graph by it."""
+    """run() with autodiff.backward replaced by `impl` (learner_batch and gradcheck's unrolled_grad
+    look it up there) and, given a `graph`, the learner's batch_loss_graph by it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "backward", impl)
         if graph is not None:
@@ -389,7 +389,7 @@ def test_pruned_backward_matches_every_edge_on_expressions(seed, n, lr):
         def train(ps, d):
             return random_smooth_expression(RngStream(expr_seed), ad.mul(ps[0], d))
 
-        meta, updated, _ = ad.unrolled_grad(train, lambda updated: [v], [Tensor(x0)], Tensor(d0), lr)
+        meta, updated, _ = unrolled_grad(train, lambda updated: [v], [Tensor(x0)], Tensor(d0), lr)
         return [meta, *updated]
 
     for run in (first_order, unrolled):
@@ -426,22 +426,22 @@ def learner_batches(draw):
 
 
 def recorded_learn(impl, train, factory, cfg, graph=None):
-    """Every backward result and every (meta, *updated) of a learner run, and its learned features."""
+    """Every backward result and every (meta, updated) of a learner run, and its learned features."""
     calls = []
-    unrolled = ad.unrolled_grad
+    batch = learning.learner_batch
 
     def recording_backward(output, inputs):
         adjoints = impl(output, inputs)
         calls.append([g.data for g in adjoints])
         return adjoints
 
-    def recording_unrolled(*args):
-        meta, updated, train_out = unrolled(*args)
-        calls.append([meta, *updated])
-        return meta, updated, train_out
+    def recording_batch(*args):
+        meta, updated, train_out, adv_loss = batch(*args)
+        calls.append([meta, updated])
+        return meta, updated, train_out, adv_loss
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ad, "unrolled_grad", recording_unrolled)
+        mp.setattr(learning, "learner_batch", recording_batch)
         mp.setattr(ad, "backward", recording_backward)
         if graph is not None:
             mp.setattr(learning, "batch_loss_graph", graph)
@@ -550,7 +550,7 @@ def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
     # from constant(0.0) and the log-softmax shift was neg(constant(max));
     # 115 and 387 when backward formed an adjoint for every parent of every node;
     # linear 82 with the hinge as 15 tape primitives instead of one fused node;
-    # 26 and 301 when backward built zeros for every input and unrolled_grad's
+    # 26 and 301 when backward built zeros for every input and the meta-gradient's
     # inner product started from constant(0.0)
     train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 256, RngStream(3))
     cfg = RobustLearnConfig(epochs=1, gamma=0.05, beta=0.01, attack=AttackConfig(eps=0.8, steps=10))
@@ -567,18 +567,19 @@ def learner_train_set():
 def network_batch():
     rng = RngStream(41)
     model = MlpClassifier.init([5, 8, 8, 3], rng)
-    return model, [Tensor(flatten(model.params()))], Tensor(rng.normal(0, 1, (16, 5))), np.arange(16) % 3
+    return model, flatten(model.params()), rng.normal(0, 1, (16, 5)), np.arange(16) % 3
 
 
 def network_loss_and_backward():
-    model, leaves, X, y = network_batch()
-    backward(batch_loss_graph(model, leaves, X, y, 1e-3), leaves)
+    model, theta, X, y = network_batch()
+    leaves = [Tensor(theta)]
+    backward(batch_loss_graph(model, leaves, Tensor(X), y, 1e-3), leaves)
 
 
-def network_unrolled_grad():
-    model, leaves, X, y = network_batch()
-    unrolled_grad(lambda theta, data: batch_loss_graph(model, theta, data, y, 1e-3),
-                  lambda updated: [np.ones_like(p) for p in updated], leaves, X, 0.1)
+def network_learner_batch():
+    model, theta, X, y = network_batch()
+    cfg = RobustLearnConfig(epochs=1, gamma=0.1, beta=0.01, attack=AttackConfig(eps=0.8, steps=2))
+    learning.learner_batch(model, theta, X, X, y, cfg, cfg.attack)
 
 
 def network_learn():
@@ -590,7 +591,7 @@ def network_sgd_train():
     sgd_train(model_factory("mlp:8-8", 21)(0), learner_train_set(), TrainConfig(epochs=1))
 
 
-@pytest.mark.parametrize("run", [network_loss_and_backward, network_unrolled_grad, network_learn, network_sgd_train])
+@pytest.mark.parametrize("run", [network_loss_and_backward, network_learner_batch, network_learn, network_sgd_train])
 def test_network_tapes_leave_no_cyclic_garbage(run):
     # refcounting alone must free each tape when its batch ends: a vjp that
     # held its own node strongly would make every network tape a reference cycle

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from robustdata import evaluation
 from robustdata.cli import _test_set, cli_run
 from robustdata.config import ExperimentConfig
 from robustdata.datafile import read_dataset, write_dataset
@@ -88,10 +89,14 @@ def test_inverted_attack_clamp_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, section, key, value",
-    [("learn", "attack", "eps", float("nan")), ("evaluate", "eval", "budgets", [float("inf")])],
-    ids=["learn-nan-eps", "evaluate-inf-budget"],
+    [("learn", "attack", "eps", float("nan")), ("evaluate", "eval", "budgets", [float("inf")]),
+     ("evaluate", "eval", "budgets", [0.4, -0.1])],
+    ids=["learn-nan-eps", "evaluate-inf-budget", "evaluate-negative-budget"],
 )
-def test_non_finite_attack_budget_exits_one(tmp_path, capsys, command, section, key, value):
+def test_non_finite_attack_budget_exits_one(tmp_path, capsys, monkeypatch, command, section, key, value):
+    # evaluate trained every seed, and attacked at 0.4, before it rejected a budget
+    trained = []
+    monkeypatch.setattr(evaluation, "sgd_train", lambda *args: trained.append(args))
     config = json.loads(json.dumps(SMALL_CONFIG))
     config[section][key] = value
     config["robust_learn"]["epochs"] = 1
@@ -100,6 +105,7 @@ def test_non_finite_attack_budget_exits_one(tmp_path, capsys, command, section, 
     code = cli_run([command, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error: eps must be positive and finite" in capsys.readouterr().err
+    assert trained == []
 
 
 @pytest.mark.parametrize(

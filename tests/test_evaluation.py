@@ -65,6 +65,14 @@ def test_plan_rejects_repeats(architectures, seeds, budgets):
     EvalPlan(ds, ds, ["linear", "mlp:4"], [0, 1], [0.1, 0.1 + 2e-12], AttackConfig(eps=0.1), TRAIN)
 
 
+@pytest.mark.parametrize("budget", [-0.1, 0.0, np.inf])
+def test_plan_rejects_unusable_budgets(budget):
+    # each was accepted, and evaluate_dataset trained every architecture's seeds before AttackConfig rejected it
+    ds = two_gaussians(RngStream(0), 10)
+    with pytest.raises(ParameterError, match="eps must be positive and finite"):
+        EvalPlan(ds, ds, ["linear"], [0], [0.4, budget], AttackConfig(eps=0.1), TRAIN)
+
+
 def test_plan_rejects_test_set_of_another_width():
     # it used to fail at the first matmul with numpy's size message
     ds = two_gaussians(RngStream(0), 10)

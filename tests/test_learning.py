@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from robustdata import autodiff, learning
 from robustdata.attacks import AttackConfig, attack_for_dataset, closed_form_linear_robust_accuracy, robust_accuracy
 from robustdata.config import ExperimentConfig
 from robustdata.dataset import Dataset, subsample
@@ -74,21 +75,32 @@ def test_divergence_names_epoch_and_batch():
 
 
 def test_learner_calls_the_checked_meta_gradient(monkeypatch):
-    # acceptance criterion 7 checks autodiff.unrolled_grad against finite
-    # differences; the learner must take its meta-gradient from that function
-    from robustdata import autodiff
-
-    calls = []
-    original = autodiff.unrolled_grad
+    # acceptance criterion 7 checks learning.learner_batch against finite differences;
+    # the learner must take its meta-gradient from that function. benchmarks/tracing.py
+    # cuts each batch into steps 1-3 by this call order, wrapping each callee where it is
+    # patched here: step 1 is a loss graph and its backward, step 2 the attack, step 3
+    # the adversarial loss graph, its backward and the meta-gradient's backward
+    batches = []
+    batch = learning.learner_batch
 
     def counted(*args):
-        calls.append(1)
-        return original(*args)
+        batches.append([])
+        return batch(*args)
 
-    monkeypatch.setattr(autodiff, "unrolled_grad", counted)
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            batches[-1].append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(learning, "learner_batch", counted)
+    for owner, name in ((learning, "batch_loss_graph"), (learning, "pgd_attack"), (autodiff, "backward")):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
     train, _ = task(n=300)
     learn_robust_dataset(train, model_factory("linear", D + 1), learner_config(epochs=2), RngStream(0))
-    assert len(calls) == 2 * 3  # epochs x batches of 128 over 300 rows
+    calls = ["batch_loss_graph", "backward", "pgd_attack", "batch_loss_graph", "backward", "backward"]
+    assert batches == [calls] * (2 * 3)  # epochs x batches of 128 over 300 rows
 
 
 def test_beta_zero_freezes_data():

@@ -16,7 +16,7 @@ from robustdata.models import (
 )
 from robustdata.rng import RngStream
 
-from gradcheck import grad, tape_loss_graph
+from gradcheck import grad, tape_loss_graph, unrolled_grad
 
 
 def binary_dataset(X, y):
@@ -131,15 +131,15 @@ def learner_steps(draw):
 
 
 def node_derivatives(graph, model, X, y, theta, lam, lr, g):
-    """The loss, its X and theta adjoints, and unrolled_grad's meta, updated and loss; the model only
-    gives the loss and the parameter shapes, `theta` the flat parameters."""
+    """The loss, its X and theta adjoints, and gradcheck.unrolled_grad's meta, updated and loss; the model
+    only gives the loss and the parameter shapes, `theta` the flat parameters."""
     X_leaf, theta_leaf = Tensor(X), Tensor(theta)
     out = graph(model, [theta_leaf], X_leaf, y, lam)
     g_X, g_theta = ad.backward(out, [X_leaf, theta_leaf])
     if graph is batch_loss_graph:  # the fused node forms no parameter Hessian, and says so
         with pytest.raises(ContractError, match="forms no such derivative"):
             ad.backward(ad.tsum(ad.mul(g_theta, ad.constant(g))), [theta_leaf])
-    meta, updated, train_out = ad.unrolled_grad(
+    meta, updated, train_out = unrolled_grad(
         lambda ps, data: graph(model, ps, data, y, lam), lambda updated: [g], [Tensor(theta)], Tensor(X), lr
     )
     return [out.data, g_X.data, g_theta.data, meta, *updated, train_out.data]

@@ -9,6 +9,7 @@ from robustdata.models import LinearClassifier, TrainConfig, accuracy, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import (
     DistributionSpec,
+    GAUSSIAN,
     GENERAL_SYMMETRIC,
     ROBUST_STAR,
     SymmetricLaw,
@@ -36,6 +37,15 @@ def test_spec_validation():
         DistributionSpec(d=5, mode="bogus")
     with pytest.raises(ParameterError):
         DistributionSpec(d=5, mu=1.5, mode=GENERAL_SYMMETRIC)
+
+
+@pytest.mark.parametrize("mu, mode", [(np.inf, GAUSSIAN), (-np.inf, GAUSSIAN), (np.nan, GAUSSIAN),
+                                      (np.nan, GENERAL_SYMMETRIC)])
+def test_spec_rejects_non_finite_mu(mu, mode):
+    # each was accepted, and sample then failed with "features contain NaN or Inf";
+    # NaN passed the general-symmetric check, since abs(nan) > 1.0 is False
+    with pytest.raises(ParameterError, match="mu must be finite"):
+        DistributionSpec(d=5, mu=mu, mode=mode)
 
 
 # ---------------------------------------------------------------------------
