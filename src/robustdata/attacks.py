@@ -27,6 +27,11 @@ per-step PGD loop are kept in the tests as the bit-exact references.
 
 A dataset is attacked in chunks sized by bytes (adversarial_chunks), so an
 attack's temporaries are reused from the heap rather than mapped afresh.
+adversarial_chunks and robust_accuracy take one model or a list of models
+of one architecture, and attack a list in one pass, each model byte for
+byte as alone: two or more linear models under l-inf share two iterates
+per chunk, of the steps +alpha and -alpha, and select their rows from
+them (_shared_linf_attack).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ContractError, DataError, NonFiniteError, ParameterError
-from .models import LinearClassifier, mlp_parts
+from .models import LinearClassifier, mlp_parts, same_architecture
 
 LINF = "linf"
 L2 = "l2"
@@ -206,8 +211,55 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
     return x_adv
 
 
+def _shared_linf_attack(models: list, cfg: AttackConfig):
+    """Each linear model's l-inf attack on a chunk, made from iterates that every model shares.
+
+    A model's step is alpha * sign(-y*w) per element, so +alpha, -alpha or +0.0
+    (np.sign never gives -0.0), and _linear_linf_pgd works element by element
+    on (x_nat, step) with bounds from x_nat alone. So the iterates of the scalar
+    steps +alpha and -alpha hold, per element, the bits of any model's attack
+    there, and a model's rows are np.where(table[y < 0], up, down), with the
+    table sign(-+w) > 0 gathered by label. The +0.0 step's iterate is made only
+    when some w has an exact zero. Each w is checked finite once, each chunk's
+    rows once (a clamp would clip an infinite row to a finite one), and each
+    model's selected rows, so an overflowing iterate that no model selects
+    does not raise.
+    """
+    ws = [m.w for m in models]
+    if not all(np.isfinite(w).all() for w in ws):
+        raise NonFiniteError("tensor contains NaN or Inf")
+    tables = [np.outer([-1.0, 1.0], w) > 0 for w in ws]  # row 0 for y = +1, row 1 for y = -1
+    zeros = [w == 0 for w in ws]
+    any_zero = any(z.any() for z in zeros)
+
+    def attack(x_nat: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        if not np.isfinite(x_nat).all():
+            raise NonFiniteError("tensor contains NaN or Inf")
+        with np.errstate(all="ignore"):
+            up, down = _linear_linf_pgd(x_nat, cfg.alpha, cfg), _linear_linf_pgd(x_nat, -cfg.alpha, cfg)
+            zero = _linear_linf_pgd(x_nat, 0.0, cfg) if any_zero else None
+        pick = (y < 0).astype(np.intp)
+        out = []
+        for table, z in zip(tables, zeros):
+            x_adv = np.where(table[pick], up, down)
+            if zero is not None:
+                np.copyto(x_adv, zero, where=z)
+            if not np.isfinite(x_adv).all():
+                raise NonFiniteError("tensor contains NaN or Inf")
+            out.append(x_adv)
+        return out
+
+    return attack
+
+
 def adversarial_chunks(model, dataset: Dataset, cfg: AttackConfig) -> Iterator:
     """(x_adv, targets) of chunks of rows attacked inside the dataset's value range.
+
+    Given a list of models of one architecture, x_adv is a list with each
+    model's rows, byte for byte those it gets alone. Two or more linear models
+    under l-inf share two iterates per chunk (_shared_linf_attack); otherwise
+    each model runs pgd_attack on the chunk. An empty list, or models of
+    different families or shapes, is a ParameterError.
 
     A chunk's float64 feature block fits CHUNK_BYTES, so each attack's row-sized
     temporaries (the iterate, the ball bounds, the step, the gradient) stay
@@ -221,23 +273,39 @@ def adversarial_chunks(model, dataset: Dataset, cfg: AttackConfig) -> Iterator:
     so small networks keep those bits (wide ones may not; see the README).
     Labels are converted once. An empty dataset is a DataError.
     """
+    models = model if isinstance(model, list) else [model]
+    if not same_architecture(models):
+        raise ParameterError("a lock-step attack takes a non-empty list of models of one architecture")
     if dataset.n == 0:
         raise DataError("cannot attack an empty dataset")
     cfg = attack_for_dataset(cfg, dataset)
-    targets = model.targets(dataset.labels)
+    targets = models[0].targets(dataset.labels)
     fit = CHUNK_BYTES // (8 * max(1, dataset.width))
     rows = fit - fit % ROW_BLOCK if fit >= ROW_BLOCK else max(1, fit)
+    if len(models) > 1 and isinstance(models[0], LinearClassifier) and cfg.norm == LINF:
+        attack = _shared_linf_attack(models, cfg)
+    else:
+        def attack(x, y):
+            return [pgd_attack(m, x, y, cfg) for m in models]
     for start in range(0, dataset.n, rows):
         y = targets[start : start + rows]
-        yield pgd_attack(model, dataset.features[start : start + rows], y, cfg), y
+        x_adv = attack(dataset.features[start : start + rows], y)
+        yield (x_adv if isinstance(model, list) else x_adv[0]), y
 
 
-def robust_accuracy(model, dataset: Dataset, cfg: AttackConfig) -> float:
-    """Accuracy on per-point PGD adversarial examples inside the dataset's value range."""
-    correct = 0
-    for x_adv, y in adversarial_chunks(model, dataset, cfg):
-        correct += int(np.sum(model.predict(x_adv) == y))
-    return correct / dataset.n
+def robust_accuracy(model, dataset: Dataset, cfg: AttackConfig):
+    """Accuracy on per-point PGD adversarial examples inside the dataset's value range.
+
+    Given a list of models of one architecture, one accuracy per model, each
+    the model's alone; one pass over the dataset attacks them all.
+    """
+    models = model if isinstance(model, list) else [model]
+    correct = [0] * len(models)
+    for x_advs, y in adversarial_chunks(models, dataset, cfg):
+        for i, (m, x_adv) in enumerate(zip(models, x_advs)):
+            correct[i] += int(np.sum(m.predict(x_adv) == y))
+    accuracies = [c / dataset.n for c in correct]
+    return accuracies if isinstance(model, list) else accuracies[0]
 
 
 def closed_form_linear_robust_accuracy(model: LinearClassifier, dataset: Dataset, eps: float) -> float:

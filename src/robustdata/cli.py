@@ -25,9 +25,8 @@ from .config import ExperimentConfig, _has_kind, _kind_name
 from .datafile import atomic_write, read_dataset, write_csv, write_dataset
 from .dataset import Dataset, subsample
 from .errors import DataError, ParameterError
-from .evaluation import EvalPlan, evaluate_dataset, figure2_toy, model_factory
+from .evaluation import EvalPlan, evaluate_dataset, figure2_toy, model_factory, report_tags
 from .learning import (
-    RobustLearnConfig,
     adversarially_train_reference,
     baseline_adv_dataset,
     learn_robust_dataset,
@@ -243,7 +242,7 @@ def cmd_theory_verify(args, cfg: ExperimentConfig, seed: int, rng: RngStream) ->
 
 def cmd_learn(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     x_nat = _load_or_generate(args, cfg, rng)
-    learn_cfg = RobustLearnConfig(**cfg.section("robust_learn"), attack=cfg.attack_config(), theta0_seed=seed)
+    learn_cfg = cfg.robust_learn_config(seed)
     factory = model_factory(cfg.section("model")["arch"], x_nat.width)
     learned, trace = learn_robust_dataset(x_nat, factory, learn_cfg, rng.child(200))
     learned.provenance["config_hash"] = cfg.config_hash()
@@ -279,12 +278,7 @@ def cmd_baseline(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
 def cmd_evaluate(args, cfg: ExperimentConfig, seed: int, rng: RngStream) -> int:
     ev = cfg.section("eval")
     fractions = ev["subsample_fractions"]
-    tags = ["" if fraction == 1.0 else f"_frac{fraction:g}" for fraction in fractions]
-    if not tags or len(set(tags)) < len(tags):
-        raise ParameterError(f"eval.subsample_fractions {fractions} must name at least one fraction, each with "
-                             "its own report name (report_frac<fraction:g>, or report for 1)")
-    if not all(0.0 < fraction <= 1.0 for fraction in fractions):
-        raise ParameterError(f"eval.subsample_fractions {fractions} must each be in (0, 1]")
+    tags = report_tags(fractions)
     dataset = _load_or_generate(args, cfg, rng)
     test = _test_set(dataset, cfg, rng)
 

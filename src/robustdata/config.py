@@ -5,7 +5,11 @@ Every field is optional and falls back to the defaults below; unknown
 keys anywhere are rejected, and a value must have its default's JSON
 kind. The train, attack and robust_learn sections hold exactly the
 fields of the object each builds (TrainConfig, AttackConfig,
-RobustLearnConfig) apart from those its caller supplies. The config
+RobustLearnConfig) apart from those its caller supplies. Building a
+config range-checks every section, whichever subcommand reads it: the
+distribution, train, attack and robust_learn sections build their objects,
+model.arch and the eval architectures parse, and the eval grid and
+subsample fractions pass the checks evaluate applies. The config
 hash is the first 16 hex digits of the SHA-256 of the fully-resolved
 canonical document, so two documents that differ only in key order or
 in spelling out defaults hash identically.
@@ -72,6 +76,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.doc = _validate(self.doc)
+        from .evaluation import check_grid, parse_arch, report_tags  # on use: keeps learning loaded after theory
+        # every section is range-checked here, by the objects it builds, so that no
+        # subcommand accepts a config (and writes its hash) that another rejects
+        self.distribution_spec()
+        self.train_config()
+        self.robust_learn_config(0)  # builds attack_config() too
+        parse_arch(self.doc["model"]["arch"])
+        ev = self.doc["eval"]
+        check_grid(ev["architectures"], ev["seeds"], ev["budgets"], self.attack_config())
+        report_tags(ev["subsample_fractions"])
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -98,6 +112,10 @@ class ExperimentConfig:
         if a["clamp"] is not None:
             a["clamp"] = tuple(a["clamp"])
         return AttackConfig(**a)
+
+    def robust_learn_config(self, seed: int = 0) -> "RobustLearnConfig":
+        from .learning import RobustLearnConfig  # on use, as in __post_init__
+        return RobustLearnConfig(**self.section("robust_learn"), attack=self.attack_config(), theta0_seed=seed)
 
 
 # the kinds of the null defaults: alpha is a number, clamp a [lo, hi] pair of numbers

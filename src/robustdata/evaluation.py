@@ -3,7 +3,8 @@ attacks on clean-distribution test data.
 
 A fresh classifier is always re-initialized from the plan's seed, so
 nothing leaks from whatever produced the dataset; an architecture's
-seeds train in one lock-step sgd_train call, each as it would alone.
+seeds train in one lock-step sgd_train call, and are attacked at each
+budget in one lock-step robust_accuracy call, each as it would alone.
 Robustness is always measured on perturbations of clean test points,
 never of the candidate dataset itself.
 """
@@ -55,6 +56,36 @@ def model_factory(arch: str, width: int):
     return lambda seed: make_model(arch, width, 2, seed)
 
 
+def check_grid(architectures: list[str], seeds: list[int], budgets: list[float], attack: AttackConfig) -> None:
+    """Reject a grid before any model trains: an empty list, an unknown architecture,
+    a budget that is not a usable eps, or a repeat, whose cells would be written twice."""
+    if not architectures or not seeds or not budgets:
+        raise ParameterError("need at least one architecture, seed, and budget")
+    for arch in architectures:
+        parse_arch(arch)
+    for b in budgets:  # AttackConfig's check of eps
+        attack.with_eps(b)
+    ordered = sorted(budgets)  # budgets within RunReport.cell's 1e-12 are one cell
+    if len(set(architectures)) < len(architectures) or len(set(seeds)) < len(seeds) \
+            or any(b - a < 1e-12 for a, b in zip(ordered, ordered[1:])):
+        raise ParameterError(f"repeated architecture, seed or budget in {architectures}, {seeds}, "
+                             f"{budgets}: its cells would be written twice")
+
+
+def report_tags(fractions: list[float]) -> list[str]:
+    """Each subsample fraction's report-name suffix: '' for 1, else _frac<fraction:g>.
+
+    There must be at least one fraction, each in (0, 1] and with its own name.
+    """
+    tags = ["" if fraction == 1.0 else f"_frac{fraction:g}" for fraction in fractions]
+    if not tags or len(set(tags)) < len(tags):
+        raise ParameterError(f"eval.subsample_fractions {fractions} must name at least one fraction, each with "
+                             "its own report name (report_frac<fraction:g>, or report for 1)")
+    if not all(0.0 < fraction <= 1.0 for fraction in fractions):
+        raise ParameterError(f"eval.subsample_fractions {fractions} must each be in (0, 1]")
+    return tags
+
+
 @dataclass
 class EvalPlan:
     dataset: Dataset
@@ -66,15 +97,7 @@ class EvalPlan:
     train: TrainConfig
 
     def __post_init__(self):
-        if not self.architectures or not self.seeds or not self.budgets:
-            raise ParameterError("need at least one architecture, seed, and budget")
-        for b in self.budgets:  # before any model trains: AttackConfig's check of eps
-            self.attack.with_eps(b)
-        budgets = sorted(self.budgets)  # budgets within RunReport.cell's 1e-12 are one cell
-        if len(set(self.architectures)) < len(self.architectures) or len(set(self.seeds)) < len(self.seeds) \
-                or any(b - a < 1e-12 for a, b in zip(budgets, budgets[1:])):
-            raise ParameterError(f"repeated architecture, seed or budget in {self.architectures}, {self.seeds}, "
-                                 f"{self.budgets}: its cells would be written twice")
+        check_grid(self.architectures, self.seeds, self.budgets, self.attack)
         if self.dataset.width != self.test.width:
             raise DataError(f"dataset has {self.dataset.width} features but its test set has {self.test.width}")
 
@@ -119,11 +142,12 @@ class RunReport:
 
 
 def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
-    """Train naturally per (arch, seed), then attack on the clean test set.
+    """Train naturally per (arch, seed), then attack each arch's seeds per budget on the clean test set.
 
     With `budgets=[attack.eps]` this is the architecture x seed transfer grid.
     A cell's train_seconds is its seed's share of its architecture's one
-    training call plus its clean-accuracy time.
+    training call plus its clean-accuracy time, and its attack_seconds its
+    seed's share of the one robust_accuracy call of its (arch, budget).
     `rng` is unused: each model is initialised from its plan seed and the
     attacks draw no randomness. The parameter stays for existing callers.
     """
@@ -144,14 +168,19 @@ def evaluate_dataset(plan: EvalPlan, rng: RngStream) -> RunReport:
         models = [make_model(arch, plan.dataset.width, num_classes, seed) for seed in plan.seeds]
         sgd_train(models, plan.dataset, [replace(plan.train, seed=seed) for seed in plan.seeds])
         share = (time.perf_counter() - start) / len(plan.seeds)
-        for seed, model in zip(plan.seeds, models):
+        naturals, train_seconds = [], []
+        for model in models:
             start = time.perf_counter()
-            natural = accuracy(model, plan.test)
-            train_seconds = share + (time.perf_counter() - start)
-            for budget in plan.budgets:
-                start = time.perf_counter()
-                robust = robust_accuracy(model, plan.test, plan.attack.with_eps(budget))
-                report.add_cell(arch, seed, budget, natural, robust, train_seconds, time.perf_counter() - start)
+            naturals.append(accuracy(model, plan.test))
+            train_seconds.append(share + (time.perf_counter() - start))
+        robust, attack_seconds = [], []
+        for budget in plan.budgets:
+            start = time.perf_counter()
+            robust.append(robust_accuracy(models, plan.test, plan.attack.with_eps(budget)))
+            attack_seconds.append((time.perf_counter() - start) / len(plan.seeds))
+        for i, seed in enumerate(plan.seeds):
+            for b, budget in enumerate(plan.budgets):
+                report.add_cell(arch, seed, budget, naturals[i], robust[b][i], train_seconds[i], attack_seconds[b])
     return report
 
 

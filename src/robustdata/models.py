@@ -339,6 +339,11 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
+def same_architecture(models: list) -> bool:
+    """Whether `models` is a non-empty list of one family whose parameters have one set of shapes."""
+    return bool(models) and len({(type(m), *(p.shape for p in m.params())) for m in models}) == 1
+
+
 def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | None = None):
     """Train in place by mini-batch SGD with momentum; returns (model, per-epoch loss trace).
 
@@ -355,8 +360,8 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
     call and momentum update for all. One model is the one-seed case.
     """
     if isinstance(model, list) or isinstance(cfg, list):
-        if not (isinstance(model, list) and isinstance(cfg, list)) or not model or len(model) != len(cfg) \
-                or perturb is not None or len({(type(m), *(p.shape for p in m.params())) for m in model}) > 1 \
+        if not (isinstance(model, list) and isinstance(cfg, list)) or len(model) != len(cfg) \
+                or perturb is not None or not same_architecture(model) \
                 or any(replace(c, seed=0) != replace(cfg[0], seed=0) for c in cfg):
             raise ParameterError("lock-step training takes models of one architecture, one config per model, "
                                  "alike but for seed, and no hook")

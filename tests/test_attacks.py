@@ -772,3 +772,147 @@ def test_lemma1_regime_low_robust_accuracy():
     assert accuracy(model, test) >= 0.98
     rob = robust_accuracy(model, test, AttackConfig(norm="linf", eps=0.8, steps=10))
     assert rob <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# lock-step attacks: one pass over a dataset for a list of models
+# ---------------------------------------------------------------------------
+
+
+def assert_lock_step_parity(models, data, cfg):
+    """Each model's rows in lock-step are its rows alone, chunk by chunk, and so is its accuracy."""
+    alone = [list(adversarial_chunks(model, data, cfg)) for model in models]
+    together = list(adversarial_chunks(models, data, cfg))
+    assert len(together) == len(alone[0])
+    for c, (x_advs, y) in enumerate(together):
+        assert len(x_advs) == len(models)
+        for m, x_adv in enumerate(x_advs):
+            x_ref, y_ref = alone[m][c]
+            assert x_adv.tobytes() == x_ref.tobytes()  # signed zeros included
+            assert np.array_equal(y, y_ref)
+    assert robust_accuracy(models, data, cfg) == [robust_accuracy(model, data, cfg) for model in models]
+
+
+@st.composite
+def lock_step_cases(draw):
+    d, B = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    eps = 10.0 ** draw(st.floats(-3, 1))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = rows.choice([0.0, -0.0], (B, d))
+    X = np.where(rows.random((B, d)) < 0.2, zeros, rows.uniform(-3, 3, (B, d)) * eps)
+    data = Dataset(X, rows.choice([-1, 1], B))
+    k = draw(st.integers(2, 4))
+    if draw(st.integers(0, 3)) == 0:
+        models = [MlpClassifier.init([d, 4, 2], RngStream(seed)) for seed in range(k)]
+    else:
+        models = [LinearClassifier(draw(hnp.arrays(np.float64, d, elements=signed_units))) for _ in range(k)]
+    clamp = None
+    if draw(st.booleans()):
+        clamp = tuple(sorted(bound * eps for bound in draw(st.tuples(signed_units, signed_units))))
+    alpha = None if draw(st.booleans()) else eps * draw(st.floats(0.01, 3))
+    cfg = AttackConfig(norm=draw(st.sampled_from(["linf", "linf", "l2"])), eps=eps, alpha=alpha,
+                       steps=draw(st.integers(1, 12)), clamp=clamp)
+    chunk_rows = draw(st.integers(1, B))  # several chunks, and a last one that is not full
+    return models, data, cfg, chunk_rows * 8 * d
+
+
+def lock_step_example(ws=((1.0, -2.0, 0.0, 0.5), (-0.5, 3.0, 1.0, -1.0), (2.0, 1.0, -0.25, 4.0)), y=(1, -1, 1),
+                      mlp=False, norm="linf", **cfg):
+    """Three models on linear_linf_example's rows, which hold exact and signed zeros, in one-row chunks."""
+    _, X, _, attack = linear_linf_example(**cfg)
+    attack.norm = norm
+    if mlp:
+        models = [MlpClassifier.init([4, 8, 2], RngStream(seed)) for seed in range(3)]
+    else:
+        models = [LinearClassifier(np.array(w)) for w in ws]
+    return models, Dataset(X, np.array(y)), attack, 8 * X.shape[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lock_step_cases())
+@example(lock_step_example())  # an exact-zero weight and -0.0 features
+@example(lock_step_example(ws=((1.0, -2.0, 3.0, 0.5), (-0.5, 3.0, 1.0, -1.0))))  # no zero weight: two iterates
+@example(lock_step_example(clamp=(-5.0, -3.0)))  # a clamp entirely below every ball
+@example(lock_step_example(clamp=(3.0, 5.0)))  # and entirely above
+@example(lock_step_example(alpha=0.75))  # alpha > eps
+@example(lock_step_example(steps=1))
+@example(lock_step_example(y=(-1, -1, -1)))  # a chunk with one label only
+@example(lock_step_example(mlp=True))
+@example(lock_step_example(mlp=True, norm="l2"))
+def test_lock_step_attack_matches_each_model_alone(case):
+    models, data, cfg, chunk_bytes = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attacks, "CHUNK_BYTES", chunk_bytes)
+        assert_lock_step_parity(models, data, cfg)
+
+
+def two_linear_models(*ws):
+    return [LinearClassifier(np.array(w, dtype=np.float64)) for w in ws]
+
+
+def test_lock_step_rejects_an_infinite_row_under_a_clamp():
+    # the clamp clips the row's iterates to finite values, so only the check of X catches it
+    models = two_linear_models([1.0, -2.0], [0.5, 1.0])
+    data = Dataset(np.ones((4, 2)), np.array([1, -1, 1, -1]))
+    data.features[2, 1] = np.inf  # a Dataset's features may be rewritten after construction
+    cfg = AttackConfig(norm="linf", eps=0.5, steps=3, clamp=(-2.0, 2.0))
+    for model in [models[0], models]:
+        with pytest.raises(NonFiniteError):
+            robust_accuracy(model, data, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # predict's matmul on rows near the float64 limit
+def test_lock_step_raises_only_on_a_selected_overflowing_iterate():
+    # at 1.7e308 the +alpha iterate overflows and the -alpha one does not; with every
+    # weight positive and every label +1, each step is -alpha, so no model selects the overflow
+    data = Dataset(np.full((3, 3), 1.7e308), np.array([1, 1, 1]))
+    cfg = AttackConfig(norm="linf", eps=1e308, steps=1)
+    assert_lock_step_parity(two_linear_models([1.0, 2.0, 0.5], [3.0, 0.25, 1.0]), data, cfg)
+    models = two_linear_models([1.0, 2.0, 0.5], [3.0, -0.25, 1.0])  # a negative weight steps +alpha
+    with pytest.raises(NonFiniteError):
+        pgd_attack(models[1], data.features, data.labels, cfg)
+    with pytest.raises(NonFiniteError):
+        robust_accuracy(models, data, cfg)
+
+
+def test_lock_step_rejects_a_non_finite_weight():
+    data = Dataset(np.ones((4, 2)), np.array([1, -1, 1, -1]))
+    for bad in (np.nan, np.inf):
+        models = two_linear_models([1.0, -2.0], [0.5, 1.0])
+        models[1].set_params([np.array([bad, 1.0])])
+        with pytest.raises(NonFiniteError):
+            robust_accuracy(models, data, AttackConfig(norm="linf", eps=0.5, steps=3))
+
+
+@pytest.mark.parametrize("models", [
+    [],
+    two_linear_models([1.0, 2.0], [1.0, 2.0, 3.0]),
+    [LinearClassifier(np.ones(2)), MlpClassifier.init([2, 4, 2], RngStream(0))],
+    [MlpClassifier.init([2, 4, 2], RngStream(0)), MlpClassifier.init([2, 8, 2], RngStream(0))],
+], ids=["empty", "linear-widths", "families", "mlp-widths"])
+def test_lock_step_takes_models_of_one_architecture(models):
+    data = Dataset(np.ones((4, 2)), np.array([1, -1, 1, -1]))
+    cfg = AttackConfig(norm="linf", eps=0.5, steps=3)
+    with pytest.raises(ParameterError, match="one architecture"):
+        robust_accuracy(models, data, cfg)
+    with pytest.raises(ParameterError, match="one architecture"):
+        list(adversarial_chunks(models, data, cfg))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("zero_weight", [False, True])
+def test_lock_step_linear_linf_builds_two_iterates_per_chunk(monkeypatch, k, zero_weight):
+    # the iterates of +alpha and -alpha (and of +0.0, when a weight is an exact zero) serve every model
+    calls = []
+    one_pass = attacks._linear_linf_pgd
+    monkeypatch.setattr(attacks, "_linear_linf_pgd", lambda *args: calls.append(1) or one_pass(*args))
+    monkeypatch.setattr(attacks, "pgd_attack", lambda *args: pytest.fail("pgd_attack was called"))
+    monkeypatch.setattr(attacks, "CHUNK_BYTES", 5 * 8 * 3)  # 5-row chunks
+    rng = RngStream(64)
+    models = [LinearClassifier(rng.normal(0, 1, (3,))) for _ in range(k)]
+    if zero_weight:
+        models[-1].w[1] = 0.0
+    data = Dataset(rng.normal(0, 1, (23, 3)), np.where(rng.uniform(0, 1, 23) < 0.5, 1, -1))
+    chunks = list(adversarial_chunks(models, data, AttackConfig(norm="linf", eps=0.3, steps=4)))
+    assert len(chunks) == 5
+    assert len(calls) == (3 if zero_weight else 2) * len(chunks)

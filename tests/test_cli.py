@@ -177,6 +177,40 @@ def test_evaluate_fraction_out_of_range_exits_one_before_any_run(tmp_path, capsy
     assert_evaluate_rejects_fractions(tmp_path, capsys, fractions, " must each be in (0, 1]")
 
 
+@pytest.mark.parametrize("command", ["theory-verify", "learn", "baseline", "evaluate", "toy-fig2"])
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("distribution", "p", 0.3, "p must be in (0.5, 1], got 0.3"),
+        ("train", "lr", 0, "lr must be positive and finite, got 0"),
+        ("attack", "steps", 0, "steps must be >= 1, got 0"),
+        ("robust_learn", "mode", "bogus", "unknown mode 'bogus'"),
+        ("model", "arch", "cnn", "unknown architecture 'cnn'"),
+        ("eval", "architectures", ["linear", "mlp:0"], "bad mlp architecture 'mlp:0'"),
+        ("eval", "seeds", [], "need at least one architecture, seed, and budget"),
+        ("eval", "budgets", [0.4, 0.4], "repeated architecture, seed or budget"),
+        ("eval", "subsample_fractions", [1.5], "eval.subsample_fractions [1.5] must each be in (0, 1]"),
+    ],
+    ids=["p", "lr", "steps", "learn-mode", "model-arch", "eval-arch", "no-seeds", "repeated-budget", "fraction"],
+)
+def test_every_subcommand_rejects_a_config_that_one_rejects(tmp_path, capsys, monkeypatch, command, section, key,
+                                                           value, message):
+    # each section was range-checked only by the command that used it: a bogus robust_learn.mode
+    # exited 0 from evaluate, and an empty eval.seeds from every command but evaluate
+    def no_work(*args):
+        raise AssertionError(f"{command} sampled data before rejecting its config")
+
+    monkeypatch.setattr("robustdata.cli.sample", no_work)
+    monkeypatch.setattr("robustdata.evaluation.two_gaussians", no_work)
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert_exits_one_with(capsys, [command, "--config", str(path), "--seed", "0", "--out", str(out)], f"error: {message}")
+    assert not out.exists()  # nothing written
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_learner_exits_one(tmp_path, capsys):
     config = json.loads(json.dumps(SMALL_CONFIG))

@@ -142,40 +142,39 @@ def test_report_serialization(tmp_path):
 
 def test_training_time_is_counted_once_per_arch_and_seed(monkeypatch):
     # a fake clock that only training and attacks advance: every budget cell of
-    # one (arch, seed) shares that seed's training time and has its own attack
-    # time. An architecture's seeds train in one lock-step call, whose time
-    # each seed takes an equal share of.
+    # one (arch, seed) shares that seed's training time. An architecture's seeds
+    # train in one lock-step call and are attacked at each budget in one lock-step
+    # call, and each seed takes an equal share of each call's time.
     import robustdata.evaluation as evaluation
 
     now = [0.0]
     train, attack = evaluation.sgd_train, evaluation.robust_accuracy
-    train_calls = []
+    train_calls, attack_calls = [], []
 
-    def timed(fn, cost):
-        def run(*args, **kwargs):
+    def timed(fn, cost, calls):
+        def run(models, *args):
             now[0] += cost
-            return fn(*args, **kwargs)
+            calls.append(len(models))
+            return fn(models, *args)
         return run
 
-    def counted_train(models, *args):
-        train_calls.append(len(models))
-        return train(models, *args)
-
     monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-    monkeypatch.setattr(evaluation, "sgd_train", timed(counted_train, 10.0))
-    monkeypatch.setattr(evaluation, "robust_accuracy", timed(attack, 1.0))
+    monkeypatch.setattr(evaluation, "sgd_train", timed(train, 10.0, train_calls))
+    monkeypatch.setattr(evaluation, "robust_accuracy", timed(attack, 1.0, attack_calls))
     ds = two_gaussians(RngStream(5), 50)
     plan = EvalPlan(ds, ds, ["linear", "mlp:4"], [0, 1], [0.2, 0.5, 1.0], AttackConfig(norm="linf", eps=0.5, steps=2),
                     TRAIN)
     report = evaluate_dataset(plan, RngStream(6))
     assert train_calls == [2, 2]
+    assert attack_calls == [2] * 6  # one call per (arch, budget), with every seed
     assert len(report.cells) == 12
-    expected = {"linear": 5.0, "mlp:4": 5.0}
-    assert [(c["train_seconds"], c["attack_seconds"]) for c in report.cells] == [
-        (expected[c["arch"]], 1.0) for c in report.cells
-    ]
-    # the column, once per (arch, seed), still sums to the time spent training
+    assert [(c["train_seconds"], c["attack_seconds"]) for c in report.cells] == [(5.0, 0.5)] * 12
+    # each column, summed over its seeds, is the time spent in the calls
     assert sum(c["train_seconds"] for c in report.cells if c["budget"] == 0.2) == 10.0 * len(train_calls)
+    for arch in plan.architectures:
+        for budget in plan.budgets:
+            assert sum(c["attack_seconds"] for c in report.cells if (c["arch"], c["budget"]) == (arch, budget)) == 1.0
+    assert sum(c["attack_seconds"] for c in report.cells) == 1.0 * len(attack_calls)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustdata.attacks import AttackConfig
-from robustdata.config import _DEFAULTS, ExperimentConfig
+from robustdata.config import _DEFAULTS, ExperimentConfig, _has_kind
 from robustdata.datafile import read_dataset, write_dataset
 from robustdata.dataset import Dataset
 from robustdata.errors import DataError, FormatError, ParameterError
@@ -238,10 +238,17 @@ def test_config_rejects_mistyped_values(section, key, value):
 @pytest.mark.parametrize(
     "section, key, value",
     [("train", "lr", 1), ("attack", "alpha", None), ("attack", "alpha", 1), ("attack", "clamp", None),
-     ("attack", "clamp", [0, 1.5]), ("eval", "budgets", [1, 0.5]), ("eval", "seeds", [])],
+     ("attack", "clamp", [0, 1.5]), ("eval", "budgets", [1, 0.5]), ("eval", "seeds", [2, 1])],
 )
 def test_config_accepts_values_of_their_defaults_kind(section, key, value):
     ExperimentConfig({section: {key: value}})
+
+
+def test_an_empty_list_has_its_defaults_kind_and_an_empty_grid_is_rejected_by_range():
+    # [] is a list of integers to the kind check; the grid's own check rejects it when the config is built
+    assert _has_kind([], [0])
+    with pytest.raises(ParameterError, match="need at least one architecture, seed, and budget"):
+        ExperimentConfig({"eval": {"seeds": []}})
 
 
 def test_config_from_file(tmp_path):
