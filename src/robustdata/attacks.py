@@ -20,10 +20,12 @@ projecting every step: x_nat +- alpha lies in the ball for alpha <= eps, and
 P(P(y) + s) == P(y + s) for a step of one sign (_linear_linf_pgd). Every
 attack checks the iterate it returns, and a non-finite iterate stays
 non-finite, so overflow at any step raises NonFiniteError. A network's input
-gradient of -sum(true-class log-softmax) comes from the attack form of
-models.mlp_parts, a numpy backward that forms no weight or bias adjoint,
-so no attack builds a tape. The tape forms of both gradients and the
-per-step PGD loop are kept in the tests as the bit-exact references.
+gradient of -sum(true-class log-softmax) comes from models.mlp_input_gradient,
+a numpy backward that forms no weight or bias adjoint, so no attack builds a
+tape. pgd_attack prepares it once per attack (the parameter check, the
+one-hot targets, one scratch array per layer), and every step passes it to
+attack_gradient. The tape forms of both gradients and the per-step PGD loop
+are kept in the tests as the bit-exact references.
 
 A dataset is attacked in chunks sized by bytes (adversarial_chunks), so an
 attack's temporaries are reused from the heap rather than mapped afresh.
@@ -43,7 +45,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ContractError, DataError, NonFiniteError, ParameterError
-from .models import LinearClassifier, mlp_parts, same_architecture
+from .models import LinearClassifier, mlp_input_gradient, same_architecture
 
 LINF = "linf"
 L2 = "l2"
@@ -115,11 +117,14 @@ def project_to_ball(x: np.ndarray, center: np.ndarray, cfg: AttackConfig) -> np.
     return out
 
 
-def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray, network=None) -> np.ndarray:
     """Per-row gradient of the model's attack objective w.r.t. the inputs; `y` is model.targets(labels).
 
     A linear model's rows -y*w (y = +-1) are gathered from -w and +w rather
     than formed as an N x d outer product: the same products, so the same bits.
+    A network's comes from `network`, the models.mlp_input_gradient that
+    pgd_attack prepares once for all of an attack's steps, or, without one,
+    from one prepared for this call. Either returns a fresh array.
     """
     if isinstance(model, LinearClassifier):
         # d/dX of the unclamped surrogate -sum(y * (X @ w)) is -y w^T, whatever X is
@@ -130,7 +135,7 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray) -> np.nd
             raise NonFiniteError("tensor contains NaN or Inf")
         rows = np.take(np.outer([-1.0, 1.0], w), (np.asarray(y) < 0).astype(np.intp), axis=0)
         return rows.reshape(np.shape(X))
-    return mlp_parts(params_arrays, X, y)[1][0]
+    return (network or mlp_input_gradient(params_arrays, y, len(X)))(X)
 
 
 def _ascent_step(g: np.ndarray, cfg: AttackConfig) -> np.ndarray:
@@ -183,11 +188,13 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
 
     A linear model's step is computed once per call. Under l-inf the attack is
     one pass (_linear_linf_pgd); under l2 every iterate is projected. A
-    network's gradient checks each iterate it is taken at, and the returned
-    iterate is checked finite: a non-finite iterate stays non-finite under
-    either projection, so an attack that overflows anywhere raises
-    NonFiniteError. numpy's floating-point warnings are silenced, and that
-    error is the only report.
+    network's gradient is prepared once per call (models.mlp_input_gradient:
+    the parameter check, the one-hot targets and the scratch arrays), and
+    each step's attack_gradient call checks the iterate it is taken at. The
+    returned iterate is checked finite: a non-finite iterate stays
+    non-finite under either projection, so an attack that overflows anywhere
+    raises NonFiniteError. numpy's floating-point warnings are silenced, and
+    that error is the only report.
     """
     x_nat = np.asarray(x_nat, dtype=np.float64)
     y = model.targets(np.asarray(y))
@@ -197,10 +204,11 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
             x_adv = _linear_linf_pgd(x_nat, _ascent_step(attack_gradient(model, params, x_nat, y), cfg), cfg)
         else:
             lo, hi = (x_nat - cfg.eps, x_nat + cfg.eps) if cfg.norm == LINF else (None, None)
+            network = None if linear else mlp_input_gradient(params, y, len(x_nat))
             x_adv, step = x_nat, None
             for _ in range(cfg.steps):
                 if step is None or not linear:
-                    step = _ascent_step(attack_gradient(model, params, x_adv, y), cfg)
+                    step = _ascent_step(attack_gradient(model, params, x_adv, y, network), cfg)
                 x_adv = x_adv + step  # a new array: x_nat is never written
                 if cfg.norm == LINF:
                     _project_linf(x_adv, lo, hi, cfg)

@@ -8,7 +8,8 @@ fields of the object each builds (TrainConfig, AttackConfig,
 RobustLearnConfig) apart from those its caller supplies. Building a
 config range-checks every section, whichever subcommand reads it: the
 distribution, train, attack and robust_learn sections build their objects,
-model.arch and the eval architectures parse, and the eval grid and
+both sample sizes are at least 1, model.arch and the eval architectures
+parse, and the eval grid and
 subsample fractions pass the checks evaluate applies. The config
 hash is the first 16 hex digits of the SHA-256 of the fully-resolved
 canonical document, so two documents that differ only in key order or
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from .attacks import AttackConfig
 from .errors import ParameterError
 from .models import TrainConfig
-from .theory import DistributionSpec
+from .theory import DistributionSpec, check_sample_size
 
 _DEFAULTS = {
     "distribution": {
@@ -80,6 +81,8 @@ class ExperimentConfig:
         # every section is range-checked here, by the objects it builds, so that no
         # subcommand accepts a config (and writes its hash) that another rejects
         self.distribution_spec()
+        for key in ("n_train", "n_test"):
+            check_sample_size(self.doc["distribution"][key], f"distribution.{key}")
         self.train_config()
         self.robust_learn_config(0)  # builds attack_config() too
         parse_arch(self.doc["model"]["arch"])

@@ -17,10 +17,11 @@ Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
 Training builds no tape: one loop steps S models of one architecture in
 lock-step, one stacked hinge_parts or mlp_parts call per batch, and a
-single model is its S=1 case. hinge_parts and mlp_parts (which also gives
-a network attack's input gradient) are numpy closed forms, bit-identical
-to their objectives written in tape primitives plus backward (the tests'
-reference). The tape serves only the learner's steps 1 and 3.
+single model is its S=1 case. hinge_parts, mlp_parts and
+mlp_input_gradient (a network attack's input gradient, prepared once per
+attack) are numpy closed forms, bit-identical to their objectives written
+in tape primitives plus backward (the tests' reference). The tape serves
+only the learner's steps 1 and 3.
 """
 
 from __future__ import annotations
@@ -243,18 +244,18 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
     return loss, c, grad
 
 
-def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, lam: float | None = None):
-    """A network's objective and its adjoints in numpy: (loss, adjoints[, (data_grad, hvp)]).
+def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, lam: float):
+    """A network's training objective and its adjoints in numpy: (loss, adjoints, (data_grad, hvp)).
 
-    `params` is model.params() and `classes` model.targets(labels). lam=None
-    gives the attack form: -sum(true-class log-softmax) and [d/dX]. A float
-    gives the training form: batch_loss_graph's objective, every weight and
-    bias adjoint in params order, a weight's ridge added as
-    (h.T@g + lam*W) + lam*W, and two 2-D closures over the pass's arrays:
-    data_grad(), the loss's X adjoint, and hvp(v), the mixed second
-    derivative d/dX <adjoints, v> (the logits' tangent along v, through the
-    log-softmax's second derivative and back down). Each operation is the
-    tape's, in the tape's order, so all of it is bit-identical to the
+    `params` is model.params() and `classes` model.targets(labels). The loss is
+    batch_loss_graph's objective; the adjoints are every weight and bias
+    adjoint in params order, a weight's ridge added as r = lam*W; g_W += r;
+    g_W += r, the tape's (h.T@g + lam*W) + lam*W. The two 2-D closures read
+    the pass's arrays: data_grad(), the loss's X adjoint, and hvp(v), the
+    mixed second derivative d/dX <adjoints, v> (the logits' tangent along v,
+    through the log-softmax's second derivative and back down), which
+    accumulates in place into arrays it made. Each operation is the tape's,
+    in the tape's order and grouping, so all of it is bit-identical to the
     objective in tape primitives plus backward. As in hinge_parts, a leading
     seed axis gives each seed's loss and adjoints, byte for byte its 2-D call's.
 
@@ -266,14 +267,13 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
     if not (np.isfinite(X).all() and all(np.isfinite(p).all() for p in params)):
         raise NonFiniteError("tensor contains NaN or Inf")
     weights, biases = params[0::2], [b[..., None, :] for b in params[1::2]]  # a bias broadcasts over rows
-    train, last = lam is not None, len(weights) - 1
+    last = len(weights) - 1
     with np.errstate(all="ignore"):
         # in place: each product is a fresh array; a bool mask multiplies as
         # 1.0/0.0, so a negative pre-activation gives -0.0, as on the tape
         h, inputs, masks = X, [], []
         for i, (W, b) in enumerate(zip(weights, biases)):
-            if train:  # the layer input of a weight adjoint; the attack form keeps none
-                inputs.append(h)
+            inputs.append(h)  # the layer input of a weight adjoint
             h = h @ W
             h += b
             if i < last:
@@ -285,33 +285,27 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
         onehot = np.zeros_like(z)
         np.put_along_axis(onehot, np.asarray(classes)[..., None], 1.0, axis=-1)
         picked = (z + (-np.log(total))) * onehot
-        if train:
-            loss = -(picked.sum(-1).sum(-1) * (1 / z.shape[-2]))
-            if lam > 0:  # weights are decayed, biases not
-                loss = loss + lam * reduce(np.add, [(W * W).sum((-2, -1)) for W in weights])
-        else:
-            loss = -picked.sum((-2, -1))
-        g_lp = (-1.0 * (1 / z.shape[-2]) if train else -1.0) * onehot  # signed zeros included
+        loss = -(picked.sum(-1).sum(-1) * (1 / z.shape[-2]))
+        if lam > 0:  # weights are decayed, biases not
+            loss = loss + lam * reduce(np.add, [(W * W).sum((-2, -1)) for W in weights])
+        g_lp = (-1.0 * (1 / z.shape[-2])) * onehot  # signed zeros included
         K = -np.sum(g_lp, axis=(-1,), keepdims=True)
         s = K * total**-1.0
         g = g_lp + s * e
         adjoints, signals = [], []  # signals[i]: the adjoint of layer i's pre-activation
         for i in range(last, -1, -1):
-            if train:
-                signals[:0] = [g]
-                g_W = inputs[i].swapaxes(-1, -2) @ g
-                if lam > 0:
-                    g_W = (g_W + lam * weights[i]) + lam * weights[i]
-                adjoints[:0] = [g_W, np.sum(g, axis=(-2,))]
-            if i or not train:
-                g = g @ weights[i].swapaxes(-1, -2)
+            signals[:0] = [g]
+            g_W = inputs[i].swapaxes(-1, -2) @ g
+            if lam > 0:
+                r = lam * weights[i]
+                g_W += r
+                g_W += r
+            adjoints[:0] = [g_W, np.sum(g, axis=(-2,))]
             if i:
+                g = g @ weights[i].swapaxes(-1, -2)
                 g *= masks[i - 1]
-        adjoints = adjoints or [g]  # the attack form's input adjoint
     if not (np.isfinite(loss).all() and all(np.isfinite(a).all() for a in adjoints)):
         raise NonFiniteError("tensor contains NaN or Inf")
-    if not train:
-        return loss, adjoints
 
     def data_grad():
         with np.errstate(all="ignore"):
@@ -319,19 +313,81 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
 
     def hvp(v):
         vW, vb = v[0::2], v[1::2]
-        with np.errstate(all="ignore"):  # the grouping is the tape's: keep each ( )
-            t = X @ vW[0] + vb[0]
+        with np.errstate(all="ignore"):  # the tape's grouping: each in-place step closes one ( )
+            t = X @ vW[0]
+            t += vb[0]
             for i in range(1, last + 1):
-                t = ((t * masks[i - 1]) @ weights[i] + inputs[i] @ vW[i]) + vb[i]
+                t *= masks[i - 1]
+                t = t @ weights[i]
+                t += inputs[i] @ vW[i]
+                t += vb[i]
             r = np.sum(t * e, axis=-1, keepdims=True) * K
-            t = (t * s + r * (-1.0 * total**-2.0)) * e
+            t *= s
+            t += r * (-1.0 * total**-2.0)
+            t *= e
             for i in range(last, -1, -1):
-                t = (vW[i] @ signals[i].T).T + t @ weights[i].T
+                t = t @ weights[i].T
+                t += (vW[i] @ signals[i].T).T
                 if i:
                     t *= masks[i - 1]
         return t
 
     return loss, adjoints, (data_grad, hvp)
+
+
+def mlp_input_gradient(params: Sequence[np.ndarray], classes: np.ndarray, rows: int) -> Callable:
+    """A network's attack gradient, prepared once for all iterates of one attack: gradient(X) -> d/dX.
+
+    The objective is -sum(true-class log-softmax) over `rows` rows; `params` is
+    model.params() and `classes` model.targets(labels). Made once: the
+    parameters' finiteness check, the one-hot targets, the softmax constants
+    g_lp and K, and the scratch arrays, per layer one for its output (which
+    its adjoint overwrites on the way down) and per hidden layer one for its
+    relu mask as 1.0/0.0 floats. gradient(X) fills them by np.matmul(..., out=)
+    and in-place ufuncs, each the tape's operation on the same operands in the
+    same order, so it is bit-identical to the objective in tape primitives plus
+    backward. It forms no weight or bias adjoint and returns a fresh array.
+
+    NonFiniteError is raised where the tape raises it: the leaves are checked
+    first (the parameters here, X at each call), and any later non-finite
+    value spreads along its row to the loss or to the input adjoint, which
+    are checked last. numpy's floating-point warnings are silenced.
+    """
+    if not all(np.isfinite(p).all() for p in params):
+        raise NonFiniteError("tensor contains NaN or Inf")
+    weights, biases = params[0::2], params[1::2]
+    outputs = [np.empty((rows, W.shape[1])) for W in weights]
+    masks = [np.empty_like(h) for h in outputs[:-1]] + [None]
+    onehot = np.zeros_like(outputs[-1])
+    np.put_along_axis(onehot, np.asarray(classes)[..., None], 1.0, axis=-1)
+    g_lp = -1.0 * onehot  # signed zeros included
+    K = -np.sum(g_lp, axis=(-1,), keepdims=True)
+
+    def gradient(X: np.ndarray) -> np.ndarray:
+        if not np.isfinite(X).all():
+            raise NonFiniteError("tensor contains NaN or Inf")
+        with np.errstate(all="ignore"):
+            h = X
+            for W, b, out, mask in zip(weights, biases, outputs, masks):
+                h = np.matmul(h, W, out=out)
+                h += b
+                if mask is not None:
+                    np.greater(h, 0.0, out=mask)  # relu'(0) = 0, as on the tape
+                    h *= mask  # a negative pre-activation gives -0.0, as on the tape
+            z = h + (-h.max(axis=-1, keepdims=True))
+            e = np.exp(z)
+            total = np.sum(e, axis=-1, keepdims=True)
+            loss = -((z + (-np.log(total))) * onehot).sum((-2, -1))  # only checked
+            g = g_lp + (K * total**-1.0) * e
+            for i in range(len(weights) - 1, 0, -1):
+                g = np.matmul(g, weights[i].T, out=outputs[i - 1])  # layer i-1's output is read no more
+                g *= masks[i - 1]
+            g = g @ weights[0].T
+        if not (np.isfinite(loss) and np.isfinite(g).all()):
+            raise NonFiniteError("tensor contains NaN or Inf")
+        return g
+
+    return gradient
 
 
 # ---------------------------------------------------------------------------

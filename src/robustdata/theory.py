@@ -80,10 +80,15 @@ def _centered_unit_variance(law: str, rng: RngStream, shape) -> np.ndarray:
     raise ParameterError(f"unknown symmetric law {law!r}")
 
 
+def check_sample_size(n: int, name: str = "n") -> None:
+    """A sample holds at least one point."""
+    if n < 1:
+        raise ParameterError(f"{name} must be >= 1, got {n}")
+
+
 def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Dataset:
     """Draw n labeled points. Draw order is fixed: labels, x1 flips, tails."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_sample_size(n)
     seed, counter = rng.seed, rng.counter
     y = rng.rademacher(n)
     keep = 2.0 * rng.bernoulli(spec.p, n) - 1.0  # +1 keep, -1 flip

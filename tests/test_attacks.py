@@ -234,7 +234,8 @@ def tape_mlp_gradient(model, params_arrays, X, y):
         return ad.backward(objective, [leaf])[0].data
 
 
-def tape_attack_gradient(model, params_arrays, X, y):
+def tape_attack_gradient(model, params_arrays, X, y, network=None):
+    """attack_gradient on the tape; a network attack's prepared gradient goes unused."""
     if isinstance(model, LinearClassifier):
         (w,) = params_arrays
         return tape_hinge_gradient(w, X, y)
@@ -282,10 +283,19 @@ def assert_learner_unchanged_with_tape_gradient(monkeypatch, arch):
     cfg = RobustLearnConfig(epochs=2, gamma=0.05, beta=0.01, attack=AttackConfig(norm="linf", eps=0.8, steps=10))
     factory = model_factory(arch, 21)
     closed, closed_trace = learn_robust_dataset(train, factory, cfg, RngStream(9))
-    monkeypatch.setattr(attacks, "attack_gradient", tape_attack_gradient)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return tape_attack_gradient(*args)
+
+    monkeypatch.setattr(attacks, "attack_gradient", counted)
     taped, taped_trace = learn_robust_dataset(train, factory, cfg, RngStream(9))
     assert np.array_equal(closed.features, taped.features)
     assert closed_trace == taped_trace
+    # every attack went through the tape gradient: one call per linear attack, one per network step
+    attacks_made = cfg.epochs * -(-train.n // cfg.batch_size)
+    assert len(calls) == attacks_made * (1 if arch == "linear" else cfg.attack.steps)
 
 
 def test_learner_unchanged_with_tape_hinge_gradient(monkeypatch):
@@ -447,7 +457,9 @@ def pgd_cases(draw):
     if draw(st.booleans()):
         model = LinearClassifier(draw(hnp.arrays(np.float64, d, elements=st.one_of(st.just(0.0), st.floats(-3, 3)))))
     else:
-        model = MlpClassifier.init([d, 8, 2], RngStream(draw(st.integers(0, 2**16))))
+        # one or two hidden layers, so a middle layer's scratch arrays are exercised too
+        hidden = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+        model = MlpClassifier.init([d, *hidden, 2], RngStream(draw(st.integers(0, 2**16))))
     clamp = None
     if draw(st.booleans()):  # a box inside the data, so the clamp binds
         clamp = (float(np.quantile(X, 0.25)), float(np.quantile(X, 0.75)))
@@ -630,6 +642,45 @@ def test_linear_attack_takes_one_gradient(monkeypatch):
             calls.clear()
             pgd_attack(model, X, y, cfg)
             assert len(calls) == expected
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+def test_network_attack_gradients_outlive_their_step(monkeypatch, norm):
+    # a prepared network gradient refills its scratch arrays at every step; what a step
+    # returns must be its own array, unchanged by the steps after it
+    seen = []
+
+    def recorded(*args):
+        g = attack_gradient(*args)
+        seen.append((g, g.copy()))
+        return g
+
+    monkeypatch.setattr(attacks, "attack_gradient", recorded)
+    rng = RngStream(38)
+    model = MlpClassifier.init([4, 8, 8, 3], rng)
+    X = rng.normal(0, 1, (12, 4))
+    y = np.array([0, 1, 2] * 4)
+    pgd_attack(model, X, y, AttackConfig(norm=norm, eps=0.3, steps=5))
+    assert len(seen) == 5
+    for g, at_return in seen:
+        assert np.array_equal(g, at_return)
+        assert np.array_equal(np.signbit(g), np.signbit(at_return))
+    assert not any(np.shares_memory(a, b) for (a, _), (b, _) in itertools.combinations(seen, 2))
+
+
+def test_network_chunks_match_the_per_step_reference(monkeypatch):
+    # each chunk, the short last one too, is attacked with scratch arrays of its own size
+    rng = RngStream(39)
+    model = MlpClassifier.init([4, 8, 8, 3], rng)
+    ds = Dataset(rng.normal(0, 1, (3 * attacks.ROW_BLOCK + 5, 4)), np.arange(3 * attacks.ROW_BLOCK + 5) % 3)
+    monkeypatch.setattr(attacks, "CHUNK_BYTES", attacks.ROW_BLOCK * 8 * ds.width)
+    cfg = AttackConfig(norm="linf", eps=0.3, steps=6)
+    chunks = list(adversarial_chunks(model, ds, cfg))
+    assert [len(x_adv) for x_adv, _ in chunks] == [attacks.ROW_BLOCK] * 3 + [5]
+    for start, (x_adv, y) in zip(range(0, ds.n, attacks.ROW_BLOCK), chunks):
+        ref = per_step_pgd(model, ds.features[start : start + len(x_adv)], y, cfg)
+        assert np.array_equal(x_adv, ref)
+        assert np.array_equal(np.signbit(x_adv), np.signbit(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,28 @@ def test_benchmark_selftest_passes():
     assert proc.stdout.rstrip().endswith("0 failed")
 
 
-def test_benchmark_traces_the_evaluate_workload():
-    # linear sgd_train makes no batch_loss_graph calls; the evaluate trace must still parse
+def traced_run(workload: str) -> dict:
+    """The last stdout line of one seed-0 traced run of `workload` with no timed passes."""
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "evaluate", "--seed", "0", "--seconds", "0", "--trace", "1"],
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_benchmark_traces_the_evaluate_workload():
+    # linear sgd_train makes no batch_loss_graph calls; the evaluate trace must still parse
+    assert traced_run("evaluate")["correct"] is True
+
+
+def test_benchmark_traces_the_learn_mlp_workload():
+    # a network attack makes one attack_gradient call per PGD step, which the tracer counts
+    result = traced_run("learn-mlp")
+    assert result["correct"] is True
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["attacks.gradient_calls"] == 2 * 16 * 10  # epochs x batches x steps
+    assert metrics["autodiff.tensors_per_batch"] == 21

@@ -182,6 +182,8 @@ def test_evaluate_fraction_out_of_range_exits_one_before_any_run(tmp_path, capsy
     "section, key, value, message",
     [
         ("distribution", "p", 0.3, "p must be in (0.5, 1], got 0.3"),
+        ("distribution", "n_train", -5, "distribution.n_train must be >= 1, got -5"),
+        ("distribution", "n_test", 0, "distribution.n_test must be >= 1, got 0"),
         ("train", "lr", 0, "lr must be positive and finite, got 0"),
         ("attack", "steps", 0, "steps must be >= 1, got 0"),
         ("robust_learn", "mode", "bogus", "unknown mode 'bogus'"),
@@ -191,12 +193,14 @@ def test_evaluate_fraction_out_of_range_exits_one_before_any_run(tmp_path, capsy
         ("eval", "budgets", [0.4, 0.4], "repeated architecture, seed or budget"),
         ("eval", "subsample_fractions", [1.5], "eval.subsample_fractions [1.5] must each be in (0, 1]"),
     ],
-    ids=["p", "lr", "steps", "learn-mode", "model-arch", "eval-arch", "no-seeds", "repeated-budget", "fraction"],
+    ids=["p", "n-train", "n-test", "lr", "steps", "learn-mode", "model-arch", "eval-arch", "no-seeds",
+         "repeated-budget", "fraction"],
 )
 def test_every_subcommand_rejects_a_config_that_one_rejects(tmp_path, capsys, monkeypatch, command, section, key,
                                                            value, message):
     # each section was range-checked only by the command that used it: a bogus robust_learn.mode
-    # exited 0 from evaluate, and an empty eval.seeds from every command but evaluate
+    # exited 0 from evaluate, and an empty eval.seeds from every command but evaluate; an
+    # n_test of 0 let learn and toy-fig2 write artifacts that evaluate then rejected
     def no_work(*args):
         raise AssertionError(f"{command} sampled data before rejecting its config")
 

@@ -274,7 +274,7 @@ def network_steps(draw):
 @settings(max_examples=300, deadline=None)
 @given(network_steps())
 def test_closed_form_network_step_matches_tape(case):
-    # the training form is the objective in tape primitives plus backward bit for bit,
+    # mlp_parts is the training objective in tape primitives plus backward bit for bit,
     # signed zeros included, and a stacked call is its per-seed calls
     params, X, classes, lam = case
     loss, adjoints, _ = models.mlp_parts(params, X, classes, lam)
