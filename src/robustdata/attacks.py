@@ -15,15 +15,15 @@ max(0, 1 - y*w.x + eps*||w||_1) from any starting point. That input
 gradient is -y*w for every row, so it is gathered from the rows -w and +w
 without a tape (after checking X and w are finite, as tape leaves would),
 and pgd_attack computes a linear model's step once per attack. Under l-inf
-the attack is then K in-place adds projected once, bit-identical to
-projecting every step: x_nat +- alpha lies in the ball for alpha <= eps, and
-P(P(y) + s) == P(y + s) for a step of one sign (_linear_linf_pgd). Every
-attack checks the iterate it returns, and a non-finite iterate stays
-non-finite, so overflow at any step raises NonFiniteError. A network's input
-gradient of -sum(true-class log-softmax) comes from models.mlp_input_gradient,
-a numpy backward that forms no weight or bias adjoint, so no attack builds a
-tape. pgd_attack prepares it once per attack (the parameter check, the
-one-hot targets, one scratch array per layer), and every step passes it to
+the attack is then K in-place adds projected once (twice under a clamp),
+bit-identical to projecting every step: P(P(y) + s) == P(y + s) for a step of
+one sign (_linear_linf_pgd). Every attack checks the iterate it returns
+(errors.check_finite), and a non-finite iterate stays non-finite, so
+overflow at any step raises NonFiniteError. A network's input gradient of
+-sum(true-class log-softmax) comes from models.mlp_input_gradient, models.forward
+plus a numpy backward that forms no weight or bias adjoint, so no attack
+builds a tape. pgd_attack prepares it once per attack (the parameter check,
+the one-hot targets, one scratch array per layer), and every step passes it to
 attack_gradient. The tape forms of both gradients and the per-step PGD loop
 are kept in the tests as the bit-exact references.
 
@@ -44,7 +44,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ContractError, DataError, NonFiniteError, ParameterError
+from .errors import ContractError, DataError, ParameterError, check_finite
 from .models import LinearClassifier, mlp_input_gradient, same_architecture
 
 LINF = "linf"
@@ -131,8 +131,7 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray, network=
         if len(params_arrays) != 1:
             raise ParameterError(f"the linear classifier has one weight vector, got {len(params_arrays)} arrays")
         (w,) = params_arrays
-        if not (np.isfinite(X).all() and np.isfinite(w).all()):
-            raise NonFiniteError("tensor contains NaN or Inf")
+        check_finite(X, w)
         rows = np.take(np.outer([-1.0, 1.0], w), (np.asarray(y) < 0).astype(np.intp), axis=0)
         return rows.reshape(np.shape(X))
     return (network or mlp_input_gradient(params_arrays, y, len(X)))(X)
@@ -162,20 +161,21 @@ def _project_linf(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: AttackConf
 
 
 def _linear_linf_pgd(x_nat: np.ndarray, step: np.ndarray, cfg: AttackConfig) -> np.ndarray:
-    """cfg.steps projected steps of a constant l-inf step, with one projection, or two.
+    """cfg.steps projected steps of a constant l-inf step, with one projection, or two under a clamp.
 
     P (ball clip, then clamp) clips to an interval, or is constant where ball and
     box do not meet. x_1 = P(x_nat + step) is projected, before more adds, only
-    under a clamp or alpha > eps; else P does nothing to it, as x_nat +- alpha
-    lies in [fl(x_nat - eps), fl(x_nat + eps)] by monotone rounding. Per
-    coordinate the step has one sign and float addition is monotone, so an
-    iterate past a bound stays past it: P(P(z) + step) == P(z + step), also where
-    ball and box do not meet and for an overflowing sum. So x_K = P(x_1 + K-1
-    adds) bit for bit, and as a non-finite iterate stays so, checking x_K suffices.
+    under a clamp. Without one, by monotone rounding, x_nat +- alpha lies in
+    [fl(x_nat - eps), fl(x_nat + eps)] for alpha <= eps, and at or past the bound
+    its step moves toward for alpha > eps. Per coordinate the step has one sign
+    and float addition is monotone, so an iterate past a bound stays past it:
+    P(P(z) + step) == P(z + step), also where ball and box do not meet and for
+    an overflowing sum. So x_K = P(x_1 + K-1 adds) bit for bit, and as a
+    non-finite iterate stays so, checking x_K suffices.
     """
     lo, hi = x_nat - cfg.eps, x_nat + cfg.eps
     x_adv = x_nat + step  # a new array: x_nat is never written
-    if cfg.steps > 1 and (cfg.clamp is not None or cfg.alpha > cfg.eps):
+    if cfg.steps > 1 and cfg.clamp is not None:
         _project_linf(x_adv, lo, hi, cfg)
     for _ in range(cfg.steps - 1):
         x_adv += step
@@ -214,8 +214,7 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
                     _project_linf(x_adv, lo, hi, cfg)
                 else:
                     x_adv = project_to_ball(x_adv, x_nat, cfg)
-    if not np.isfinite(x_adv).all():
-        raise NonFiniteError("tensor contains NaN or Inf")
+    check_finite(x_adv)
     return x_adv
 
 
@@ -234,15 +233,13 @@ def _shared_linf_attack(models: list, cfg: AttackConfig):
     does not raise.
     """
     ws = [m.w for m in models]
-    if not all(np.isfinite(w).all() for w in ws):
-        raise NonFiniteError("tensor contains NaN or Inf")
+    check_finite(*ws)
     tables = [np.outer([-1.0, 1.0], w) > 0 for w in ws]  # row 0 for y = +1, row 1 for y = -1
     zeros = [w == 0 for w in ws]
     any_zero = any(z.any() for z in zeros)
 
     def attack(x_nat: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        if not np.isfinite(x_nat).all():
-            raise NonFiniteError("tensor contains NaN or Inf")
+        check_finite(x_nat)
         with np.errstate(all="ignore"):
             up, down = _linear_linf_pgd(x_nat, cfg.alpha, cfg), _linear_linf_pgd(x_nat, -cfg.alpha, cfg)
             zero = _linear_linf_pgd(x_nat, 0.0, cfg) if any_zero else None
@@ -252,8 +249,7 @@ def _shared_linf_attack(models: list, cfg: AttackConfig):
             x_adv = np.where(table[pick], up, down)
             if zero is not None:
                 np.copyto(x_adv, zero, where=z)
-            if not np.isfinite(x_adv).all():
-                raise NonFiniteError("tensor contains NaN or Inf")
+            check_finite(x_adv)
             out.append(x_adv)
         return out
 

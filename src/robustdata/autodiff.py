@@ -15,8 +15,8 @@ reference.
 requested input (activity analysis): adjoints of constants, of leaves not
 asked for and of anything computed from those alone are never formed.
 
-Every tensor is checked on creation and NonFiniteError is the only report
-of overflow or NaN. The primitives do not silence numpy's floating-point
+Every tensor is checked on creation (errors.check_finite), and
+NonFiniteError is the only report of overflow or NaN. The primitives do not silence numpy's floating-point
 warnings themselves (a per-node np.errstate costs more than many of the
 nodes); the package's one entry point to the tape does: the batch body
 of learn_robust_dataset. Attacks and training use numpy closed forms and
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError
+from .errors import ContractError, check_finite
 
 Shape = tuple[int, ...]
 
@@ -40,10 +40,8 @@ class Tensor:
     __slots__ = ("data", "_parents", "_vjp")
 
     def __init__(self, data, _parents=(), _vjp=None):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor contains NaN or Inf")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
+        check_finite(self.data)
         self._parents: tuple[Tensor, ...] = _parents
         self._vjp = _vjp
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and check_finite, the one place a non-finite array raises."""
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -23,3 +25,10 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def check_finite(*arrays, message: str = "tensor contains NaN or Inf") -> None:
+    """Raise NonFiniteError(message) if any of `arrays`, checked in order, holds a NaN or Inf."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteError(message)

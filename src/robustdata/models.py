@@ -21,7 +21,8 @@ single model is its S=1 case. hinge_parts, mlp_parts and
 mlp_input_gradient (a network attack's input gradient, prepared once per
 attack) are numpy closed forms, bit-identical to their objectives written
 in tape primitives plus backward (the tests' reference). The tape serves
-only the learner's steps 1 and 3.
+only the learner's steps 1 and 3. Prediction, training, the learner and the
+attack share one network pass, forward, and one log-softmax, log_softmax_head.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
-from .errors import ContractError, DataError, NonFiniteError, ParameterError
+from .errors import ContractError, DataError, ParameterError, check_finite
 from .rng import RngStream
 
 
@@ -118,12 +119,7 @@ class MlpClassifier:
         self.biases = [np.asarray(params[2 * i + 1], dtype=np.float64) for i in range(len(self.biases))]
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        h = X
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ W + b
-            if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
-        return h
+        return forward(X, self.weights, self.biases)[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(X), axis=1)
@@ -239,16 +235,39 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
         loss = (slack * a).sum(-1) * inv_b + lam * (w * w).sum(-1)
         c = -(inv_b * a) * y
         grad = ((X.swapaxes(-1, -2) @ c[..., None])[..., 0] + (ridge := lam * w)) + ridge
-    if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
-        raise NonFiniteError("tensor contains NaN or Inf")
+    check_finite(loss, grad)
     return loss, c, grad
+
+
+def forward(X: np.ndarray, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], outputs=None, masks=None):
+    """A network's (logits, layer inputs, relu masks): per layer h @ W, += b, and if hidden h *= (h > 0).
+
+    That is the tape's relu: relu'(0) = 0, and a negative pre-activation gives -0.0. Products and
+    bool masks are fresh, or written into prepared `outputs` (per layer) and float `masks` (per hidden layer).
+    """
+    h, inputs, made = X, [], []
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        h = np.matmul(h, W, out=None if outputs is None else outputs[i])
+        h += b
+        if i < len(weights) - 1:
+            made.append(np.greater(h, 0.0, out=None if masks is None else masks[i]))
+            h *= made[-1]
+    return h, inputs, made
+
+
+def log_softmax_head(h: np.ndarray):
+    """The stabilised log-softmax's parts (z, e, total) of logits h: z = h - max(h), e = exp(z), total = sum(e)."""
+    z = h + (-h.max(axis=-1, keepdims=True))
+    e = np.exp(z)
+    return z, e, np.sum(e, axis=-1, keepdims=True)
 
 
 def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, lam: float):
     """A network's training objective and its adjoints in numpy: (loss, adjoints, (data_grad, hvp)).
 
     `params` is model.params() and `classes` model.targets(labels). The loss is
-    batch_loss_graph's objective; the adjoints are every weight and bias
+    batch_loss_graph's objective, over forward and log_softmax_head; the adjoints are every weight and bias
     adjoint in params order, a weight's ridge added as r = lam*W; g_W += r;
     g_W += r, the tape's (h.T@g + lam*W) + lam*W. The two 2-D closures read
     the pass's arrays: data_grad(), the loss's X adjoint, and hvp(v), the
@@ -264,26 +283,13 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
     or into the next adjoint (each bias adjoint sums its layer's g), which
     are checked last. numpy's floating-point warnings are silenced.
     """
-    if not (np.isfinite(X).all() and all(np.isfinite(p).all() for p in params)):
-        raise NonFiniteError("tensor contains NaN or Inf")
+    check_finite(X, *params)
     weights, biases = params[0::2], [b[..., None, :] for b in params[1::2]]  # a bias broadcasts over rows
     last = len(weights) - 1
     with np.errstate(all="ignore"):
-        # in place: each product is a fresh array; a bool mask multiplies as
-        # 1.0/0.0, so a negative pre-activation gives -0.0, as on the tape
-        h, inputs, masks = X, [], []
-        for i, (W, b) in enumerate(zip(weights, biases)):
-            inputs.append(h)  # the layer input of a weight adjoint
-            h = h @ W
-            h += b
-            if i < last:
-                masks.append(h > 0)  # relu'(0) = 0, as on the tape
-                h *= masks[-1]
-        z = h + (-h.max(axis=-1, keepdims=True))
-        e = np.exp(z)
-        total = np.sum(e, axis=-1, keepdims=True)
-        onehot = np.zeros_like(z)
-        np.put_along_axis(onehot, np.asarray(classes)[..., None], 1.0, axis=-1)
+        h, inputs, masks = forward(X, weights, biases)
+        z, e, total = log_softmax_head(h)
+        onehot = (np.asarray(classes)[..., None] == np.arange(z.shape[-1])).astype(np.float64)
         picked = (z + (-np.log(total))) * onehot
         loss = -(picked.sum(-1).sum(-1) * (1 / z.shape[-2]))
         if lam > 0:  # weights are decayed, biases not
@@ -304,8 +310,7 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
             if i:
                 g = g @ weights[i].swapaxes(-1, -2)
                 g *= masks[i - 1]
-    if not (np.isfinite(loss).all() and all(np.isfinite(a).all() for a in adjoints)):
-        raise NonFiniteError("tensor contains NaN or Inf")
+    check_finite(loss, *adjoints)
 
     def data_grad():
         with np.errstate(all="ignore"):
@@ -343,48 +348,36 @@ def mlp_input_gradient(params: Sequence[np.ndarray], classes: np.ndarray, rows: 
     parameters' finiteness check, the one-hot targets, the softmax constants
     g_lp and K, and the scratch arrays, per layer one for its output (which
     its adjoint overwrites on the way down) and per hidden layer one for its
-    relu mask as 1.0/0.0 floats. gradient(X) fills them by np.matmul(..., out=)
-    and in-place ufuncs, each the tape's operation on the same operands in the
-    same order, so it is bit-identical to the objective in tape primitives plus
-    backward. It forms no weight or bias adjoint and returns a fresh array.
+    relu mask. gradient(X) runs forward into them and log_softmax_head, then
+    backward by np.matmul(..., out=) and in-place ufuncs, each the tape's
+    operation on the same operands in the same order, so it is bit-identical to
+    the objective in tape primitives plus backward. It forms no weight or bias
+    adjoint and returns a fresh array.
 
     NonFiniteError is raised where the tape raises it: the leaves are checked
     first (the parameters here, X at each call), and any later non-finite
     value spreads along its row to the loss or to the input adjoint, which
     are checked last. numpy's floating-point warnings are silenced.
     """
-    if not all(np.isfinite(p).all() for p in params):
-        raise NonFiniteError("tensor contains NaN or Inf")
+    check_finite(*params)
     weights, biases = params[0::2], params[1::2]
     outputs = [np.empty((rows, W.shape[1])) for W in weights]
-    masks = [np.empty_like(h) for h in outputs[:-1]] + [None]
-    onehot = np.zeros_like(outputs[-1])
-    np.put_along_axis(onehot, np.asarray(classes)[..., None], 1.0, axis=-1)
+    masks = [np.empty_like(h) for h in outputs[:-1]]
+    onehot = (np.asarray(classes)[..., None] == np.arange(weights[-1].shape[1])).astype(np.float64)
     g_lp = -1.0 * onehot  # signed zeros included
     K = -np.sum(g_lp, axis=(-1,), keepdims=True)
 
     def gradient(X: np.ndarray) -> np.ndarray:
-        if not np.isfinite(X).all():
-            raise NonFiniteError("tensor contains NaN or Inf")
+        check_finite(X)
         with np.errstate(all="ignore"):
-            h = X
-            for W, b, out, mask in zip(weights, biases, outputs, masks):
-                h = np.matmul(h, W, out=out)
-                h += b
-                if mask is not None:
-                    np.greater(h, 0.0, out=mask)  # relu'(0) = 0, as on the tape
-                    h *= mask  # a negative pre-activation gives -0.0, as on the tape
-            z = h + (-h.max(axis=-1, keepdims=True))
-            e = np.exp(z)
-            total = np.sum(e, axis=-1, keepdims=True)
+            z, e, total = log_softmax_head(forward(X, weights, biases, outputs, masks)[0])
             loss = -((z + (-np.log(total))) * onehot).sum((-2, -1))  # only checked
             g = g_lp + (K * total**-1.0) * e
             for i in range(len(weights) - 1, 0, -1):
                 g = np.matmul(g, weights[i].T, out=outputs[i - 1])  # layer i-1's output is read no more
                 g *= masks[i - 1]
             g = g @ weights[0].T
-        if not (np.isfinite(loss) and np.isfinite(g).all()):
-            raise NonFiniteError("tensor contains NaN or Inf")
+        check_finite(loss, g)
         return g
 
     return gradient
@@ -426,8 +419,7 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
         models, cfgs = [model], [cfg]
     if dataset.n == 0:
         raise DataError("cannot train on an empty dataset")
-    if not np.isfinite(dataset.features).all():  # a Dataset's features may be rewritten after construction
-        raise NonFiniteError("training features contain NaN or Inf")
+    check_finite(dataset.features, message="training features contain NaN or Inf")  # a Dataset may be rewritten
     cfg, linear = cfgs[0], isinstance(models[0], LinearClassifier)
     y_all = models[0].targets(dataset.labels)
     y_float = y_all.astype(np.float64)
@@ -448,8 +440,7 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                 if perturb is not None:  # one model: the hook sees its 2-D batch
                     models[0].set_params([p[0] for p in params])
                     X = perturb(X[0], y_all[idx[0]])[None]
-                    if not np.isfinite(X).all():
-                        raise NonFiniteError("the perturbed batch contains NaN or Inf")
+                    check_finite(X, message="the perturbed batch contains NaN or Inf")
                 if linear:
                     losses[:, b], _, *grads = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
                 else:
@@ -462,8 +453,7 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
             traces.append(losses.mean(axis=1))
 
     # every earlier update was checked by the step that read it; the last is read by no step
-    if not all(np.isfinite(p).all() for p in params):
-        raise NonFiniteError("the last SGD update left non-finite parameters")
+    check_finite(*params, message="the last SGD update left non-finite parameters")
     for s, m in enumerate(models):
         m.set_params([p[s] for p in params])
     trained = [(m, trace.tolist()) for m, trace in zip(models, np.array(traces).T)]

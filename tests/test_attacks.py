@@ -533,13 +533,14 @@ def test_linear_linf_pgd_matches_per_step_reference(case):
 @pytest.mark.parametrize("steps", [1, 10])
 @pytest.mark.parametrize(
     "alpha, clamp, projections",
-    [(None, None, 1), (0.5, None, 1), (0.75, None, 2), (None, (-1.0, 1.0), 2), (0.75, (-1.0, 1.0), 2)],
+    [(None, None, 1), (0.5, None, 1), (0.75, None, 1), (None, (-1.0, 1.0), 2), (0.75, (-1.0, 1.0), 2)],
     ids=["alpha-eps/10", "alpha-eps", "alpha-1.5eps", "clamp", "alpha-1.5eps-clamp"],
 )
 def test_linear_linf_pgd_projects_once_unless_the_first_iterate_may_leave_the_box(monkeypatch, steps, alpha, clamp,
                                                                                  projections):
-    # with no clamp and alpha <= eps the first iterate lies in the ball, and the projection
-    # before the last add changes nothing; one attack made three projections
+    # with no clamp the first iterate lies in the ball (alpha <= eps) or past the bound its
+    # one-signed step moves toward (alpha > eps), so a projection before the last add changes
+    # nothing; only a clamp needs it. One attack made three projections
     calls = []
     project = attacks._project_linf
     monkeypatch.setattr(attacks, "_project_linf", lambda *args: calls.append(1) or project(*args))
