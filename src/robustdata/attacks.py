@@ -57,9 +57,10 @@ ROW_BLOCK = 16  # chunks are whole blocks of this many rows when one fits (see a
 class AttackConfig:
     norm: str = LINF
     eps: float = 0.1
-    alpha: Optional[float] = None  # defaults to eps / 10
+    alpha: Optional[float] = None  # defaults to eps / 10, at every eps (with_eps)
     steps: int = 10
     clamp: Optional[tuple[float, float]] = None
+    _alpha_from_eps = False  # not a field: set when alpha is defaulted
 
     def __post_init__(self):
         if self.norm not in (LINF, L2):
@@ -67,7 +68,7 @@ class AttackConfig:
         if not 0 < self.eps < np.inf:
             raise ParameterError(f"eps must be positive and finite, got {self.eps}")
         if self.alpha is None:
-            self.alpha = self.eps / 10.0
+            self.alpha, self._alpha_from_eps = self.eps / 10.0, True
         if not 0 < self.alpha < np.inf:
             raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if self.steps < 1:
@@ -76,7 +77,8 @@ class AttackConfig:
             raise ParameterError(f"invalid clamp {self.clamp}")
 
     def with_eps(self, eps: float) -> "AttackConfig":
-        return replace(self, eps=eps, alpha=None)
+        """This attack at budget `eps`: a configured alpha is kept, a defaulted one is eps / 10."""
+        return replace(self, eps=eps, alpha=None if self._alpha_from_eps else self.alpha)
 
 
 def attack_for_dataset(cfg: AttackConfig, dataset: Dataset) -> AttackConfig:
@@ -313,7 +315,9 @@ def robust_accuracy(model, dataset: Dataset, cfg: AttackConfig):
 
 
 def closed_form_linear_robust_accuracy(model: LinearClassifier, dataset: Dataset, eps: float) -> float:
-    """Exact worst-case l-infinity accuracy of a linear model (Holder bound)."""
+    """Exact worst-case l-infinity accuracy of a linear model (Holder bound); eps >= 0, inf allowed."""
+    if not eps >= 0:  # False for NaN
+        raise ParameterError(f"eps must be >= 0, got {eps}")
     y = model.targets(dataset.labels).astype(np.float64)
     worst_margins = y * (dataset.features @ model.w) - eps * np.abs(model.w).sum()
     return float(np.mean(worst_margins > 0))

@@ -16,10 +16,10 @@ requested input (activity analysis): adjoints of constants, of leaves not
 asked for and of anything computed from those alone are never formed.
 
 Every tensor is checked on creation (errors.check_finite), and
-NonFiniteError is the only report of overflow or NaN. The primitives do not silence numpy's floating-point
-warnings themselves (a per-node np.errstate costs more than many of the
-nodes); the package's one entry point to the tape does: the batch body
-of learn_robust_dataset. Attacks and training use numpy closed forms and
+NonFiniteError is the only report of overflow or NaN. The primitives do not
+silence numpy's floating-point warnings themselves (a per-node np.errstate
+costs more than many of the nodes); the package's one entry point to the
+tape does: the batch body of learn_robust_dataset. Attacks and training use numpy closed forms and
 build no tape.
 """
 

@@ -267,16 +267,15 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
     """A network's training objective and its adjoints in numpy: (loss, adjoints, (data_grad, hvp)).
 
     `params` is model.params() and `classes` model.targets(labels). The loss is
-    batch_loss_graph's objective, over forward and log_softmax_head; the adjoints are every weight and bias
-    adjoint in params order, a weight's ridge added as r = lam*W; g_W += r;
-    g_W += r, the tape's (h.T@g + lam*W) + lam*W. The two 2-D closures read
-    the pass's arrays: data_grad(), the loss's X adjoint, and hvp(v), the
-    mixed second derivative d/dX <adjoints, v> (the logits' tangent along v,
-    through the log-softmax's second derivative and back down), which
-    accumulates in place into arrays it made. Each operation is the tape's,
-    in the tape's order and grouping, so all of it is bit-identical to the
-    objective in tape primitives plus backward. As in hinge_parts, a leading
-    seed axis gives each seed's loss and adjoints, byte for byte its 2-D call's.
+    batch_loss_graph's objective, through forward and log_softmax_head; the
+    adjoints are every weight and bias adjoint in params order, a weight's
+    ridge added as r = lam*W; g_W += r; g_W += r, the tape's (h.T@g + lam*W) +
+    lam*W. The 2-D closures read the pass's arrays: data_grad() is the loss's X
+    adjoint and hvp(v) the mixed second derivative d/dX <adjoints, v>, which
+    accumulates in place into arrays it made. Each operation is the tape's, in
+    its order and grouping, so all of it is bit-identical to the objective in
+    tape primitives plus backward. As in hinge_parts, a leading seed axis gives
+    each seed's loss and adjoints, byte for byte its 2-D call's.
 
     NonFiniteError is raised where the tape raises it: the leaves are checked
     first, and any later non-finite value spreads along its row to the loss

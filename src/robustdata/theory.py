@@ -121,8 +121,8 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Dataset:
 
 def optimal_linf_perturbation(w: np.ndarray, y: int, eps: float) -> np.ndarray:
     """Worst-case l-infinity perturbation of the hinge: delta = -eps * sign(y*w)."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:  # as AttackConfig: `eps <= 0` is False for NaN
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     return -eps * np.sign(float(y) * np.asarray(w, dtype=np.float64))
 
 
@@ -130,8 +130,10 @@ def closed_form_accuracies(w: np.ndarray, spec: DistributionSpec, eps: float) ->
     """(natural, robust) accuracy of an equal-tail-weight linear classifier.
 
     Tail weights may deviate from their mean by up to 0.25 of the weight
-    scale; the mean is used as the common value c.
+    scale; the mean is used as the common value c. eps is >= 0, inf allowed.
     """
+    if not eps >= 0:  # False for NaN
+        raise ParameterError(f"eps must be >= 0, got {eps}")
     if spec.mode != GAUSSIAN:
         raise ParameterError("closed forms cover the gaussian model only")
     w = np.asarray(w, dtype=np.float64)
@@ -158,7 +160,7 @@ def closed_form_accuracies(w: np.ndarray, spec: DistributionSpec, eps: float) ->
     r = w1 / c
     natural = p * phi((r + d * mu) / sqd) + (1.0 - p) * phi((-r + d * mu) / sqd)
     # worst case: x1 -> y*(1 -+ eps) and weak means mu -> mu - eps
-    shift = eps * abs(r)
+    shift = eps * abs(r) if r else 0.0  # inf * 0 is NaN
     robust = p * phi((r - shift + d * (mu - eps)) / sqd) + (1.0 - p) * phi(
         (-r - shift + d * (mu - eps)) / sqd
     )

@@ -58,6 +58,15 @@ def test_non_finite_eps_and_alpha_rejected(field, value):
         AttackConfig(**{"eps": 0.1, field: value})
 
 
+def test_with_eps_keeps_a_configured_alpha():
+    # a configured step is kept at every budget, also one equal to eps / 10;
+    # a defaulted one is each budget's eps / 10
+    assert AttackConfig(eps=0.8, alpha=0.5).with_eps(0.4).alpha == 0.5
+    assert AttackConfig(eps=0.8, alpha=0.8 / 10).with_eps(0.4).alpha == 0.8 / 10
+    assert AttackConfig(eps=0.8).with_eps(0.4).alpha == 0.4 / 10
+    assert AttackConfig(eps=0.8).with_eps(0.4).with_eps(2.0).alpha == 2.0 / 10
+
+
 def test_inverted_clamp_rejected():
     # np.clip with low > high would set every coordinate to the second bound
     with pytest.raises(ParameterError, match="invalid clamp"):
@@ -505,10 +514,13 @@ def linear_linf_cases(draw):
     return model, X, y, cfg
 
 
-def linear_linf_example(**cfg):
-    """Rows of both signs, exact and signed zeros, and steps of both signs and of zero."""
+def linear_linf_example(scale=None, **cfg):
+    """Rows of both signs, exact and signed zeros, and steps of both signs and of zero; given a
+    scale, each row entry is its sign times the scale."""
     model = LinearClassifier(np.array([1.0, -2.0, 0.0, 0.5]))
     X = np.array([[0.3, -0.2, 0.0, 1.1], [-0.7, 0.1, -0.0, 0.45], [0.0, 0.6, 0.2, -0.35]])
+    if scale is not None:
+        X = scale * np.sign(X)
     return model, X, np.array([1, -1, 1]), AttackConfig(norm="linf", **{"eps": 0.5, "steps": 10, **cfg})
 
 
@@ -522,10 +534,17 @@ def linear_linf_example(**cfg):
 @example(linear_linf_example(alpha=0.75))  # alpha = 1.5 * eps with no clamp: the first iterate overshoots
 @example(linear_linf_example(clamp=(-5.0, -3.0)))  # a clamp entirely below every ball
 @example(linear_linf_example(clamp=(3.0, 5.0)))  # and entirely above
+# with no clamp the first iterate is projected only at the end, also when alpha > eps
+@example(linear_linf_example(alpha=5.0))  # alpha = 10 * eps
+@example(linear_linf_example(alpha=500.0))  # alpha = 1000 * eps
+@example(linear_linf_example(scale=1.7e308, alpha=0.75))  # rows of +-1.7e308 absorb the step
+@example(linear_linf_example(scale=1.7e308, eps=5e306, alpha=1.5e308))  # the first iterate overflows to +-inf
+@example(linear_linf_example(clamp=(3.0, 5.0), alpha=0.75))  # alpha > eps under a clamp above every ball
 def test_linear_linf_pgd_matches_per_step_reference(case):
     model, X, y, cfg = case
     got = pgd_attack(model, X, y, cfg)
-    ref = per_step_pgd(model, X, y, cfg)
+    with np.errstate(over="ignore"):  # the reference does not silence an overflowing step; pgd_attack does
+        ref = per_step_pgd(model, X, y, cfg)
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 

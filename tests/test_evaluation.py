@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robustdata.attacks import AttackConfig
+from robustdata.config import ExperimentConfig
 from robustdata.dataset import Dataset
 from robustdata.errors import DataError, ParameterError
 from robustdata.evaluation import (
@@ -175,6 +176,23 @@ def test_training_time_is_counted_once_per_arch_and_seed(monkeypatch):
         for budget in plan.budgets:
             assert sum(c["attack_seconds"] for c in report.cells if (c["arch"], c["budget"]) == (arch, budget)) == 1.0
     assert sum(c["attack_seconds"] for c in report.cells) == 1.0 * len(attack_calls)
+
+
+@pytest.mark.parametrize("attack, alphas", [({"alpha": 0.8 / 10}, [0.8 / 10] * 2), ({}, [0.4 / 10, 0.8 / 10])],
+                         ids=["configured", "null"])
+def test_evaluate_attacks_every_budget_with_a_configured_alpha(monkeypatch, attack, alphas):
+    # a configured attack.alpha is each budget's step, also where it equals eps / 10;
+    # a null one is each budget's eps / 10. The configured alpha was dropped at every budget.
+    import robustdata.evaluation as evaluation
+
+    seen = []
+    robust_accuracy = evaluation.robust_accuracy
+    monkeypatch.setattr(evaluation, "robust_accuracy",
+                        lambda models, test, cfg: seen.append(cfg) or robust_accuracy(models, test, cfg))
+    cfg = ExperimentConfig({"attack": {"steps": 2, **attack}, "eval": {"budgets": [0.4, 0.8]}})
+    ds = two_gaussians(RngStream(5), 50)
+    evaluate_dataset(EvalPlan(ds, ds, ["linear"], [0], [0.4, 0.8], cfg.attack_config(), TRAIN), RngStream(6))
+    assert [(c.eps, c.alpha) for c in seen] == list(zip([0.4, 0.8], alphas))
 
 
 # ---------------------------------------------------------------------------

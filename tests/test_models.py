@@ -16,7 +16,7 @@ from robustdata.models import (
 )
 from robustdata.rng import RngStream
 
-from gradcheck import grad, tape_loss_graph, unrolled_grad
+from gradcheck import decision_graph, grad, tape_loss_graph, unrolled_grad
 
 
 def binary_dataset(X, y):
@@ -325,6 +325,39 @@ def wide_network_step():
 def test_network_node_matches_tape_graph(case):
     # the closed-form meta-gradient is the tape's second pass bit for bit, signed zeros included
     assert_all_equal_bits(node_derivatives(batch_loss_graph, *case), node_derivatives(tape_loss_graph, *case))
+
+
+@st.composite
+def integer_networks(draw):
+    """A network of one or two hidden layers, rows and classes; integer entries, with -0.0 among them,
+    put relu kinks and tied logits at exact values."""
+    d, k, B = draw(st.integers(1, 8)), draw(st.integers(2, 4)), draw(st.integers(1, 40))
+    sizes = [d, *draw(st.lists(st.integers(1, 12), min_size=1, max_size=2)), k]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(shape):
+        values = rng.integers(-2, 3, shape).astype(np.float64)
+        return np.where(rng.random(shape) < 0.1, -0.0, values)
+
+    model = MlpClassifier([entries(shape) for shape in zip(sizes[:-1], sizes[1:])], [entries(n) for n in sizes[1:]])
+    return model, entries((B, d)), rng.integers(0, k, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_networks())
+def test_every_network_pass_is_the_tape_forward(case):
+    # prediction, the training objective and the attack gradient compute the tape's
+    # logits bit for bit, signed zeros included; the last two hand theirs to the log-softmax
+    model, X, classes = case
+    ref = decision_graph([Tensor(p) for p in model.params()], Tensor(X)).data
+    seen, head = [], models.log_softmax_head
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "log_softmax_head", lambda h: seen.append(h.copy()) or head(h))
+        models.mlp_parts(model.params(), X, classes, 1e-3)
+        models.mlp_input_gradient(model.params(), classes, len(X))(X)
+    assert len(seen) == 2
+    for logits in (model.logits(X), *seen):
+        assert equal_bits(logits, ref)
 
 
 def _step_outcome(step, params, X, classes, lam):

@@ -63,3 +63,33 @@ def test_every_definition_is_reached():
                 used |= _referenced_names(stmt)
     unreached = [d for d in defined if d.split(".")[1] not in used | set(robustdata.__all__) and d != "cli.main"]
     assert unreached == []
+
+
+def _scoped_nodes(tree: ast.Module):
+    """(scope, node) for every node of a module; scope is 'function', 'Class.method', 'Class' or '<module>'."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                scope = f"{stmt.name}.{item.name}" if isinstance(item, ast.FunctionDef) else stmt.name
+                yield from ((scope, node) for node in ast.walk(item))
+        else:
+            scope = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+            yield from ((scope, node) for node in ast.walk(stmt))
+
+
+def test_non_finite_arrays_raise_only_through_check_finite():
+    # one finiteness check: NonFiniteError is made by errors.check_finite and by the learner's
+    # re-raise, which names the epoch and batch; np.isfinite is called elsewhere only where a
+    # non-finite value is a DataError (Dataset) or a ParameterError (LinearClassifier)
+    src = Path(robustdata.__file__).resolve().parent
+    raises, checks = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            called = isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            if called == "NonFiniteError":
+                raises.add(f"{path.stem}.{scope}")
+            if isinstance(node, ast.Attribute) and node.attr == "isfinite" \
+                    and getattr(node.value, "id", "") in ("np", "numpy"):
+                checks.add(f"{path.stem}.{scope}")
+    assert raises == {"errors.check_finite", "learning.learn_robust_dataset"}
+    assert checks == {"errors.check_finite", "dataset.Dataset.__post_init__", "models.LinearClassifier.__init__"}

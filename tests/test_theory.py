@@ -111,6 +111,13 @@ def test_optimal_perturbation_zero_coordinate():
     np.testing.assert_allclose(delta, [0.5, 0.0])
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan"), float("inf")])
+def test_optimal_perturbation_requires_a_positive_finite_eps(eps):
+    # a NaN eps gave NaN rows and an infinite one -inf rows; AttackConfig rejects both
+    with pytest.raises(ParameterError, match="eps must be positive and finite"):
+        optimal_linf_perturbation(np.array([1.0, -2.0, 0.0]), 1, eps)
+
+
 def test_optimal_perturbation_beats_all_corners():
     rng = RngStream(7)
     for _ in range(200):
@@ -159,6 +166,33 @@ def test_closed_form_equal_weights_bound():
         w = np.ones(d + 1)
         _, rob = closed_form_accuracies(w, spec, 2 * mu)
         assert rob <= phi(-3.0) + 1e-12
+
+
+CLOSED_FORM_SPEC = DistributionSpec(d=3, mu=0.4, p=0.9)
+CLOSED_FORM_W = np.array([1.0, 0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -0.5, -float("inf")])
+def test_closed_forms_reject_a_nan_or_negative_eps(eps):
+    # a NaN eps gave a NaN robust accuracy, and eps = -0.5 one of 0.983 above the natural 0.903
+    with pytest.raises(ParameterError, match="eps must be >= 0"):
+        closed_form_accuracies(CLOSED_FORM_W, CLOSED_FORM_SPEC, eps)
+    data = sample(CLOSED_FORM_SPEC, 50, RngStream(3))
+    with pytest.raises(ParameterError, match="eps must be >= 0"):
+        closed_form_linear_robust_accuracy(LinearClassifier(CLOSED_FORM_W), data, eps)
+
+
+def test_closed_forms_take_a_zero_or_infinite_eps():
+    # no budget leaves the natural accuracy and an unbounded one leaves nothing,
+    # also with no strong-feature weight, where eps * |w1/c| was inf * 0
+    nat, rob = closed_form_accuracies(CLOSED_FORM_W, CLOSED_FORM_SPEC, 0.0)
+    assert rob == nat
+    for w in (CLOSED_FORM_W, np.array([0.0, 0.5, 0.5, 0.5])):
+        nat, rob = closed_form_accuracies(w, CLOSED_FORM_SPEC, float("inf"))
+        assert 0.5 < nat < 1.0 and rob == 0.0
+    model, data = LinearClassifier(CLOSED_FORM_W), sample(CLOSED_FORM_SPEC, 200, RngStream(3))
+    assert closed_form_linear_robust_accuracy(model, data, 0.0) == accuracy(model, data)
+    assert closed_form_linear_robust_accuracy(model, data, float("inf")) == 0.0
 
 
 def test_closed_form_rejects_negative_tail():
