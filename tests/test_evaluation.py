@@ -189,7 +189,7 @@ def test_evaluate_attacks_every_budget_with_a_configured_alpha(monkeypatch, atta
     robust_accuracy = evaluation.robust_accuracy
     monkeypatch.setattr(evaluation, "robust_accuracy",
                         lambda models, test, cfg: seen.append(cfg) or robust_accuracy(models, test, cfg))
-    cfg = ExperimentConfig({"attack": {"steps": 2, **attack}, "eval": {"budgets": [0.4, 0.8]}})
+    cfg = ExperimentConfig({"attack": {"steps": 2, **attack}})
     ds = two_gaussians(RngStream(5), 50)
     evaluate_dataset(EvalPlan(ds, ds, ["linear"], [0], [0.4, 0.8], cfg.attack_config(), TRAIN), RngStream(6))
     assert [(c.eps, c.alpha) for c in seen] == list(zip([0.4, 0.8], alphas))
