@@ -5,7 +5,8 @@ Each primitive keeps one vjp per parent. Backward passes are themselves
 expressed with Tensor operations, so the adjoints returned by `backward`
 live on a fresh tape and can be differentiated again (re-recording). That
 is exactly what `learning.learner_batch` needs: the derivative of a loss
-through one gradient-descent parameter update. Each model's loss is one
+through one gradient-descent parameter update, the vjp backward(G, [X], g)
+of the parameter gradient G with a constant g. Each model's loss is one
 fused node with closed-form vjps (models.batch_loss_graph), so the tape
 keeps only the primitives that `backward` and `learner_batch` build
 themselves; the primitives a loss was once written in are the tests'
@@ -155,26 +156,30 @@ def _active_order(root: Tensor, inputs: Sequence[Tensor]) -> tuple[list[Tensor],
     return order, active
 
 
-def backward(output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Adjoints of a scalar output w.r.t. `inputs`.
+def backward(output: Tensor, inputs: Sequence[Tensor], adjoint=None) -> list[Tensor]:
+    """Adjoints of a scalar output w.r.t. `inputs`, or the vjp of `adjoint`.
 
+    `adjoint`, an array of the output's shape, seeds the output in place of
+    a scalar output's 1.0 (for a gradient output: a Hessian-vector product).
     Only the adjoints on a path from `output` to one of `inputs` are formed:
     a node's vjp is called for a parent only when that parent depends on an
     input. An input off every path gets a zeros tensor, built only for it.
     The returned tensors carry their own tape, so expressions built from
     them can be differentiated again.
     """
-    if output.shape != ():
+    if adjoint is None and output.shape != ():
         raise ContractError(f"objective must be scalar, got shape {output.shape}")
+    if adjoint is not None and np.shape(adjoint) != output.shape:
+        raise ContractError(f"adjoint shape {np.shape(adjoint)} does not match output shape {output.shape}")
     order, active = _active_order(output, inputs)
-    adjoint: dict[Tensor, Tensor] = {output: constant(1.0)}
+    adjoints: dict[Tensor, Tensor] = {output: constant(1.0 if adjoint is None else adjoint)}
     for node in reversed(order):  # every active node under `output` has an adjoint when reached
         if node._vjp is None:  # `output` itself, an input leaf
             continue
-        g = adjoint[node]
+        g = adjoints[node]
         for parent, vjp in zip(node._parents, node._vjp):
             if parent in active:
                 pg = vjp(g)
-                prev = adjoint.get(parent)
-                adjoint[parent] = pg if prev is None else add(prev, pg)
-    return [adjoint[t] if t in adjoint else constant(np.zeros(t.shape)) for t in inputs]
+                prev = adjoints.get(parent)
+                adjoints[parent] = pg if prev is None else add(prev, pg)
+    return [adjoints[t] if t in adjoints else constant(np.zeros(t.shape)) for t in inputs]

@@ -8,7 +8,8 @@ One learning run keeps a single classifier alive and, per mini-batch:
      the updated classifier,
   3. moves the robust batch by -beta * sign(meta-gradient), where the
      meta-gradient is the derivative of the adversarial loss through the
-     step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>, and
+     step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>, taken as one
+     vector-Jacobian product of g with d(train)/d(theta) on the tape, and
      clips it to the attack's box (`attack_for_dataset`).
 
 `learner_batch` runs steps 1-3 of one batch on the fused node
@@ -80,15 +81,16 @@ def learner_batch(model, theta, b_rob, b_nat, yb, cfg: RobustLearnConfig, attack
     """Steps 1-3 of one batch on the tape: (meta-gradient, step-1 theta, step-1 loss node, adversarial loss).
 
     G, the train-loss gradient on `b_rob`, stays on the tape: the meta-gradient
-    -gamma * d/d(b_rob) <G, g> is the data's second-order dependence through
-    the step. `model` is left at the step-1 theta.
+    -gamma * d/d(b_rob) <G, g>, the data's second-order dependence through the
+    step, is G's vjp with g, backward(G, [X], g), which forms no <G, g>.
+    `model` is left at the step-1 theta.
     """
     leaf, X = Tensor(theta), Tensor(b_rob)
     train_out = batch_loss_graph(model, [leaf], X, yb, cfg.lam)
     (G,) = ad.backward(train_out, [leaf])
     updated = theta - cfg.gamma * G.data
     g, adv_loss = _adversarial_gradient(model, theta, updated, b_nat, yb, cfg, attack_cfg)
-    (meta,) = ad.backward(ad.tsum(ad.mul(G, ad.constant(g))), [X])
+    (meta,) = ad.backward(G, [X], g)
     return -cfg.gamma * meta.data, updated, train_out, adv_loss
 
 

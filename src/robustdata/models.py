@@ -122,7 +122,10 @@ class MlpClassifier:
         return forward(X, self.weights, self.biases)[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(X), axis=1)
+        with np.errstate(all="ignore"):  # NonFiniteError is the only report
+            logits = self.logits(X)
+        check_finite(logits, message="the network's logits contain NaN or Inf")
+        return np.argmax(logits, axis=1)
 
     def targets(self, labels: np.ndarray) -> np.ndarray:
         return class_indices(labels, self.num_classes)

@@ -6,7 +6,9 @@ Nothing in the package calls these; the tests and the acceptance gate
 (criteria 6 and 7) compare the package against them. `tape_loss_graph` is
 the bit-exact reference for the fused node of `models.batch_loss_graph`,
 for both model families, and `unrolled_grad` is the generic form of
-`learning.learner_batch`'s steps 1 and 3. The package's tape keeps only
+`learning.learner_batch`'s steps 1 and 3: it differentiates the inner
+product <G, g> whose derivative learner_batch takes as one vjp,
+backward(G, [X], g), and is that vjp's bit-exact reference. The package's tape keeps only
 the primitives that `backward` and `learner_batch` build; the ones the
 objectives need are defined here: `neg`, `power`, `texp`, `tlog`, `relu`, `mean`,
 `transpose` and `matmul` (2-D), the 1-D products `dot` and `outer` of the

@@ -340,20 +340,22 @@ def topo_order(root):
     return order
 
 
-def backward_every_edge(output, inputs):
+def backward_every_edge(output, inputs, adjoint=None):
     """Reference: backward that forms an adjoint for every parent of every node."""
-    if output.shape != ():
+    if adjoint is None and output.shape != ():
         raise ContractError(f"objective must be scalar, got shape {output.shape}")
-    adjoint = {id(output): ad.constant(1.0)}
+    if adjoint is not None and np.shape(adjoint) != output.shape:
+        raise ContractError(f"adjoint shape {np.shape(adjoint)} does not match output shape {output.shape}")
+    adjoints = {id(output): ad.constant(1.0 if adjoint is None else adjoint)}
     for node in reversed(topo_order(output)):
-        g = adjoint.get(id(node))
+        g = adjoints.get(id(node))
         if g is None or node._vjp is None:
             continue
         for parent, vjp in zip(node._parents, node._vjp):
             pg = vjp(g)
-            prev = adjoint.get(id(parent))
-            adjoint[id(parent)] = pg if prev is None else ad.add(prev, pg)
-    return [adjoint.get(id(t), ad.constant(np.zeros(t.shape))) for t in inputs]
+            prev = adjoints.get(id(parent))
+            adjoints[id(parent)] = pg if prev is None else ad.add(prev, pg)
+    return [adjoints.get(id(t), ad.constant(np.zeros(t.shape))) for t in inputs]
 
 
 def assert_bit_identical(got, ref):
@@ -396,6 +398,39 @@ def test_pruned_backward_matches_every_edge_on_expressions(seed, n, lr):
         assert_bit_identical(run(), with_backward(backward_every_edge, run))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=6, max_size=6))
+def test_adjoint_seeds_the_inner_products_backward(seed, n, zeroed):
+    # backward(out, inputs, v) is backward(<out, v>, inputs) without the inner product: the
+    # seed 1.0 reaches out as 1.0 * v, which is v in every bit, signed zeros included
+    rng = RngStream(seed)
+    x0, v = rng.normal(0, 1, (n,)), rng.normal(0, 1, (n,))
+    v = np.array([vi if z is None else z for vi, z in zip(v, zeroed)])  # some entries 0.0 or -0.0
+    expr_seed = rng.child(1).seed
+    for impl in (ad.backward, backward_every_edge):
+        x = Tensor(x0)
+        out = random_smooth_expression(RngStream(expr_seed), x)
+        # a gradient (so a Hessian-vector product), x * out, and x * x, whose diagonal
+        # Jacobian carries a zero adjoint entry's sign into the result
+        for vector in (impl(out, [x])[0], ad.mul(x, out), ad.mul(x, x)):
+            got = [g.data for g in impl(vector, [x], v)]
+            assert_bit_identical(got, [g.data for g in impl(ad.tsum(ad.mul(vector, ad.constant(v))), [x])])
+
+
+@pytest.mark.parametrize("impl", [ad.backward, backward_every_edge])
+def test_adjoint_must_have_the_outputs_shape(impl):
+    x = Tensor(np.array([1.0, 2.0, 3.0]))
+    out = ad.mul(x, x)
+    with pytest.raises(ContractError, match="must be scalar"):
+        impl(out, [x])  # a non-scalar output still needs an adjoint
+    for wrong in (np.ones(2), np.ones((3, 1)), np.ones(()), 1.0):
+        with pytest.raises(ContractError, match="adjoint shape"):
+            impl(out, [x], wrong)
+    with pytest.raises(ContractError, match="adjoint shape"):
+        impl(ad.tsum(out), [x], np.ones(1))  # a scalar output takes a 0-d adjoint, and only that
+    assert np.array_equal(impl(ad.tsum(out), [x], np.float64(-2.0))[0].data, [-4.0, -8.0, -12.0])
+
+
 # integer values make hinge and relu kinks common; the floats exercise rounding
 mixed_entries = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
 
@@ -430,8 +465,8 @@ def recorded_learn(impl, train, factory, cfg, graph=None):
     calls = []
     batch = learning.learner_batch
 
-    def recording_backward(output, inputs):
-        adjoints = impl(output, inputs)
+    def recording_backward(output, inputs, adjoint=None):
+        adjoints = impl(output, inputs, adjoint)
         calls.append([g.data for g in adjoints])
         return adjoints
 
@@ -469,10 +504,10 @@ def parity_factory(family, scale):
     return lambda seed: MlpClassifier([W * scale for W in base.weights], base.biases)
 
 
-def learn_outcome(family, scale, gamma, x):
+def learn_outcome(family, scale, gamma, x, mode=learning.META_GRADIENT):
     """The features a one-batch learner run learns, or None if it raised NonFiniteError."""
     train = Dataset(x * np.array([[1.0, -0.5, 0.25], [-1.0, 0.5, 0.0]]), np.array([1, -1]))
-    cfg = RobustLearnConfig(epochs=1, gamma=gamma, beta=0.01, attack=AttackConfig(eps=0.8, steps=3))
+    cfg = RobustLearnConfig(epochs=1, gamma=gamma, beta=0.01, attack=AttackConfig(eps=0.8, steps=3), mode=mode)
     try:
         learned, _ = learn_robust_dataset(train, parity_factory(family, scale), cfg, RngStream(0))
     except NonFiniteError:
@@ -495,10 +530,12 @@ PRUNED_ONLY_RAISES = {
 }
 
 
+PARITY_ROWS = (0.0, 1.0, -1.0, 1e100, 1e200, 1e300, 1e308, -1e308, 1.7e308, 1.79e308)
+
+
 @pytest.mark.parametrize("family", ["linear", "mlp"])
 def test_pruned_backward_non_finite_parity(family):
-    rows = (0.0, 1.0, -1.0, 1e100, 1e200, 1e300, 1e308, -1e308, 1.7e308, 1.79e308)
-    grid = itertools.product((1e-100, 1.0), (0.05, 1e10, 1e100, 1e300), rows)
+    grid = itertools.product((1e-100, 1.0), (0.05, 1e10, 1e100, 1e300), PARITY_ROWS)
     raised = 0
     for scale, gamma, x in grid:
         case = (family, scale, gamma, x)
@@ -515,6 +552,38 @@ def test_pruned_backward_non_finite_parity(family):
         tape = with_backward(ad.backward, lambda: learn_outcome(*case), tape_loss_graph)
         assert (got is None and tape is None) or (got is not None and np.array_equal(got, tape)), case
     assert raised > 0  # the grid reaches overflow
+
+
+def inner_product_backward(output, inputs, adjoint=None):
+    """backward taking an adjoint's vjp as the gradient of <output, adjoint>, which it forms."""
+    if adjoint is not None:
+        output = ad.tsum(ad.mul(output, ad.constant(adjoint)))
+    return backward(output, inputs)
+
+
+# (family, mode, weight scale, gamma, row value) where only the inner-product
+# form raised: the meta-gradient's vjp never forms <G, g>, and here that unused
+# scalar alone overflows while G, g and the meta-gradient outer(c, g) are finite
+INNER_PRODUCT_ONLY_RAISES = {("linear", learning.ALTERNATING, 1e-100, 0.05, -1e308)}
+
+
+@pytest.mark.parametrize("family", ["linear", "mlp"])
+def test_meta_gradient_vjp_non_finite_parity(family):
+    modes = (learning.META_GRADIENT, learning.ALTERNATING)
+    grid = itertools.product(modes, (1e-100, 1.0, 1e100, 1e150), (0.05, 1e10, 1e100, 1e300), PARITY_ROWS)
+    raised = 0
+    for mode, scale, gamma, x in grid:
+        case = (family, mode, scale, gamma, x)
+        got = learn_outcome(family, scale, gamma, x, mode)
+        ref = with_backward(inner_product_backward, lambda: learn_outcome(family, scale, gamma, x, mode))
+        raised += ref is None
+        if case in INNER_PRODUCT_ONLY_RAISES:
+            assert ref is None and got is not None and np.isfinite(got).all(), case
+        elif ref is None:
+            assert got is None, case
+        else:
+            assert got is not None and np.array_equal(got, ref), case
+    assert raised > 0
 
 
 def count_tensors(monkeypatch) -> list:
@@ -543,9 +612,12 @@ def test_backward_builds_only_adjoints(monkeypatch):
     assert np.array_equal(g_off.data, np.zeros((2, 3))) and not np.signbit(g_off.data).any()
 
 
-@pytest.mark.parametrize("arch, tensors", [("linear", 21), ("mlp:8-8", 21)])
+@pytest.mark.parametrize("arch, tensors", [("linear", 15), ("mlp:8-8", 15)])
 def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
-    # both objectives are one fused node over (X, theta); mlp:8-8 built 280 as
+    # both objectives are one fused node over (X, theta), and the meta-gradient is
+    # backward(G, [X], g), one vjp; 21 when it differentiated tsum(mul(G, constant(g))):
+    # the inner product's 3 nodes, a 1.0 seed, 2 nodes broadcasting that seed and 1
+    # multiplying it by g, in place of the one seed g; mlp:8-8 built 280 as
     # primitives over per-parameter leaves, and 286 when the ridge sum started
     # from constant(0.0) and the log-softmax shift was neg(constant(max));
     # 115 and 387 when backward formed an adjoint for every parent of every node;

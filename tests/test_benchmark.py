@@ -46,4 +46,4 @@ def test_benchmark_traces_the_learn_mlp_workload():
     assert result["correct"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert metrics["attacks.gradient_calls"] == 2 * 16 * 10  # epochs x batches x steps
-    assert metrics["autodiff.tensors_per_batch"] == 21
+    assert metrics["autodiff.tensors_per_batch"] == 15

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustdata import autodiff, learning
 from robustdata.attacks import AttackConfig, attack_for_dataset, closed_form_linear_robust_accuracy, robust_accuracy
@@ -11,6 +13,7 @@ from robustdata.errors import DataError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
 from robustdata.learning import (
     ALTERNATING,
+    META_GRADIENT,
     RobustLearnConfig,
     adversarially_train_reference,
     baseline_adv_dataset,
@@ -19,6 +22,8 @@ from robustdata.learning import (
 from robustdata.models import LinearClassifier, TrainConfig, accuracy, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
+
+from gradcheck import unrolled_grad
 
 D, MU, P, N = 20, 0.4, 0.9, 2000
 EPS = 2 * MU
@@ -101,6 +106,44 @@ def test_learner_calls_the_checked_meta_gradient(monkeypatch):
     learn_robust_dataset(train, model_factory("linear", D + 1), learner_config(epochs=2), RngStream(0))
     calls = ["batch_loss_graph", "backward", "pgd_attack", "batch_loss_graph", "backward", "backward"]
     assert batches == [calls] * (2 * 3)  # epochs x batches of 128 over 300 rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["linear", "mlp:8"]), st.sampled_from([META_GRADIENT, ALTERNATING]), st.integers(0, 2**32 - 1),
+    st.integers(1, 6), st.integers(1, 40), st.sampled_from([0.05, 1.0]) | st.floats(1e-3, 10.0),
+    st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 1.0),
+)
+def test_meta_gradient_is_the_inner_products_derivative(family, mode, seed, d, n, gamma, lam):
+    # learner_batch takes the meta-gradient as the vjp backward(G, [X], g); unrolled_grad
+    # differentiates the inner product <G, g> instead, and both must agree bit for bit.
+    # Integer entries make hinge and relu kinks common; the floats exercise rounding
+    rows = np.random.default_rng(seed)
+    mixed = lambda shape: np.where(rows.random(shape) < 0.5, rows.integers(-3, 4, shape), rows.uniform(-3, 3, shape))
+    w0 = mixed(d)
+    factory = (lambda s: LinearClassifier(w0)) if family == "linear" else model_factory(family, d)
+    train = Dataset(mixed((n, d)), rows.choice([-1, 1], n))
+    cfg = RobustLearnConfig(epochs=1, gamma=gamma, beta=0.01, attack=AttackConfig(eps=0.5, steps=2),
+                            batch_size=int(rows.integers(max(1, n // 2), n + 1)), mode=mode, lam=lam)
+    batch, checked = learning.learner_batch, []
+
+    def checked_batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg):
+        meta, updated, train_out, adv_loss = batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg)
+        # the reference's step 2 sets the model to `updated` again, where learner_batch left it
+        ref, (ref_updated,), _ = unrolled_grad(
+            lambda ps, X: learning.batch_loss_graph(model, ps, X, yb, cfg.lam),
+            lambda ups: [learning._adversarial_gradient(model, theta, ups[0], b_nat, yb, cfg, attack_cfg)[0]],
+            [autodiff.Tensor(theta)], autodiff.Tensor(b_rob), cfg.gamma,
+        )
+        for a, b in ((meta, ref), (updated, ref_updated)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        checked.append(len(yb))
+        return meta, updated, train_out, adv_loss
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "learner_batch", checked_batch)
+        learn_robust_dataset(train, factory, cfg, RngStream(0))
+    assert sum(checked) == n  # every batch of the epoch was checked
 
 
 def test_beta_zero_freezes_data():

@@ -360,6 +360,17 @@ def test_every_network_pass_is_the_tape_forward(case):
         assert equal_bits(logits, ref)
 
 
+def test_network_predict_rejects_non_finite_logits():
+    # the first layer overflows to [inf, -inf], relu makes -inf * 0 a NaN and the
+    # identity output layer carries it to both logits; predict returned class 0
+    model = MlpClassifier([np.array([[1e308, -1e308]]), np.eye(2)], [np.zeros(2), np.array([0.0, 0.5])])
+    X = np.array([[10.0]])
+    with np.errstate(all="ignore"):
+        assert np.isnan(model.logits(X)).all()
+    with pytest.raises(NonFiniteError, match="logits contain NaN or Inf"):
+        model.predict(X)  # no RuntimeWarning: the test suite turns those into errors
+
+
 def _step_outcome(step, params, X, classes, lam):
     try:
         return step(params, X, classes, lam)
