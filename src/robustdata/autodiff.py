@@ -6,11 +6,11 @@ expressed with Tensor operations, so the adjoints returned by `backward`
 live on a fresh tape and can be differentiated again (re-recording). That
 is exactly what `learning.learner_batch` needs: the derivative of a loss
 through one gradient-descent parameter update, the vjp backward(G, [X], g)
-of the parameter gradient G with a constant g. Each model's loss is one
-fused node with closed-form vjps (models.batch_loss_graph), so the tape
-keeps only the primitives that `backward` and `learner_batch` build
-themselves; the primitives a loss was once written in are the tests'
-reference.
+of the parameter gradient G with a constant g. G is the one node
+models.batch_loss_graph builds, with a closed-form vjp, so a learner batch
+makes one `backward` call. The tape keeps `add`, with which `backward`
+sums adjoints, what reduces a broadcast adjoint, and `mul`, which the
+benchmark's self-test uses; a loss's primitives are the tests' reference.
 
 `backward` forms only the adjoints on a path from the output to a
 requested input (activity analysis): adjoints of constants, of leaves not

@@ -6,8 +6,9 @@ Layout, all little-endian:
   | features (n*m f64, row-major) | labels (n i32)
   | metadata length u32 | canonical JSON metadata
 
-Metadata is written canonically (sorted keys, compact separators), so
-read-then-write reproduces the file byte for byte.
+Metadata is written canonically (sorted keys, compact separators), and a
+header field writing would not store is a FormatError (k, the class count;
+lo and hi at flag 0), so read-then-write reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -75,11 +76,15 @@ def read_dataset(path) -> Dataset:
         blob = f.read()
     if len(blob) < _HEADER.size:
         raise FormatError("file shorter than header", len(blob))
-    magic, version, n, m, _k, flag, lo, hi = _HEADER.unpack_from(blob, 0)
+    magic, version, n, m, k, flag, lo, hi = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}", 0)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
+    if flag > 1:
+        raise FormatError(f"range flag must be 0 or 1, got {flag}", 18)
+    if not flag and any(blob[19:35]):  # lo and hi, written as +0.0 without a range
+        raise FormatError("a file without a value range must store lo and hi as +0.0", 19 if any(blob[19:27]) else 27)
 
     offset = _HEADER.size
     feat_bytes = 8 * n * m
@@ -92,6 +97,8 @@ def read_dataset(path) -> Dataset:
     if len(blob) < offset + label_bytes:
         raise FormatError("labels truncated", len(blob))
     labels = np.frombuffer(blob, dtype="<i4", count=n, offset=offset).astype(np.int64)
+    if k != np.unique(labels).size:
+        raise FormatError(f"class count {k} does not match the {np.unique(labels).size} classes of the labels", 14)
     offset += label_bytes
 
     if len(blob) < offset + 4:

@@ -27,7 +27,14 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        try:
+            with np.errstate(invalid="ignore"):  # an out-of-range cast is caught by the comparison below
+                self.labels = labels.astype(np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise DataError(f"labels must be integers that fit in int64: {exc}") from exc
+        if not np.array_equal(self.labels, labels):
+            raise DataError("labels must be integers that fit in int64")
         if self.features.ndim != 2 or self.features.shape[1] == 0:
             raise DataError(f"features must be 2-D with at least one column, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):

@@ -8,13 +8,13 @@ One learning run keeps a single classifier alive and, per mini-batch:
      the updated classifier,
   3. moves the robust batch by -beta * sign(meta-gradient), where the
      meta-gradient is the derivative of the adversarial loss through the
-     step-1 update: -gamma * d/d(data) <d(train)/d(theta), g>, taken as one
-     vector-Jacobian product of g with d(train)/d(theta) on the tape, and
-     clips it to the attack's box (`attack_for_dataset`).
+     step-1 update: -gamma * d/d(data) <G, g>, G = d(train)/d(theta),
+     taken as G's vector-Jacobian product with g, and clips it to the
+     attack's box (`attack_for_dataset`).
 
-`learner_batch` runs steps 1-3 of one batch on the fused node
-`models.batch_loss_graph` over theta, the parameters as one flat vector;
-the acceptance gate checks its meta-gradient against finite differences.
+`learner_batch` runs steps 1-3 of one batch on `models.batch_loss_graph`,
+whose G is the batch's one tape node and G's vjp its one `backward` call;
+the acceptance gate checks the meta-gradient against finite differences.
 
 The adversarial examples are constants with respect to the data: the
 meta-gradient flows only through the parameter update. In the default
@@ -78,30 +78,27 @@ class EpochTrace:
 
 
 def learner_batch(model, theta, b_rob, b_nat, yb, cfg: RobustLearnConfig, attack_cfg: AttackConfig):
-    """Steps 1-3 of one batch on the tape: (meta-gradient, step-1 theta, step-1 loss node, adversarial loss).
+    """Steps 1-3 of one batch: (meta-gradient, step-1 theta, step-1 loss, its G, adversarial loss).
 
-    G, the train-loss gradient on `b_rob`, stays on the tape: the meta-gradient
-    -gamma * d/d(b_rob) <G, g>, the data's second-order dependence through the
-    step, is G's vjp with g, backward(G, [X], g), which forms no <G, g>.
-    `model` is left at the step-1 theta.
+    G, the train-loss gradient on `b_rob`, is batch_loss_graph's one tape node:
+    the meta-gradient -gamma * d/d(b_rob) <G, g>, the data's second-order
+    dependence through the step, is G's vjp with g, backward(G, [X], g), the
+    batch's one backward call. `model` is left at the step-1 theta.
     """
-    leaf, X = Tensor(theta), Tensor(b_rob)
-    train_out = batch_loss_graph(model, [leaf], X, yb, cfg.lam)
-    (G,) = ad.backward(train_out, [leaf])
+    X = Tensor(b_rob)
+    train_loss, G = batch_loss_graph(model, theta, X, yb, cfg.lam)
     updated = theta - cfg.gamma * G.data
     g, adv_loss = _adversarial_gradient(model, theta, updated, b_nat, yb, cfg, attack_cfg)
     (meta,) = ad.backward(G, [X], g)
-    return -cfg.gamma * meta.data, updated, train_out, adv_loss
+    return -cfg.gamma * meta.data, updated, train_loss, G, adv_loss
 
 
 def _adversarial_gradient(model, theta, updated, b_nat, yb, cfg: RobustLearnConfig, attack_cfg: AttackConfig):
-    """Step 2 and (g, adversarial loss); its tape is freed before the meta-gradient's backward."""
+    """Step 2 and (g, adversarial loss): g is the adversarial objective's G, whose node is freed here."""
     model.set_params(unflatten(model, updated))
     x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
-    leaf = Tensor(updated if cfg.mode == META_GRADIENT else theta)
-    adv_out = batch_loss_graph(model, [leaf], Tensor(x_adv), yb, cfg.lam)
-    (g,) = ad.backward(adv_out, [leaf])
-    return g.data, adv_out.item()
+    adv_loss, G = batch_loss_graph(model, updated if cfg.mode == META_GRADIENT else theta, Tensor(x_adv), yb, cfg.lam)
+    return G.data, adv_loss
 
 
 def learn_robust_dataset(
@@ -135,16 +132,15 @@ def learn_robust_dataset(
                 with np.errstate(all="ignore"):  # NonFiniteError is the only report
                     idx = order[start : start + cfg.batch_size]
                     b_rob, b_nat, yb = x_rob[idx], x_natural[idx], y[idx]
-                    # train_out holds the step-1 tape until the next batch's learner_batch returns
-                    meta, theta, train_out, adv_loss = learner_batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg)
-                    step = -cfg.beta * np.sign(meta)
-                    updated = b_rob + step
+                    # G holds the step-1 node until the next batch's learner_batch returns
+                    meta, theta, train_loss, G, adv_loss = learner_batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg)
+                    updated = b_rob - cfg.beta * np.sign(meta)
                     if box is not None:
                         np.clip(updated, box[0], box[1], out=updated)
                     update_norms.append(float(np.linalg.norm(updated - b_rob)))
                     x_rob[idx] = updated
 
-                    clean_losses.append(train_out.item())
+                    clean_losses.append(train_loss)
                     adv_losses.append(adv_loss)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"learner diverged at epoch {epoch}, batch {batch}: {exc}") from exc

@@ -9,9 +9,9 @@ layers (cross-entropy). Both expose the same small surface:
                                  network takes {-1,+1} or {0,1} labels alike
   * predict(X)                   labels in that target space, plain numpy
 
-The model's type picks its loss in batch_loss_graph: one fused tape node
-over (X, theta), theta the parameters as one flat vector, whose value and
-vjps come from hinge_parts or mlp_parts.
+The model's type picks its loss in batch_loss_graph: the loss at theta,
+the parameters as one flat vector, and its gradient G, one tape node over
+X, from hinge_parts or mlp_parts.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
@@ -21,8 +21,8 @@ single model is its S=1 case. hinge_parts, mlp_parts and
 mlp_input_gradient (a network attack's input gradient, prepared once per
 attack) are numpy closed forms, bit-identical to their objectives written
 in tape primitives plus backward (the tests' reference). The tape serves
-only the learner's steps 1 and 3. Prediction, training, the learner and the
-attack share one network pass, forward, and one log-softmax, log_softmax_head.
+only the learner's meta-gradient. Prediction, training, the learner and
+the attack share one network pass, forward, and one log-softmax, log_softmax_head.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import Dataset
 from .errors import ContractError, DataError, ParameterError, check_finite
@@ -186,29 +185,23 @@ def _unformed(g):
     raise ContractError("the fused objective forms no such derivative (see batch_loss_graph)")
 
 
-def batch_loss_graph(model, params: Sequence[Tensor], X: Tensor, y: np.ndarray, lam: float) -> Tensor:
-    """The model's training objective as one tape node over (X, theta); `y` is model.targets(labels).
+def batch_loss_graph(model, theta: np.ndarray, X: Tensor, y: np.ndarray, lam: float) -> tuple[float, Tensor]:
+    """The model's training objective at the flat parameters `theta`: (loss, G); `y` is model.targets(labels).
 
-    `params` is [theta], the parameters as one flat vector (flatten). The
-    objective is hinge_parts' mean hinge plus lam * ||w||^2, or mlp_parts'
+    The loss is hinge_parts' mean hinge plus lam * ||w||^2, or mlp_parts'
     mean negative true-class log-softmax plus lam times the squared weights
-    (biases are not decayed). Its X vjp is g times the data gradient,
-    outer(c, w) or g_1 @ W_1.T; its theta vjp is g * G, G the parameter
-    gradient as a node whose X vjp is the meta-gradient's closed form
-    d/dX <G, gg>: outer(c, gg), or mlp_parts' Hessian-vector product. Any
-    other derivative, G's theta vjp or one of those results', raises
-    ContractError: the node does not form it.
+    (biases are not decayed), as a float. G, its gradient in theta, is one
+    tape node over X whose vjp is the meta-gradient's closed form
+    d/dX <G, gg>: outer(c, gg), or mlp_parts' Hessian-vector product. A
+    derivative of that result raises ContractError: the node does not form it.
     """
-    (theta,) = params
     if isinstance(model, LinearClassifier):
-        loss, c, grad = hinge_parts(X.data, y.astype(np.float64), theta.data, lam)
-        data_grad, meta = (lambda: np.outer(c, theta.data)), (lambda v: np.outer(c, v))
+        loss, c, grad = hinge_parts(X.data, y.astype(np.float64), theta, lam)
+        meta = lambda v: np.outer(c, v)
     else:
-        loss, adjoints, (data_grad, hvp) = mlp_parts(unflatten(model, theta.data), X.data, y, lam)
+        loss, adjoints, hvp = mlp_parts(unflatten(model, theta), X.data, y, lam)
         grad, meta = flatten(adjoints), (lambda v: hvp(unflatten(model, v)))
-    G = Tensor(grad, (X, theta), (lambda gg: Tensor(meta(gg.data), (X, theta, gg), (_unformed,) * 3), _unformed))
-    data_vjp = lambda g: ad.mul(g, Tensor(data_grad(), (X, theta), (_unformed,) * 2))
-    return Tensor(loss, (X, theta), (data_vjp, lambda g: ad.mul(g, G)))
+    return float(loss), Tensor(grad, (X,), (lambda gg: Tensor(meta(gg.data), (X, gg), (_unformed,) * 2),))
 
 
 def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
@@ -228,8 +221,8 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
     leaves), and a NaN or Inf in w makes lam * (w*w).sum() and so its loss
     non-finite (0*inf is NaN). A non-finite margin makes slack*a inf or NaN
     and so the loss, an overflowing w*w the ridge term, and the gradient's
-    partial sums carry any inf or NaN into it; outer(c, w) and outer(c, gg) are
-    finite whenever w and gg are, as |c| <= 1/B. numpy's warnings are silenced.
+    partial sums carry any inf or NaN into it; outer(c, gg) is finite
+    whenever gg is, as |c| <= 1/B. numpy's warnings are silenced.
     """
     with np.errstate(all="ignore"):
         slack = 1.0 - y * (X @ w[..., None])[..., 0]
@@ -267,17 +260,17 @@ def log_softmax_head(h: np.ndarray):
 
 
 def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, lam: float):
-    """A network's training objective and its adjoints in numpy: (loss, adjoints, (data_grad, hvp)).
+    """A network's training objective and its adjoints in numpy: (loss, adjoints, hvp).
 
     `params` is model.params() and `classes` model.targets(labels). The loss is
     batch_loss_graph's objective, through forward and log_softmax_head; the
     adjoints are every weight and bias adjoint in params order, a weight's
     ridge added as r = lam*W; g_W += r; g_W += r, the tape's (h.T@g + lam*W) +
-    lam*W. The 2-D closures read the pass's arrays: data_grad() is the loss's X
-    adjoint and hvp(v) the mixed second derivative d/dX <adjoints, v>, which
-    accumulates in place into arrays it made. Each operation is the tape's, in
-    its order and grouping, so all of it is bit-identical to the objective in
-    tape primitives plus backward. As in hinge_parts, a leading seed axis gives
+    lam*W. The 2-D closure hvp(v) reads the pass's arrays and is the mixed
+    second derivative d/dX <adjoints, v>, which accumulates in place into
+    arrays it made. Each operation is the tape's, in its order and grouping,
+    so all of it is bit-identical to the objective in tape primitives plus
+    backward. As in hinge_parts, a leading seed axis gives
     each seed's loss and adjoints, byte for byte its 2-D call's.
 
     NonFiniteError is raised where the tape raises it: the leaves are checked
@@ -314,10 +307,6 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
                 g *= masks[i - 1]
     check_finite(loss, *adjoints)
 
-    def data_grad():
-        with np.errstate(all="ignore"):
-            return signals[0] @ weights[0].T
-
     def hvp(v):
         vW, vb = v[0::2], v[1::2]
         with np.errstate(all="ignore"):  # the tape's grouping: each in-place step closes one ( )
@@ -339,7 +328,7 @@ def mlp_parts(params: Sequence[np.ndarray], X: np.ndarray, classes: np.ndarray, 
                     t *= masks[i - 1]
         return t
 
-    return loss, adjoints, (data_grad, hvp)
+    return loss, adjoints, hvp
 
 
 def mlp_input_gradient(params: Sequence[np.ndarray], classes: np.ndarray, rows: int) -> Callable:

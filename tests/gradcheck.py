@@ -4,16 +4,17 @@ primitives, and a Monte-Carlo oracle for the closed-form accuracies.
 
 Nothing in the package calls these; the tests and the acceptance gate
 (criteria 6 and 7) compare the package against them. `tape_loss_graph` is
-the bit-exact reference for the fused node of `models.batch_loss_graph`,
-for both model families, and `unrolled_grad` is the generic form of
-`learning.learner_batch`'s steps 1 and 3: it differentiates the inner
-product <G, g> whose derivative learner_batch takes as one vjp,
-backward(G, [X], g), and is that vjp's bit-exact reference. The package's tape keeps only
-the primitives that `backward` and `learner_batch` build; the ones the
-objectives need are defined here: `neg`, `power`, `texp`, `tlog`, `relu`, `mean`,
-`transpose` and `matmul` (2-D), the 1-D products `dot` and `outer` of the
-linear references, and `take`, which cuts one parameter out of the flat
-`theta`.
+both model families' objective in tape primitives, and `tape_parts` its
+(loss, G), G formed by `backward`: the bit-exact reference for
+`models.batch_loss_graph`, whose G is one node with a closed-form vjp.
+`unrolled_grad` is the generic form of `learning.learner_batch`'s steps 1
+and 3: it differentiates the inner product <G, g> whose derivative
+learner_batch takes as one vjp, backward(G, [X], g), and is that vjp's
+bit-exact reference. The package's tape keeps only the primitives that
+`backward` builds and `mul`; the ones the objectives need are defined
+here: `neg`, `power`, `texp`, `tlog`, `relu`, `mean`, `transpose` and
+`matmul` (2-D), the 1-D products `dot` and `outer` of the linear
+references, and `take`, which cuts one parameter out of the flat `theta`.
 """
 
 from __future__ import annotations
@@ -189,14 +190,13 @@ def tape_margins(X: Tensor, w: Tensor, y) -> Tensor:
 
 
 def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tensor:
-    """batch_loss_graph built from tape primitives, one node per operation.
+    """batch_loss_graph's objective built from tape primitives, one node per operation.
 
-    `params` is [theta], as for batch_loss_graph. The linear objective
+    `params` is [theta], theta the flat parameters. The linear objective
     mean(max(0, 1 - y * X@w)) + lam * ||w||^2 is 15 small nodes, w being
     theta itself. The network objective is the mean negative true-class
     log-softmax plus lam times the squared weights, over one `take` node per
-    parameter. Patch it over `robustdata.learning.batch_loss_graph` to run
-    the learner on it.
+    parameter.
     """
     (theta,) = params
     if isinstance(model, LinearClassifier):
@@ -210,6 +210,19 @@ def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tens
         reg = reduce(ad.add, [ad.tsum(mul(W, W2)) for W, W2 in factors])
         data_term = ad.add(data_term, mul(constant(lam), reg))
     return data_term
+
+
+def tape_parts(model, theta: np.ndarray, X: Tensor, y: np.ndarray, lam: float) -> tuple[float, Tensor]:
+    """batch_loss_graph's (loss, G) on the tape: tape_loss_graph at a leaf holding `theta`, and G by `backward`.
+
+    `backward` is looked up on the autodiff module at each call, so a test
+    may patch it there. Patch this over `robustdata.learning.batch_loss_graph`
+    to run the learner on the tape.
+    """
+    leaf = Tensor(theta)
+    out = tape_loss_graph(model, [leaf], X, y, lam)
+    (G,) = ad.backward(out, [leaf])
+    return out.item(), G
 
 
 class FiniteDiffReport:
@@ -231,8 +244,9 @@ class FiniteDiffReport:
         )
 
 
-def finite_diff_check(objective: Callable[[Tensor], Tensor], point: Tensor, step: float) -> FiniteDiffReport:
-    """Compare grad(objective) against central finite differences at `point`.
+def finite_diff_check(objective: Callable[[Tensor], Tensor], point: Tensor, step: float,
+                      analytic: np.ndarray | None = None) -> FiniteDiffReport:
+    """Compare grad(objective), or a given `analytic` gradient, against central finite differences at `point`.
 
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8).
     Coordinates where forward and backward one-sided differences disagree
@@ -241,7 +255,8 @@ def finite_diff_check(objective: Callable[[Tensor], Tensor], point: Tensor, step
     """
     if step <= 0:
         raise ParameterError(f"step must be positive, got {step}")
-    analytic = grad(objective, [point])[0].data
+    if analytic is None:
+        analytic = grad(objective, [point])[0].data
 
     flat = point.data.reshape(-1)
     numeric = np.zeros_like(flat)

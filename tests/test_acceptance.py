@@ -24,7 +24,7 @@ import pytest
 
 from robustdata import learning
 from robustdata.attacks import AttackConfig, closed_form_linear_robust_accuracy, robust_accuracy
-from robustdata.autodiff import Tensor, backward
+from robustdata.autodiff import Tensor
 from robustdata.cli import cli_run
 from robustdata.datafile import read_dataset, write_dataset
 from robustdata.dataset import subsample
@@ -190,29 +190,20 @@ def test_criterion_06_closed_form_vs_monte_carlo():
 
 
 def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
-    """Relative errors of the learner's meta-gradient and of the loss's data gradient against central differences.
+    """Relative errors of the learner's meta-gradient and of G, the loss's theta gradient, against central differences.
 
-    The meta-gradient is learning.learner_batch's, on batch_loss_graph over one
-    flat parameter leaf, as the learner calls it, with PGD's output fixed at X_adv.
+    The meta-gradient is learning.learner_batch's, on batch_loss_graph at the
+    flat parameters, as the learner calls it, with PGD's output fixed at X_adv.
     """
-    params0 = [flatten(model.params())]
-
-    def train_loss(ps, data):
-        return batch_loss_graph(model, ps, data, y, lam)
-
-    def adv_loss(ps):
-        return batch_loss_graph(model, ps, Tensor(X_adv), y, lam)
-
+    theta0 = flatten(model.params())
     cfg = RobustLearnConfig(epochs=1, gamma=lr, beta=0.01, attack=AttackConfig(eps=0.1), lam=lam)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "pgd_attack", lambda *args: X_adv)
-        meta = learning.learner_batch(model, params0[0], X0, X0, y, cfg, cfg.attack)[0]
+        meta = learning.learner_batch(model, theta0, X0, X0, y, cfg, cfg.attack)[0]
 
     def composed(Xv):
-        leaves = [Tensor(p) for p in params0]
-        gs = backward(train_loss(leaves, Tensor(Xv)), leaves)
-        updated = [Tensor(p.data - lr * g.data) for p, g in zip(leaves, gs)]
-        return float(adv_loss(updated).data)
+        _, G = batch_loss_graph(model, theta0, Tensor(Xv), y, lam)
+        return batch_loss_graph(model, theta0 - lr * G.data, Tensor(X_adv), y, lam)[0]
 
     h = 1e-5
     numeric = np.zeros_like(X0)
@@ -225,9 +216,11 @@ def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
     denom = np.maximum(np.maximum(np.abs(meta), np.abs(numeric)), 1e-8)
     unrolled_err = float(np.max(np.abs(meta - numeric) / denom))
 
-    first_order = finite_diff_check(
-        lambda Xv: train_loss([Tensor(p) for p in params0], Xv), Tensor(X0), 1e-5
-    ).max_rel_error
+    def loss_at(theta):
+        return Tensor(batch_loss_graph(model, theta.data, Tensor(X0), y, lam)[0])
+
+    G = batch_loss_graph(model, theta0, Tensor(X0), y, lam)[1].data
+    first_order = finite_diff_check(loss_at, Tensor(theta0), 1e-5, analytic=G).max_rel_error
     return unrolled_err, first_order
 
 

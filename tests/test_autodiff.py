@@ -22,7 +22,7 @@ from robustdata.rng import RngStream, philox_key
 from robustdata.theory import DistributionSpec, sample
 
 from gradcheck import (
-    finite_diff_check, grad, matmul, mean, neg, power, relu, tape_loss_graph, texp, tlog, transpose, unrolled_grad,
+    finite_diff_check, grad, matmul, mean, neg, power, relu, tape_parts, texp, tlog, transpose, unrolled_grad,
 )
 
 
@@ -366,13 +366,13 @@ def assert_bit_identical(got, ref):
         assert np.array_equal(np.signbit(a), np.signbit(b))  # signed zeros too
 
 
-def with_backward(impl, run, graph=None):
-    """run() with autodiff.backward replaced by `impl` (learner_batch and gradcheck's unrolled_grad
-    look it up there) and, given a `graph`, the learner's batch_loss_graph by it."""
+def with_backward(impl, run, parts=None):
+    """run() with autodiff.backward replaced by `impl` (learner_batch and gradcheck's unrolled_grad and
+    tape_parts look it up there) and, given `parts`, the learner's batch_loss_graph by it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "backward", impl)
-        if graph is not None:
-            mp.setattr(learning, "batch_loss_graph", graph)
+        if parts is not None:
+            mp.setattr(learning, "batch_loss_graph", parts)
         return run()
 
 
@@ -460,37 +460,32 @@ def learner_batches(draw):
     return Dataset(X, labels), factory, cfg
 
 
-def recorded_learn(impl, train, factory, cfg, graph=None):
-    """Every backward result and every (meta, updated) of a learner run, and its learned features."""
+def recorded_learn(impl, train, factory, cfg, parts=None):
+    """Every batch's (meta, updated) of a learner run on `impl` (and `parts`, see with_backward), and its
+    learned features."""
     calls = []
     batch = learning.learner_batch
 
-    def recording_backward(output, inputs, adjoint=None):
-        adjoints = impl(output, inputs, adjoint)
-        calls.append([g.data for g in adjoints])
-        return adjoints
-
     def recording_batch(*args):
-        meta, updated, train_out, adv_loss = batch(*args)
-        calls.append([meta, updated])
-        return meta, updated, train_out, adv_loss
+        out = batch(*args)
+        calls.append(out[:2])
+        return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(learning, "learner_batch", recording_batch)
-        mp.setattr(ad, "backward", recording_backward)
-        if graph is not None:
-            mp.setattr(learning, "batch_loss_graph", graph)
-        learned, _ = learn_robust_dataset(train, factory, cfg, RngStream(0))
-    return calls, learned.features
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "learner_batch", recording_batch)
+            return learn_robust_dataset(train, factory, cfg, RngStream(0))[0].features
+
+    return calls, with_backward(impl, run, parts)
 
 
 @settings(max_examples=150, deadline=None)
 @given(learner_batches())
 def test_pruned_backward_matches_every_edge_on_learner_batches(case):
-    # the reference is every edge on the tape graph; a linear run's production graph is the fused hinge node
+    # the reference is every edge on the tape graph; production's G is the fused node's
     train, factory, cfg = case
     got_calls, got = recorded_learn(ad.backward, train, factory, cfg)
-    ref_calls, ref = recorded_learn(backward_every_edge, train, factory, cfg, tape_loss_graph)
+    ref_calls, ref = recorded_learn(backward_every_edge, train, factory, cfg, tape_parts)
     assert len(got_calls) == len(ref_calls)
     for a, b in zip(got_calls, ref_calls):
         assert_bit_identical(a, b)
@@ -540,7 +535,7 @@ def test_pruned_backward_non_finite_parity(family):
     for scale, gamma, x in grid:
         case = (family, scale, gamma, x)
         got = learn_outcome(*case)
-        ref = with_backward(backward_every_edge, lambda: learn_outcome(*case), tape_loss_graph)
+        ref = with_backward(backward_every_edge, lambda: learn_outcome(*case), tape_parts)
         raised += ref is None
         if case in PRUNED_ONLY_RAISES:
             assert ref is None and got is not None and np.isfinite(got).all(), case
@@ -549,7 +544,7 @@ def test_pruned_backward_non_finite_parity(family):
         else:
             assert got is not None and np.array_equal(got, ref), case
         # the fused node against the tape graph, both pruned: equal in every case
-        tape = with_backward(ad.backward, lambda: learn_outcome(*case), tape_loss_graph)
+        tape = with_backward(ad.backward, lambda: learn_outcome(*case), tape_parts)
         assert (got is None and tape is None) or (got is not None and np.array_equal(got, tape)), case
     assert raised > 0  # the grid reaches overflow
 
@@ -612,10 +607,14 @@ def test_backward_builds_only_adjoints(monkeypatch):
     assert np.array_equal(g_off.data, np.zeros((2, 3))) and not np.signbit(g_off.data).any()
 
 
-@pytest.mark.parametrize("arch, tensors", [("linear", 15), ("mlp:8-8", 15)])
+@pytest.mark.parametrize("arch, tensors", [("linear", 6), ("mlp:8-8", 6)])
 def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
-    # both objectives are one fused node over (X, theta), and the meta-gradient is
-    # backward(G, [X], g), one vjp; 21 when it differentiated tsum(mul(G, constant(g))):
+    # X and G for step 1, x_adv and G for step 3's g, and the seed g and result of
+    # backward(G, [X], g), the batch's one backward call; 15 when batch_loss_graph
+    # returned a loss node over a theta leaf and backward took each G from it as
+    # 1.0 * G: per objective the leaf, the loss node, a 1.0 seed and that product,
+    # and in the meta pass the product's vjp g * 1.0;
+    # 21 when the meta-gradient differentiated tsum(mul(G, constant(g))):
     # the inner product's 3 nodes, a 1.0 seed, 2 nodes broadcasting that seed and 1
     # multiplying it by g, in place of the one seed g; mlp:8-8 built 280 as
     # primitives over per-parameter leaves, and 286 when the ridge sum started
@@ -644,8 +643,8 @@ def network_batch():
 
 def network_loss_and_backward():
     model, theta, X, y = network_batch()
-    leaves = [Tensor(theta)]
-    backward(batch_loss_graph(model, leaves, Tensor(X), y, 1e-3), leaves)
+    X = Tensor(X)
+    backward(batch_loss_graph(model, theta, X, y, 1e-3)[1], [X], np.ones(theta.shape))
 
 
 def network_learner_batch():

@@ -20,6 +20,26 @@ def test_shape_validation():
         Dataset(np.zeros(4), np.zeros(4, dtype=int))
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([0.5, -1.7, 2.9]),  # kept as [0, -1, 2]
+    np.array([1.0, np.nan, -1.0]),
+    np.array([1.0, np.inf, -1.0]),
+    np.array([1.0, 2.0**63, -1.0]),  # one past the int64 range
+    np.array([1, 2**63, 0], dtype=np.uint64),
+    [1, 2**70, -1],  # a Python int no int64 holds
+], ids=["fractional", "nan", "inf", "float-2^63", "uint64-2^63", "int-2^70"])
+def test_labels_must_be_integers_that_fit_in_int64(labels):
+    with pytest.raises(DataError, match="labels must be integers that fit in int64"):
+        Dataset(np.zeros((3, 2)), labels)
+
+
+def test_integral_labels_of_any_dtype_are_kept_as_int64():
+    for labels in (np.array([1.0, -1.0, -0.0]), np.array([-(2.0**63), 2.0**62, 3.0]),
+                   np.array([2**63 - 1, 0, 1], dtype=np.uint64), [True, False, True], [2, -1, 0]):
+        ds = Dataset(np.zeros((3, 2)), labels)
+        assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, labels)
+
+
 def test_value_range_enforced():
     with pytest.raises(DataError):
         Dataset(np.array([[2.0]]), np.array([1]), value_range=(0.0, 1.0))

@@ -97,6 +97,33 @@ def test_bad_version_reports_offset(tmp_path):
     assert err.value.offset == 4
 
 
+def _rewritten_header(tmp_path, value_range, edit):
+    """read_dataset's verdict on a written file whose header bytes `edit` changed in place."""
+    path = tmp_path / "h.rds"
+    write_dataset(path, synthetic(n=4, value_range=value_range))
+    blob = bytearray(path.read_bytes())
+    edit(blob)
+    path.write_bytes(bytes(blob))
+    return read_dataset(path)
+
+
+@pytest.mark.parametrize("value_range, edit, offset", [
+    ((-2.0, 2.0), lambda b: b.__setitem__(18, 2), 18),  # range flags other than 0 and 1
+    (None, lambda b: b.__setitem__(18, 255), 18),
+    (None, lambda b: b.__setitem__(slice(19, 27), struct.pack("<d", 1.0)), 19),  # lo without a range
+    (None, lambda b: b.__setitem__(slice(19, 27), struct.pack("<d", -0.0)), 19),
+    (None, lambda b: b.__setitem__(slice(27, 35), struct.pack("<d", 2.0)), 27),  # hi without a range
+    ((-2.0, 2.0), lambda b: b.__setitem__(18, 0), 19),  # a range whose flag was cleared
+    (None, lambda b: b.__setitem__(slice(14, 18), struct.pack("<I", 3)), 14),  # k disagrees with the 2 classes
+    (None, lambda b: b.__setitem__(slice(14, 18), struct.pack("<I", 0)), 14),
+], ids=["flag-2", "flag-255", "lo-1", "lo-minus-zero", "hi-2", "flag-cleared", "k-3", "k-0"])
+def test_header_fields_that_writing_would_not_store_are_format_errors(tmp_path, value_range, edit, offset):
+    # each loaded before, and re-writing it gave a different header
+    with pytest.raises(FormatError) as err:
+        _rewritten_header(tmp_path, value_range, edit)
+    assert err.value.offset == offset
+
+
 def test_truncation_detected(tmp_path):
     path = tmp_path / "trunc.rds"
     write_dataset(path, synthetic())
@@ -106,10 +133,10 @@ def test_truncation_detected(tmp_path):
         read_dataset(path)
 
 
-def _fuzz_target(tmp: str) -> tuple[Path, bytes]:
-    """A 4x3 file with a value range, and its bytes."""
+def _fuzz_target(tmp: str, value_range=(-2.0, 2.0)) -> tuple[Path, bytes]:
+    """A 4x3 file, by default with a value range, and its bytes."""
     path = Path(tmp) / "fuzz.rds"
-    write_dataset(path, synthetic(n=4, m=3, value_range=(-2.0, 2.0)))
+    write_dataset(path, synthetic(n=4, m=3, value_range=value_range))
     return path, path.read_bytes()
 
 
@@ -128,24 +155,30 @@ def test_every_truncation_is_a_format_error():
 
 
 def test_single_bit_flips_load_or_raise_value_errors():
-    # a flip may give a valid file (a feature, label or provenance value changed);
-    # otherwise it is rejected with one of the errors the CLI turns into exit 1
-    with tempfile.TemporaryDirectory() as tmp:
-        path, blob = _fuzz_target(tmp)
+    # a flip may give a valid file (a feature, label, range bound or provenance value changed),
+    # whose header, features and labels re-write byte for byte; otherwise it is rejected with
+    # one of the errors the CLI turns into exit 1
+    for value_range in ((-2.0, 2.0), None):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, blob = _fuzz_target(tmp, value_range)
+            rewritten = Path(tmp) / "again.rds"
+            payload = struct.calcsize("<4sHIIIBdd") + 4 * 3 * 8 + 4 * 4  # header, features, labels
 
-        @settings(max_examples=500, deadline=None)
-        @given(st.integers(0, 8 * len(blob) - 1))
-        def check(bit):
-            flipped = bytearray(blob)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(bytes(flipped))
-            try:
-                loaded = read_dataset(path)
-            except (FormatError, DataError, ParameterError):
-                return
-            assert loaded.features.shape == (4, 3)
+            @settings(max_examples=500, deadline=None)
+            @given(st.integers(0, 8 * len(blob) - 1))
+            def check(bit):
+                flipped = bytearray(blob)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                path.write_bytes(bytes(flipped))
+                try:
+                    loaded = read_dataset(path)
+                except (FormatError, DataError, ParameterError):
+                    return
+                assert loaded.features.shape == (4, 3)
+                write_dataset(rewritten, loaded)
+                assert rewritten.read_bytes()[:payload] == bytes(flipped[:payload]), bit
 
-        check()
+            check()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from robustdata.models import LinearClassifier, TrainConfig, accuracy, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
-from gradcheck import unrolled_grad
+from gradcheck import tape_loss_graph, unrolled_grad
 
 D, MU, P, N = 20, 0.4, 0.9, 2000
 EPS = 2 * MU
@@ -83,8 +83,8 @@ def test_learner_calls_the_checked_meta_gradient(monkeypatch):
     # acceptance criterion 7 checks learning.learner_batch against finite differences;
     # the learner must take its meta-gradient from that function. benchmarks/tracing.py
     # cuts each batch into steps 1-3 by this call order, wrapping each callee where it is
-    # patched here: step 1 is a loss graph and its backward, step 2 the attack, step 3
-    # the adversarial loss graph, its backward and the meta-gradient's backward
+    # patched here: step 1 is a loss graph, step 2 the attack, step 3 the adversarial
+    # loss graph and the meta-gradient's backward, the batch's one backward call
     batches = []
     batch = learning.learner_batch
 
@@ -104,7 +104,7 @@ def test_learner_calls_the_checked_meta_gradient(monkeypatch):
         monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
     train, _ = task(n=300)
     learn_robust_dataset(train, model_factory("linear", D + 1), learner_config(epochs=2), RngStream(0))
-    calls = ["batch_loss_graph", "backward", "pgd_attack", "batch_loss_graph", "backward", "backward"]
+    calls = ["batch_loss_graph", "pgd_attack", "batch_loss_graph", "backward"]
     assert batches == [calls] * (2 * 3)  # epochs x batches of 128 over 300 rows
 
 
@@ -128,17 +128,19 @@ def test_meta_gradient_is_the_inner_products_derivative(family, mode, seed, d, n
     batch, checked = learning.learner_batch, []
 
     def checked_batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg):
-        meta, updated, train_out, adv_loss = batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg)
-        # the reference's step 2 sets the model to `updated` again, where learner_batch left it
+        out = batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg)
+        meta, updated = out[:2]
+        # the reference's step 2 sets the model to `updated` again, where learner_batch left it;
+        # unrolled_grad differentiates a loss node, so it runs on the objective in tape primitives
         ref, (ref_updated,), _ = unrolled_grad(
-            lambda ps, X: learning.batch_loss_graph(model, ps, X, yb, cfg.lam),
+            lambda ps, X: tape_loss_graph(model, ps, X, yb, cfg.lam),
             lambda ups: [learning._adversarial_gradient(model, theta, ups[0], b_nat, yb, cfg, attack_cfg)[0]],
             [autodiff.Tensor(theta)], autodiff.Tensor(b_rob), cfg.gamma,
         )
         for a, b in ((meta, ref), (updated, ref_updated)):
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
         checked.append(len(yb))
-        return meta, updated, train_out, adv_loss
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "learner_batch", checked_batch)

@@ -16,7 +16,7 @@ from robustdata.models import (
 )
 from robustdata.rng import RngStream
 
-from gradcheck import decision_graph, grad, tape_loss_graph, unrolled_grad
+from gradcheck import decision_graph, grad, tape_loss_graph, tape_parts
 
 
 def binary_dataset(X, y):
@@ -25,8 +25,8 @@ def binary_dataset(X, y):
 
 def training_loss(model, batch, lam=0.0):
     """The objective sgd_train steps on, at the model's parameters: hinge or cross-entropy by model type."""
-    theta = [Tensor(flatten(model.params()))]
-    return batch_loss_graph(model, theta, Tensor(batch.features), model.targets(batch.labels), lam).item()
+    theta = flatten(model.params())
+    return batch_loss_graph(model, theta, Tensor(batch.features), model.targets(batch.labels), lam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +130,14 @@ def learner_steps(draw):
     return X, y, w, lam, draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-3, 10.0)), g
 
 
-def node_derivatives(graph, model, X, y, theta, lam, lr, g):
-    """The loss, its X and theta adjoints, and gradcheck.unrolled_grad's meta, updated and loss; the model
-    only gives the loss and the parameter shapes, `theta` the flat parameters."""
-    X_leaf, theta_leaf = Tensor(X), Tensor(theta)
-    out = graph(model, [theta_leaf], X_leaf, y, lam)
-    g_X, g_theta = ad.backward(out, [X_leaf, theta_leaf])
-    if graph is batch_loss_graph:  # the fused node forms no parameter Hessian, and says so
-        with pytest.raises(ContractError, match="forms no such derivative"):
-            ad.backward(ad.tsum(ad.mul(g_theta, ad.constant(g))), [theta_leaf])
-    meta, updated, train_out = unrolled_grad(
-        lambda ps, data: graph(model, ps, data, y, lam), lambda updated: [g], [Tensor(theta)], Tensor(X), lr
-    )
-    return [out.data, g_X.data, g_theta.data, meta, *updated, train_out.data]
+def node_derivatives(parts, model, X, y, theta, lam, lr, g):
+    """What learner_batch forms from `parts` (batch_loss_graph or gradcheck.tape_parts): the loss, G, G's vjp
+    with g and the step's updated theta; the model only gives the loss and the parameter shapes, `theta` the
+    flat parameters."""
+    X_leaf = Tensor(X)
+    loss, G = parts(model, theta, X_leaf, y, lam)
+    (meta,) = ad.backward(G, [X_leaf], g)
+    return [np.asarray(loss), G.data, meta.data, theta - lr * G.data]
 
 
 def assert_all_equal_bits(got, ref):
@@ -157,21 +152,21 @@ def test_hinge_node_matches_tape_graph(case):
     X, y, w, lam, lr, g = case
     model = LinearClassifier.zeros(w.size)
     assert_all_equal_bits(node_derivatives(batch_loss_graph, model, X, y, w, lam, lr, g),
-                          node_derivatives(tape_loss_graph, model, X, y, w, lam, lr, g))
+                          node_derivatives(tape_parts, model, X, y, w, lam, lr, g))
 
 
 @pytest.mark.parametrize("model", [LinearClassifier(np.array([1.0, -2.0])), MlpClassifier.init([2, 3, 2], RngStream(1))],
                          ids=["linear", "mlp"])
 def test_fused_node_raises_on_derivatives_it_does_not_form(model):
-    # it forms the loss's X and theta adjoints and the meta-gradient d/dX <G, gg>; none of those
-    # results has a derivative, and G has none by theta: each raises instead of returning zeros
-    X, theta = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]])), Tensor(flatten(model.params()))
-    out = batch_loss_graph(model, [theta], X, model.targets(np.array([1, -1])), 1e-3)
-    g_X, g_theta = ad.backward(out, [X, theta])
-    (meta,) = ad.backward(ad.tsum(ad.mul(g_theta, ad.constant(np.ones(theta.shape)))), [X])
-    for adjoint, leaf in ((g_theta, theta), (g_X, X), (g_X, theta), (meta, X), (meta, theta)):
+    # G's one vjp is the meta-gradient d/dX <G, v>; that result has no derivative, by X or by v:
+    # each raises instead of returning zeros
+    X, theta = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]])), flatten(model.params())
+    _, G = batch_loss_graph(model, theta, X, model.targets(np.array([1, -1])), 1e-3)
+    v = Tensor(np.ones(theta.shape))
+    (meta,) = ad.backward(ad.tsum(ad.mul(G, v)), [X])
+    for leaf in (X, v):
         with pytest.raises(ContractError, match="forms no such derivative"):
-            ad.backward(ad.tsum(ad.mul(adjoint, adjoint)), [leaf])
+            ad.backward(ad.tsum(ad.mul(meta, meta)), [leaf])
 
 
 @pytest.mark.parametrize(
@@ -192,7 +187,7 @@ def test_closed_form_hinge_raises_where_tape_does(X, w):
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):  # the bare tape is no entry point
         tape_hinge(X, y, w, 1e-3)
     with pytest.raises(NonFiniteError):  # the fused node, as the learner builds it
-        batch_loss_graph(LinearClassifier.zeros(2), [Tensor(w)], Tensor(X), y, 1e-3)
+        batch_loss_graph(LinearClassifier.zeros(2), w, Tensor(X), y, 1e-3)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
@@ -324,7 +319,7 @@ def wide_network_step():
 @example(wide_network_step())
 def test_network_node_matches_tape_graph(case):
     # the closed-form meta-gradient is the tape's second pass bit for bit, signed zeros included
-    assert_all_equal_bits(node_derivatives(batch_loss_graph, *case), node_derivatives(tape_loss_graph, *case))
+    assert_all_equal_bits(node_derivatives(batch_loss_graph, *case), node_derivatives(tape_parts, *case))
 
 
 @st.composite

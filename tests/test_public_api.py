@@ -93,3 +93,21 @@ def test_non_finite_arrays_raise_only_through_check_finite():
                 checks.add(f"{path.stem}.{scope}")
     assert raises == {"errors.check_finite", "learning.learn_robust_dataset"}
     assert checks == {"errors.check_finite", "dataset.Dataset.__post_init__", "models.LinearClassifier.__init__"}
+
+
+def test_every_import_in_src_is_used():
+    # a module that imports a name it never uses keeps a dependency nothing needs; the package's
+    # __init__ re-exports what __all__ lists, and `from __future__` imports are directives
+    src = Path(robustdata.__file__).resolve().parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(robustdata.__all__)
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert unused == []
