@@ -318,6 +318,6 @@ def closed_form_linear_robust_accuracy(model: LinearClassifier, dataset: Dataset
     """Exact worst-case l-infinity accuracy of a linear model (Holder bound); eps >= 0, inf allowed."""
     if not eps >= 0:  # False for NaN
         raise ParameterError(f"eps must be >= 0, got {eps}")
-    y = model.targets(dataset.labels).astype(np.float64)
+    y = model.targets(dataset.labels)
     worst_margins = y * (dataset.features @ model.w) - eps * np.abs(model.w).sum()
     return float(np.mean(worst_margins > 0))

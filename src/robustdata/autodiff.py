@@ -7,8 +7,10 @@ live on a fresh tape and can be differentiated again (re-recording). That
 is exactly what `learning.learner_batch` needs: the derivative of a loss
 through one gradient-descent parameter update, the vjp backward(G, [X], g)
 of the parameter gradient G with a constant g. G is the one node
-models.batch_loss_graph builds, with a closed-form vjp, so a learner batch
-makes one `backward` call. The tape keeps `add`, with which `backward`
+learner_batch builds, over the leaf X, with the closed-form vjp that
+models.batch_loss_graph returns in numpy, so a learner batch builds four
+tensors and makes one `backward` call; `learning` is the one package module
+that imports the tape. The tape keeps `add`, with which `backward`
 sums adjoints, what reduces a broadcast adjoint, and `mul`, which the
 benchmark's self-test uses; a loss's primitives are the tests' reference.
 
@@ -20,8 +22,8 @@ Every tensor is checked on creation (errors.check_finite), and
 NonFiniteError is the only report of overflow or NaN. The primitives do not
 silence numpy's floating-point warnings themselves (a per-node np.errstate
 costs more than many of the nodes); the package's one entry point to the
-tape does: the batch body of learn_robust_dataset. Attacks and training use numpy closed forms and
-build no tape.
+tape does: the batch body of learn_robust_dataset. Attacks, training and
+the objectives use numpy closed forms and build no tape.
 """
 
 from __future__ import annotations

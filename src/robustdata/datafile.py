@@ -6,9 +6,11 @@ Layout, all little-endian:
   | features (n*m f64, row-major) | labels (n i32)
   | metadata length u32 | canonical JSON metadata
 
-Metadata is written canonically (sorted keys, compact separators), and a
-header field writing would not store is a FormatError (k, the class count;
-lo and hi at flag 0), so read-then-write reproduces the file byte for byte.
+Metadata is written canonically (sorted keys, compact separators), and
+metadata or a header field that writing would not store is a FormatError
+(metadata bytes other than the canonical form of what they parse to; k, the
+class count; lo and hi at flag 0), so read-then-write reproduces the file
+byte for byte.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def write_dataset(path, dataset: Dataset) -> None:
     i4 = np.iinfo(np.int32)
     if dataset.n and (dataset.labels.min() < i4.min or dataset.labels.max() > i4.max):
         raise DataError(f"labels must fit in int32, got [{dataset.labels.min()}, {dataset.labels.max()}]")
-    meta = json.dumps(json_plain(dataset.provenance), sort_keys=True, separators=(",", ":")).encode()
+    meta = _canonical_json(json_plain(dataset.provenance))
     flag = 1 if dataset.value_range is not None else 0
     lo, hi = dataset.value_range if dataset.value_range is not None else (0.0, 0.0)
     k = int(np.unique(dataset.labels).size)
@@ -107,15 +109,22 @@ def read_dataset(path) -> Dataset:
     offset += 4
     if len(blob) != offset + meta_len:
         raise FormatError("metadata length does not match payload", offset)
+    meta = blob[offset : offset + meta_len]
     try:
-        provenance = json.loads(blob[offset : offset + meta_len].decode())
+        provenance = json.loads(meta.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"metadata is not valid JSON: {exc}", offset) from exc
     if not isinstance(provenance, dict):
         raise FormatError(f"metadata is not a JSON object: {type(provenance).__name__}", offset)
+    if meta != _canonical_json(provenance):  # spacing, key order, a repeated key, escapes
+        raise FormatError("metadata is not canonical JSON (sorted keys, compact separators)", offset)
 
     value_range = (lo, hi) if flag else None
     return Dataset(features.astype(np.float64), labels, value_range, provenance)
+
+
+def _canonical_json(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def json_plain(obj):

@@ -12,9 +12,10 @@ One learning run keeps a single classifier alive and, per mini-batch:
      taken as G's vector-Jacobian product with g, and clips it to the
      attack's box (`attack_for_dataset`).
 
-`learner_batch` runs steps 1-3 of one batch on `models.batch_loss_graph`,
-whose G is the batch's one tape node and G's vjp its one `backward` call;
-the acceptance gate checks the meta-gradient against finite differences.
+`learner_batch` runs steps 1-3 of one batch on `models.batch_loss_graph`'s
+numpy (loss, grad, meta_of) and builds the batch's one tape node, G, whose
+vjp is meta_of: one `backward` call per batch, and step 3 builds no tape.
+The acceptance gate checks the meta-gradient against finite differences.
 
 The adversarial examples are constants with respect to the data: the
 meta-gradient flows only through the parameter update. In the default
@@ -32,10 +33,9 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .attacks import AttackConfig, adversarial_chunks, attack_for_dataset, pgd_attack
 from .dataset import Dataset
-from .errors import DataError, NonFiniteError, ParameterError
+from .errors import ContractError, DataError, NonFiniteError, ParameterError
 from .models import TrainConfig, batch_loss_graph, flatten, sgd_train, unflatten
 from .rng import RngStream
 
@@ -77,28 +77,34 @@ class EpochTrace:
     update_norm: float
 
 
+def _unformed(g):
+    raise ContractError("the fused objective forms no such derivative (see learner_batch)")
+
+
 def learner_batch(model, theta, b_rob, b_nat, yb, cfg: RobustLearnConfig, attack_cfg: AttackConfig):
     """Steps 1-3 of one batch: (meta-gradient, step-1 theta, step-1 loss, its G, adversarial loss).
 
-    G, the train-loss gradient on `b_rob`, is batch_loss_graph's one tape node:
-    the meta-gradient -gamma * d/d(b_rob) <G, g>, the data's second-order
-    dependence through the step, is G's vjp with g, backward(G, [X], g), the
-    batch's one backward call. `model` is left at the step-1 theta.
+    G, the train-loss gradient on `b_rob`, is the batch's one tape node, over
+    the leaf X, whose vjp is batch_loss_graph's meta_of: the meta-gradient
+    -gamma * d/d(b_rob) <G, g>, the data's second-order dependence through the
+    step, is backward(G, [X], g), the batch's one backward call. A derivative
+    of that result raises ContractError. `model` is left at the step-1 theta.
     """
-    X = Tensor(b_rob)
-    train_loss, G = batch_loss_graph(model, theta, X, yb, cfg.lam)
-    updated = theta - cfg.gamma * G.data
+    X = ad.Tensor(b_rob)
+    train_loss, grad, meta_of = batch_loss_graph(model, theta, b_rob, yb, cfg.lam)
+    G = ad.Tensor(grad, (X,), (lambda gg: ad.Tensor(meta_of(gg.data), (X, gg), (_unformed,) * 2),))
+    updated = theta - cfg.gamma * grad
     g, adv_loss = _adversarial_gradient(model, theta, updated, b_nat, yb, cfg, attack_cfg)
     (meta,) = ad.backward(G, [X], g)
     return -cfg.gamma * meta.data, updated, train_loss, G, adv_loss
 
 
 def _adversarial_gradient(model, theta, updated, b_nat, yb, cfg: RobustLearnConfig, attack_cfg: AttackConfig):
-    """Step 2 and (g, adversarial loss): g is the adversarial objective's G, whose node is freed here."""
+    """Step 2 and (g, adversarial loss): g, the adversarial objective's gradient, is an array; no tape is built."""
     model.set_params(unflatten(model, updated))
     x_adv = pgd_attack(model, b_nat, yb, attack_cfg)
-    adv_loss, G = batch_loss_graph(model, updated if cfg.mode == META_GRADIENT else theta, Tensor(x_adv), yb, cfg.lam)
-    return G.data, adv_loss
+    adv_loss, g, _ = batch_loss_graph(model, updated if cfg.mode == META_GRADIENT else theta, x_adv, yb, cfg.lam)
+    return g, adv_loss
 
 
 def learn_robust_dataset(

@@ -10,8 +10,8 @@ layers (cross-entropy). Both expose the same small surface:
   * predict(X)                   labels in that target space, plain numpy
 
 The model's type picks its loss in batch_loss_graph: the loss at theta,
-the parameters as one flat vector, and its gradient G, one tape node over
-X, from hinge_parts or mlp_parts.
+the parameters as one flat vector, its gradient and the meta-gradient's
+closed form, from hinge_parts or mlp_parts. This module builds no tape.
 
 Training is mini-batch SGD with classical momentum. The ridge term
 enters the objective itself, so its gradient is exactly 2*lambda*w.
@@ -21,8 +21,9 @@ single model is its S=1 case. hinge_parts, mlp_parts and
 mlp_input_gradient (a network attack's input gradient, prepared once per
 attack) are numpy closed forms, bit-identical to their objectives written
 in tape primitives plus backward (the tests' reference). The tape serves
-only the learner's meta-gradient. Prediction, training, the learner and
-the attack share one network pass, forward, and one log-softmax, log_softmax_head.
+only the learner's meta-gradient, and the learner builds its one node.
+Prediction, training, the learner and the attack share one network pass,
+forward, and one log-softmax, log_softmax_head.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .dataset import Dataset
-from .errors import ContractError, DataError, ParameterError, check_finite
+from .errors import DataError, ParameterError, check_finite
 from .rng import RngStream
 
 
@@ -70,7 +70,7 @@ class LinearClassifier:
         if np.any(np.abs(labels) != 1):
             bad = np.setdiff1d(np.unique(labels), [-1, 1])
             raise DataError(f"linear classifier expects labels in {{-1,+1}}, got {bad.tolist()}")
-        return labels
+        return np.asarray(labels, dtype=np.float64)  # the hinge's float -1.0 and +1.0
 
 
 class MlpClassifier:
@@ -181,27 +181,21 @@ def unflatten(model, theta: np.ndarray) -> list[np.ndarray]:
     return [theta[(end := end + p.size) - p.size : end].reshape(p.shape) for p in model.params()]
 
 
-def _unformed(g):
-    raise ContractError("the fused objective forms no such derivative (see batch_loss_graph)")
-
-
-def batch_loss_graph(model, theta: np.ndarray, X: Tensor, y: np.ndarray, lam: float) -> tuple[float, Tensor]:
-    """The model's training objective at the flat parameters `theta`: (loss, G); `y` is model.targets(labels).
+def batch_loss_graph(model, theta: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float):
+    """The model's training objective at the flat parameters `theta`: (loss, grad, meta_of); `y` is model.targets(labels).
 
     The loss is hinge_parts' mean hinge plus lam * ||w||^2, or mlp_parts'
     mean negative true-class log-softmax plus lam times the squared weights
-    (biases are not decayed), as a float. G, its gradient in theta, is one
-    tape node over X whose vjp is the meta-gradient's closed form
-    d/dX <G, gg>: outer(c, gg), or mlp_parts' Hessian-vector product. A
-    derivative of that result raises ContractError: the node does not form it.
+    (biases are not decayed), as a float; grad is its gradient in theta, and
+    meta_of(v) the meta-gradient's closed form d/dX <grad, v>: outer(c, v), or
+    mlp_parts' Hessian-vector product. The name is kept from when this built
+    a tape graph: the benchmark's tracer finds the learner's steps by it.
     """
     if isinstance(model, LinearClassifier):
-        loss, c, grad = hinge_parts(X.data, y.astype(np.float64), theta, lam)
-        meta = lambda v: np.outer(c, v)
-    else:
-        loss, adjoints, hvp = mlp_parts(unflatten(model, theta), X.data, y, lam)
-        grad, meta = flatten(adjoints), (lambda v: hvp(unflatten(model, v)))
-    return float(loss), Tensor(grad, (X,), (lambda gg: Tensor(meta(gg.data), (X, gg), (_unformed,) * 2),))
+        loss, c, grad = hinge_parts(X, y.astype(np.float64, copy=False), theta, lam)
+        return float(loss), grad, lambda v: np.outer(c, v)
+    loss, adjoints, hvp = mlp_parts(unflatten(model, theta), X, y, lam)
+    return float(loss), flatten(adjoints), lambda v: hvp(unflatten(model, v))
 
 
 def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
@@ -218,11 +212,12 @@ def hinge_parts(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float):
     NonFiniteError is raised where that graph plus backward raises it, by
     checking the loss and gradient last. X is checked where it is made (a
     Dataset, sgd_train's features and hook batches, the learner's tape
-    leaves), and a NaN or Inf in w makes lam * (w*w).sum() and so its loss
-    non-finite (0*inf is NaN). A non-finite margin makes slack*a inf or NaN
-    and so the loss, an overflowing w*w the ridge term, and the gradient's
-    partial sums carry any inf or NaN into it; outer(c, gg) is finite
-    whenever gg is, as |c| <= 1/B. numpy's warnings are silenced.
+    leaf, pgd_attack's iterate), and a NaN or Inf in w makes
+    lam * (w*w).sum() and so its loss non-finite (0*inf is NaN). A
+    non-finite margin makes slack*a inf or NaN and so the loss, an
+    overflowing w*w the ridge term, and the gradient's partial sums carry
+    any inf or NaN into it; outer(c, gg) is finite whenever gg is, as
+    |c| <= 1/B. numpy's warnings are silenced.
     """
     with np.errstate(all="ignore"):
         slack = 1.0 - y * (X @ w[..., None])[..., 0]
@@ -413,7 +408,6 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
     check_finite(dataset.features, message="training features contain NaN or Inf")  # a Dataset may be rewritten
     cfg, linear = cfgs[0], isinstance(models[0], LinearClassifier)
     y_all = models[0].targets(dataset.labels)
-    y_float = y_all.astype(np.float64)
 
     params = [np.stack(p) for p in zip(*(m.params() for m in models))]  # a leading seed axis
     velocity = [np.zeros_like(p) for p in params]
@@ -433,7 +427,7 @@ def sgd_train(model, dataset: Dataset, cfg: TrainConfig, perturb: Callable | Non
                     X = perturb(X[0], y_all[idx[0]])[None]
                     check_finite(X, message="the perturbed batch contains NaN or Inf")
                 if linear:
-                    losses[:, b], _, *grads = hinge_parts(X, y_float[idx], params[0], cfg.weight_decay)
+                    losses[:, b], _, *grads = hinge_parts(X, y_all[idx], params[0], cfg.weight_decay)
                 else:
                     losses[:, b], grads, _ = mlp_parts(params, X, y_all[idx], cfg.weight_decay)
                 for v, g in zip(velocity, grads):

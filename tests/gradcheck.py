@@ -5,8 +5,8 @@ primitives, and a Monte-Carlo oracle for the closed-form accuracies.
 Nothing in the package calls these; the tests and the acceptance gate
 (criteria 6 and 7) compare the package against them. `tape_loss_graph` is
 both model families' objective in tape primitives, and `tape_parts` its
-(loss, G), G formed by `backward`: the bit-exact reference for
-`models.batch_loss_graph`, whose G is one node with a closed-form vjp.
+(loss, grad, meta_of), the gradient G and its vjp formed by `backward`: the
+bit-exact reference for `models.batch_loss_graph`'s numpy closed forms.
 `unrolled_grad` is the generic form of `learning.learner_batch`'s steps 1
 and 3: it differentiates the inner product <G, g> whose derivative
 learner_batch takes as one vjp, backward(G, [X], g), and is that vjp's
@@ -212,17 +212,18 @@ def tape_loss_graph(model, params, X: Tensor, y: np.ndarray, lam: float) -> Tens
     return data_term
 
 
-def tape_parts(model, theta: np.ndarray, X: Tensor, y: np.ndarray, lam: float) -> tuple[float, Tensor]:
-    """batch_loss_graph's (loss, G) on the tape: tape_loss_graph at a leaf holding `theta`, and G by `backward`.
+def tape_parts(model, theta: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, np.ndarray, Callable]:
+    """batch_loss_graph's (loss, grad, meta_of) on the tape: tape_loss_graph at leaves holding `theta` and X,
+    G = grad by `backward`, and meta_of(v) the vjp backward(G, [X], v).
 
     `backward` is looked up on the autodiff module at each call, so a test
     may patch it there. Patch this over `robustdata.learning.batch_loss_graph`
     to run the learner on the tape.
     """
-    leaf = Tensor(theta)
-    out = tape_loss_graph(model, [leaf], X, y, lam)
+    leaf, X_leaf = Tensor(theta), Tensor(X)
+    out = tape_loss_graph(model, [leaf], X_leaf, y, lam)
     (G,) = ad.backward(out, [leaf])
-    return out.item(), G
+    return out.item(), G.data, lambda v: ad.backward(G, [X_leaf], v)[0].data
 
 
 class FiniteDiffReport:

@@ -202,8 +202,8 @@ def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
         meta = learning.learner_batch(model, theta0, X0, X0, y, cfg, cfg.attack)[0]
 
     def composed(Xv):
-        _, G = batch_loss_graph(model, theta0, Tensor(Xv), y, lam)
-        return batch_loss_graph(model, theta0 - lr * G.data, Tensor(X_adv), y, lam)[0]
+        G = batch_loss_graph(model, theta0, Xv, y, lam)[1]
+        return batch_loss_graph(model, theta0 - lr * G, X_adv, y, lam)[0]
 
     h = 1e-5
     numeric = np.zeros_like(X0)
@@ -217,9 +217,9 @@ def meta_gradient_errors(model, X0, X_adv, y, lam, lr=0.05):
     unrolled_err = float(np.max(np.abs(meta - numeric) / denom))
 
     def loss_at(theta):
-        return Tensor(batch_loss_graph(model, theta.data, Tensor(X0), y, lam)[0])
+        return Tensor(batch_loss_graph(model, theta.data, X0, y, lam)[0])
 
-    G = batch_loss_graph(model, theta0, Tensor(X0), y, lam)[1].data
+    G = batch_loss_graph(model, theta0, X0, y, lam)[1]
     first_order = finite_diff_check(loss_at, Tensor(theta0), 1e-5, analytic=G).max_rel_error
     return unrolled_err, first_order
 

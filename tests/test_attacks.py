@@ -218,8 +218,8 @@ def test_pgd_loss_does_not_decrease_single_step():
     y = np.where(rng.uniform(0, 1, 10) < 0.5, 1, -1)
     cfg = AttackConfig(norm="linf", eps=0.2, alpha=0.2, steps=1)
     x_adv = pgd_attack(model, X, y, cfg)
-    before = batch_loss_graph(model, w, Tensor(X), y, 0.0)[0]
-    after = batch_loss_graph(model, w, Tensor(x_adv), y, 0.0)[0]
+    before = batch_loss_graph(model, w, X, y, 0.0)[0]
+    after = batch_loss_graph(model, w, x_adv, y, 0.0)[0]
     assert after >= before - 1e-12
 
 

@@ -607,10 +607,11 @@ def test_backward_builds_only_adjoints(monkeypatch):
     assert np.array_equal(g_off.data, np.zeros((2, 3))) and not np.signbit(g_off.data).any()
 
 
-@pytest.mark.parametrize("arch, tensors", [("linear", 6), ("mlp:8-8", 6)])
+@pytest.mark.parametrize("arch, tensors", [("linear", 4), ("mlp:8-8", 4)])
 def test_tensors_per_learner_batch(monkeypatch, arch, tensors):
-    # X and G for step 1, x_adv and G for step 3's g, and the seed g and result of
-    # backward(G, [X], g), the batch's one backward call; 15 when batch_loss_graph
+    # X and G for step 1, and the seed g and result of backward(G, [X], g), the batch's
+    # one backward call; step 3 builds none; 6 when batch_loss_graph returned G as a
+    # node over X and step 3 built x_adv and its G only to read g from it; 15 when batch_loss_graph
     # returned a loss node over a theta leaf and backward took each G from it as
     # 1.0 * G: per objective the leaf, the loss node, a 1.0 seed and that product,
     # and in the meta pass the product's vjp g * 1.0;
@@ -643,8 +644,7 @@ def network_batch():
 
 def network_loss_and_backward():
     model, theta, X, y = network_batch()
-    X = Tensor(X)
-    backward(batch_loss_graph(model, theta, X, y, 1e-3)[1], [X], np.ones(theta.shape))
+    batch_loss_graph(model, theta, X, y, 1e-3)[2](np.ones(theta.shape))
 
 
 def network_learner_batch():

@@ -46,5 +46,16 @@ def test_benchmark_traces_the_learn_mlp_workload():
     assert result["correct"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert metrics["attacks.gradient_calls"] == 2 * 16 * 10  # epochs x batches x steps
-    assert metrics["autodiff.tensors_per_batch"] == 6
+    assert metrics["autodiff.tensors_per_batch"] == 4
+    assert metrics["autodiff.backward_calls_per_batch"] == 1
+
+
+def test_benchmark_traces_the_learn_linear_workload():
+    # a linear attack makes one attack_gradient call, its step for all K steps, which the tracer counts;
+    # a batch builds X and G for step 1 and the seed and result of its one backward call
+    result = traced_run("learn-linear")
+    assert result["correct"] is True
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["attacks.gradient_calls"] == 50 * 16  # epochs x batches
+    assert metrics["autodiff.tensors_per_batch"] == 4
     assert metrics["autodiff.backward_calls_per_batch"] == 1

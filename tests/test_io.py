@@ -124,6 +124,27 @@ def test_header_fields_that_writing_would_not_store_are_format_errors(tmp_path, 
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("meta", [
+    b'{"generator":"test", "seed":0}',  # a space
+    b'{"seed":0,"generator":"test"}',  # keys out of order
+    b'{"generator":"test","generator":"test","seed":0}',  # a repeated key
+    b'{"generator":"t\\u0065st","seed":0}',  # an escape that writing would not make
+    b'{"generator":"test","seed":0}\n',  # trailing whitespace
+], ids=["space", "key-order", "duplicate-key", "escape", "newline"])
+def test_metadata_that_writing_would_not_store_is_a_format_error(tmp_path, meta):
+    # each is valid JSON that loaded before, and re-writing it gave other metadata bytes
+    path = tmp_path / "m.rds"
+    write_dataset(path, synthetic(n=4))
+    blob = path.read_bytes()
+    canonical = b'{"generator":"test","seed":0}'
+    offset = len(blob) - len(canonical)
+    assert blob[offset:] == canonical
+    path.write_bytes(blob[: offset - 4] + struct.pack("<I", len(meta)) + meta)
+    with pytest.raises(FormatError, match="not canonical") as err:
+        read_dataset(path)
+    assert err.value.offset == offset
+
+
 def test_truncation_detected(tmp_path):
     path = tmp_path / "trunc.rds"
     write_dataset(path, synthetic())
@@ -156,13 +177,12 @@ def test_every_truncation_is_a_format_error():
 
 def test_single_bit_flips_load_or_raise_value_errors():
     # a flip may give a valid file (a feature, label, range bound or provenance value changed),
-    # whose header, features and labels re-write byte for byte; otherwise it is rejected with
-    # one of the errors the CLI turns into exit 1
+    # which re-writes byte for byte, metadata included; otherwise it is rejected with one of
+    # the errors the CLI turns into exit 1
     for value_range in ((-2.0, 2.0), None):
         with tempfile.TemporaryDirectory() as tmp:
             path, blob = _fuzz_target(tmp, value_range)
             rewritten = Path(tmp) / "again.rds"
-            payload = struct.calcsize("<4sHIIIBdd") + 4 * 3 * 8 + 4 * 4  # header, features, labels
 
             @settings(max_examples=500, deadline=None)
             @given(st.integers(0, 8 * len(blob) - 1))
@@ -176,7 +196,7 @@ def test_single_bit_flips_load_or_raise_value_errors():
                     return
                 assert loaded.features.shape == (4, 3)
                 write_dataset(rewritten, loaded)
-                assert rewritten.read_bytes()[:payload] == bytes(flipped[:payload]), bit
+                assert rewritten.read_bytes() == bytes(flipped), bit
 
             check()
 

@@ -19,7 +19,7 @@ from robustdata.learning import (
     baseline_adv_dataset,
     learn_robust_dataset,
 )
-from robustdata.models import LinearClassifier, TrainConfig, accuracy, sgd_train
+from robustdata.models import LinearClassifier, TrainConfig, accuracy, batch_loss_graph, sgd_train
 from robustdata.rng import RngStream
 from robustdata.theory import DistributionSpec, sample
 
@@ -106,6 +106,41 @@ def test_learner_calls_the_checked_meta_gradient(monkeypatch):
     learn_robust_dataset(train, model_factory("linear", D + 1), learner_config(epochs=2), RngStream(0))
     calls = ["batch_loss_graph", "pgd_attack", "batch_loss_graph", "backward"]
     assert batches == [calls] * (2 * 3)  # epochs x batches of 128 over 300 rows
+
+
+@pytest.mark.parametrize("mode", [META_GRADIENT, ALTERNATING])
+@pytest.mark.parametrize("arch", ["linear", "mlp:8"])
+def test_step_one_chains_over_the_rows_as_they_stood_at_the_epochs_start(arch, mode):
+    # within an epoch, batch b+1's theta depends only on batch b's step 1, and each batch reads
+    # rows that no earlier batch of the epoch wrote: every batch's step-1 theta and b_rob are, bit
+    # for bit, the chain of step-1 updates over the rows as they stood at the epoch's start. So
+    # steps 2 and 3 of an epoch's batches do not depend on one another
+    train, _ = task(n=300)
+    factory = model_factory(arch, D + 1)
+    calls, batch = [], learning.learner_batch
+
+    def recorded(model, theta, b_rob, b_nat, yb, cfg, attack_cfg):
+        calls.append((theta.copy(), b_rob.copy(), b_nat.copy()))
+        return batch(model, theta, b_rob, b_nat, yb, cfg, attack_cfg)
+
+    cfg = learner_config(epochs=2, mode=mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "learner_batch", recorded)
+        learn_robust_dataset(train, factory, cfg, RngStream(0))
+    # the rows at each epoch's start: the natural data, then what a one-epoch run learns
+    one_epoch = learn_robust_dataset(train, factory, learner_config(epochs=1, mode=mode), RngStream(0))[0]
+    starts = [train.features, one_epoch.features]
+    row_of = {row.tobytes(): i for i, row in enumerate(train.features)}  # b_nat names the batch's rows
+    assert len(row_of) == train.n and len(calls) == 2 * 3  # epochs x batches of 128 over 300 rows
+    model = factory(0)
+    y = model.targets(train.labels)
+    theta = calls[0][0]
+    for k, (theta_k, b_rob, b_nat) in enumerate(calls):
+        idx = [row_of[row.tobytes()] for row in b_nat]
+        rows = starts[k // 3][idx]
+        for got, want in ((theta_k, theta), (b_rob, rows)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), k
+        theta = theta - cfg.gamma * batch_loss_graph(model, theta, rows, y[idx], cfg.lam)[1]
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustdata import autodiff as ad
-from robustdata import models
+from robustdata import learning, models
+from robustdata.attacks import AttackConfig
 from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, DataError, NonFiniteError, ParameterError
+from robustdata.learning import RobustLearnConfig
 from robustdata.models import (
     LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, flatten, hinge_parts, sgd_train, unflatten,
 )
@@ -26,7 +28,7 @@ def binary_dataset(X, y):
 def training_loss(model, batch, lam=0.0):
     """The objective sgd_train steps on, at the model's parameters: hinge or cross-entropy by model type."""
     theta = flatten(model.params())
-    return batch_loss_graph(model, theta, Tensor(batch.features), model.targets(batch.labels), lam)[0]
+    return batch_loss_graph(model, theta, batch.features, model.targets(batch.labels), lam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +133,11 @@ def learner_steps(draw):
 
 
 def node_derivatives(parts, model, X, y, theta, lam, lr, g):
-    """What learner_batch forms from `parts` (batch_loss_graph or gradcheck.tape_parts): the loss, G, G's vjp
-    with g and the step's updated theta; the model only gives the loss and the parameter shapes, `theta` the
-    flat parameters."""
-    X_leaf = Tensor(X)
-    loss, G = parts(model, theta, X_leaf, y, lam)
-    (meta,) = ad.backward(G, [X_leaf], g)
-    return [np.asarray(loss), G.data, meta.data, theta - lr * G.data]
+    """What learner_batch takes from `parts` (batch_loss_graph or gradcheck.tape_parts): the loss, G, G's vjp
+    meta_of(g) and the step's updated theta; the model only gives the loss and the parameter shapes, `theta`
+    the flat parameters."""
+    loss, G, meta_of = parts(model, theta, X, y, lam)
+    return [np.asarray(loss), G, meta_of(g), theta - lr * G]
 
 
 def assert_all_equal_bits(got, ref):
@@ -159,9 +159,20 @@ def test_hinge_node_matches_tape_graph(case):
                          ids=["linear", "mlp"])
 def test_fused_node_raises_on_derivatives_it_does_not_form(model):
     # G's one vjp is the meta-gradient d/dX <G, v>; that result has no derivative, by X or by v:
-    # each raises instead of returning zeros
-    X, theta = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]])), flatten(model.params())
-    _, G = batch_loss_graph(model, theta, X, model.targets(np.array([1, -1])), 1e-3)
+    # each raises instead of returning zeros. G and X are the node and leaf learner_batch
+    # builds, taken at its one backward call
+    X, theta = np.array([[0.5, -1.0], [2.0, 0.25]]), flatten(model.params())
+    cfg = RobustLearnConfig(epochs=1, gamma=0.1, beta=0.01, attack=AttackConfig(eps=0.1, steps=1))
+    built, backward = [], ad.backward
+
+    def recorded(G, inputs, g):
+        built.append((G, inputs[0]))
+        return backward(G, inputs, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "backward", recorded)
+        learning.learner_batch(model, theta, X, X, model.targets(np.array([1, -1])), cfg, cfg.attack)
+    ((G, X),) = built
     v = Tensor(np.ones(theta.shape))
     (meta,) = ad.backward(ad.tsum(ad.mul(G, v)), [X])
     for leaf in (X, v):
@@ -186,8 +197,8 @@ def test_closed_form_hinge_raises_where_tape_does(X, w):
         hinge_parts(X, y.astype(np.float64), w, 1e-3)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):  # the bare tape is no entry point
         tape_hinge(X, y, w, 1e-3)
-    with pytest.raises(NonFiniteError):  # the fused node, as the learner builds it
-        batch_loss_graph(LinearClassifier.zeros(2), w, Tensor(X), y, 1e-3)
+    with pytest.raises(NonFiniteError):  # the learner's objective
+        batch_loss_graph(LinearClassifier.zeros(2), w, X, y, 1e-3)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
@@ -506,6 +517,8 @@ def test_linear_sgd_builds_no_tape(monkeypatch):
               [replace(cfg, seed=seed) for seed in (0, 1)])
     assert created == []  # neither model family builds a tape
     training_loss(MlpClassifier.init([3, 4, 2], RngStream(2)), ds)
+    assert created == []  # nor does the learner's objective
+    Tensor(np.zeros(1))
     assert created  # the counter sees a tape
 
 

@@ -111,3 +111,17 @@ def test_every_import_in_src_is_used():
             used |= set(robustdata.__all__)
         unused += [f"{path.stem}.{name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_only_learning_imports_the_tape():
+    # the learner's meta-gradient is the package's one use of the autodiff tape; every other
+    # module is numpy, so the tape can leave src/ by changing one module
+    src = Path(robustdata.__file__).resolve().parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):  # `from . import autodiff`, `from .autodiff import`
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if "autodiff" in {name.split(".")[-1] for name in names}:
+                    importers.add(path.stem)
+    assert importers == {"learning"}
