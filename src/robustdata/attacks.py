@@ -25,7 +25,8 @@ plus a numpy backward that forms no weight or bias adjoint, so no attack
 builds a tape. pgd_attack prepares it once per attack (the parameter check,
 the one-hot targets, one scratch array per layer), and every step passes it to
 attack_gradient. The tape forms of both gradients and the per-step PGD loop
-are kept in the tests as the bit-exact references.
+are kept in the tests as the bit-exact references. An attack's `y` is
+model.targets(labels), converted once where a Dataset enters a run.
 
 A dataset is attacked in chunks sized by bytes (adversarial_chunks), so an
 attack's temporaries are reused from the heap rather than mapped afresh.
@@ -51,6 +52,7 @@ LINF = "linf"
 L2 = "l2"
 CHUNK_BYTES = 120 * 1024  # feature bytes per pgd_attack call over a dataset: under glibc's 128 KiB mmap threshold
 ROW_BLOCK = 16  # chunks are whole blocks of this many rows when one fits (see adversarial_chunks)
+_SIGNS = np.array([[-1.0], [1.0]])  # _SIGNS * w is np.outer([-1.0, 1.0], w), the same multiplies without the wrapper
 
 
 @dataclass
@@ -134,7 +136,7 @@ def attack_gradient(model, params_arrays, X: np.ndarray, y: np.ndarray, network=
             raise ParameterError(f"the linear classifier has one weight vector, got {len(params_arrays)} arrays")
         (w,) = params_arrays
         check_finite(X, w)
-        rows = np.take(np.outer([-1.0, 1.0], w), (np.asarray(y) < 0).astype(np.intp), axis=0)
+        rows = np.take(_SIGNS * w, (np.asarray(y) < 0).astype(np.intp), axis=0)
         return rows.reshape(np.shape(X))
     return (network or mlp_input_gradient(params_arrays, y, len(X)))(X)
 
@@ -188,6 +190,7 @@ def _linear_linf_pgd(x_nat: np.ndarray, step: np.ndarray, cfg: AttackConfig) -> 
 def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     """Iterative ascent on the attack objective inside the threat ball, from the natural point.
 
+    `y` is model.targets(labels), used as given: a network's are class indices.
     A linear model's step is computed once per call. Under l-inf the attack is
     one pass (_linear_linf_pgd); under l2 every iterate is projected. A
     network's gradient is prepared once per call (models.mlp_input_gradient:
@@ -199,7 +202,6 @@ def pgd_attack(model, x_nat: np.ndarray, y: np.ndarray, cfg: AttackConfig) -> np
     that error is the only report.
     """
     x_nat = np.asarray(x_nat, dtype=np.float64)
-    y = model.targets(np.asarray(y))
     params, linear = model.params(), isinstance(model, LinearClassifier)
     with np.errstate(all="ignore"):
         if linear and cfg.norm == LINF:
@@ -236,7 +238,7 @@ def _shared_linf_attack(models: list, cfg: AttackConfig):
     """
     ws = [m.w for m in models]
     check_finite(*ws)
-    tables = [np.outer([-1.0, 1.0], w) > 0 for w in ws]  # row 0 for y = +1, row 1 for y = -1
+    tables = [_SIGNS * w > 0 for w in ws]  # row 0 for y = +1, row 1 for y = -1
     zeros = [w == 0 for w in ws]
     any_zero = any(z.any() for z in zeros)
 

@@ -126,16 +126,18 @@ _NULL_KINDS = {("attack", "alpha"): 0.0, ("attack", "clamp"): (0.0, 0.0)}
 
 
 def _has_kind(value, kind) -> bool:
-    """Whether `value` has the JSON kind of `kind`: a float takes any number, an int an
-    integer, a list elements of its first element's kind, a tuple a list of its length;
-    a bool is never a number."""
+    """Whether `value` has the JSON kind of `kind`: a float takes any number float64 holds
+    (an integer float() would overflow on is refused), an int an integer, a list elements
+    of its first element's kind, a tuple a list of its length; a bool is never a number."""
     if isinstance(value, bool):
         return False
     if isinstance(kind, tuple):
         return isinstance(value, list) and len(value) == len(kind) and all(map(_has_kind, value, kind))
     if isinstance(kind, list):
         return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
-    return isinstance(value, (int, float) if isinstance(kind, float) else type(kind))
+    if isinstance(kind, float):  # from 2**1024 - 2**970 on, an integer rounds to 2**1024: float() overflows
+        return isinstance(value, float) or isinstance(value, int) and abs(value) < 2**1024 - 2**970
+    return isinstance(value, type(kind))
 
 
 _KIND_NAMES = {float: ("a number", "numbers"), int: ("an integer", "integers"), str: ("a string", "strings")}

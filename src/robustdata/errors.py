@@ -1,5 +1,7 @@
 """Exception types shared across the package, and check_finite, the one place a non-finite array raises."""
 
+import math
+
 import numpy as np
 
 
@@ -28,7 +30,9 @@ class FormatError(ValueError):
 
 
 def check_finite(*arrays, message: str = "tensor contains NaN or Inf") -> None:
-    """Raise NonFiniteError(message) if any of `arrays`, checked in order, holds a NaN or Inf."""
+    """Raise NonFiniteError(message) if any of `arrays`, checked in order, holds a NaN or Inf.
+
+    A float, np.float64 included (a subclass), is checked as a scalar by math.isfinite; anything else as an array."""
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not (math.isfinite(a) if isinstance(a, float) else np.isfinite(a).all()):
             raise NonFiniteError(message)

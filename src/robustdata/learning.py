@@ -27,6 +27,7 @@ gamma -> 0. Labels are never modified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -143,7 +144,8 @@ def learn_robust_dataset(
                     updated = b_rob - cfg.beta * np.sign(meta)
                     if box is not None:
                         np.clip(updated, box[0], box[1], out=updated)
-                    update_norms.append(float(np.linalg.norm(updated - b_rob)))
+                    step = (updated - b_rob).ravel()
+                    update_norms.append(math.sqrt(step.dot(step)))  # np.linalg.norm's own default path
                     x_rob[idx] = updated
 
                     clean_losses.append(train_loss)

@@ -193,7 +193,7 @@ def batch_loss_graph(model, theta: np.ndarray, X: np.ndarray, y: np.ndarray, lam
     """
     if isinstance(model, LinearClassifier):
         loss, c, grad = hinge_parts(X, y.astype(np.float64, copy=False), theta, lam)
-        return float(loss), grad, lambda v: np.outer(c, v)
+        return float(loss), grad, lambda v: c[:, None] * v  # np.outer(c, v)'s multiply, without its wrapper
     loss, adjoints, hvp = mlp_parts(unflatten(model, theta), X, y, lam)
     return float(loss), flatten(adjoints), lambda v: hvp(unflatten(model, v))
 

@@ -24,7 +24,12 @@ from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
 from robustdata.errors import ContractError, NonFiniteError, ParameterError
 from robustdata.evaluation import model_factory
-from robustdata.learning import RobustLearnConfig, baseline_adv_dataset, learn_robust_dataset
+from robustdata.learning import (
+    RobustLearnConfig,
+    adversarially_train_reference,
+    baseline_adv_dataset,
+    learn_robust_dataset,
+)
 from robustdata.models import (
     LinearClassifier,
     MlpClassifier,
@@ -202,7 +207,7 @@ def test_pgd_feasibility_linf_and_l2():
     y = np.where(rng.uniform(0, 1, 20) < 0.5, 1, -1)
     for norm in ("linf", "l2"):
         cfg = AttackConfig(norm=norm, eps=0.4, steps=7, clamp=(-2.0, 2.0))
-        x_adv = pgd_attack(model, X, y, cfg)
+        x_adv = pgd_attack(model, X, model.targets(y), cfg)
         if norm == "linf":
             assert np.max(np.abs(x_adv - X)) <= 0.4 + 1e-9
         else:
@@ -485,7 +490,7 @@ def pgd_cases(draw):
 @given(pgd_cases())
 def test_pgd_matches_per_step_reference(case):
     model, X, y, cfg = case
-    got = pgd_attack(model, X, y, cfg)
+    got = pgd_attack(model, X, model.targets(y), cfg)  # pgd_attack takes targets; the reference converts labels
     ref = per_step_pgd(model, X, y, cfg)
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -640,7 +645,7 @@ def test_pgd_raises_on_an_overflowing_last_step(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError):
-            pgd_attack(model, data.features, data.labels, cfg)
+            pgd_attack(model, data.features, model.targets(data.labels), cfg)
         with pytest.raises(NonFiniteError):
             robust_accuracy(model, data, cfg)
 
@@ -660,7 +665,7 @@ def test_linear_attack_takes_one_gradient(monkeypatch):
         cfg = AttackConfig(norm=norm, eps=0.3, steps=7)
         for model, expected in ((LinearClassifier(rng.normal(0, 1, (4,))), 1), (MlpClassifier.init([4, 8, 2], rng), 7)):
             calls.clear()
-            pgd_attack(model, X, y, cfg)
+            pgd_attack(model, X, model.targets(y), cfg)
             assert len(calls) == expected
 
 
@@ -771,7 +776,7 @@ def test_robust_accuracy_independent_of_chunking(monkeypatch):
     linear, test = trained_svm()
     cfg = AttackConfig(norm="linf", eps=0.3, steps=5)
     for model in (linear, model_factory("mlp:8-8", test.width)(0)):
-        whole = pgd_attack(model, test.features, test.labels, attack_for_dataset(cfg, test))
+        whole = pgd_attack(model, test.features, model.targets(test.labels), attack_for_dataset(cfg, test))
         whole_acc = int(np.sum(model.predict(whole) == model.targets(test.labels))) / test.n
         for budget in (attacks.CHUNK_BYTES, 7 * 8 * test.width + 5):
             monkeypatch.setattr(attacks, "CHUNK_BYTES", budget)
@@ -783,7 +788,7 @@ def test_small_network_l2_attack_independent_of_whole_block_chunking(monkeypatch
     # an l2 step scales with the gradient, whose last bits BLAS rounds by a row's place in its block
     _, test = trained_svm()
     model, cfg = model_factory("mlp:16", test.width)(0), AttackConfig(norm="l2", eps=0.3, steps=5)
-    whole = pgd_attack(model, test.features, test.labels, cfg)
+    whole = pgd_attack(model, test.features, model.targets(test.labels), cfg)
     for rows in (attacks.CHUNK_BYTES // (8 * test.width), 3 * attacks.ROW_BLOCK):
         monkeypatch.setattr(attacks, "CHUNK_BYTES", rows * 8 * test.width)
         assert baseline_adv_dataset(model, test, cfg).features.tobytes() == whole.tobytes()
@@ -822,14 +827,39 @@ def test_robust_accuracy_attacks_inside_the_value_range():
 
 
 def test_mlp_attack_same_for_signed_and_index_labels():
+    # a binary network takes {-1,+1} or {0,1} labels alike; they become class indices where the Dataset enters
     rng = RngStream(62)
     model = MlpClassifier.init([4, 8, 2], rng)
     X = rng.normal(0, 1, (30, 4))
     signed = np.where(rng.uniform(0, 1, 30) < 0.5, 1, -1)
     cfg = AttackConfig(norm="linf", eps=0.3, steps=6)
-    a = pgd_attack(model, X, signed, cfg)
-    b = pgd_attack(model, X, (signed + 1) // 2, cfg)
-    assert np.array_equal(a, b)
+    a, b = Dataset(X, signed), Dataset(X, (signed + 1) // 2)
+    assert robust_accuracy(model, a, cfg) == robust_accuracy(model, b, cfg)
+    for (x_a, y_a), (x_b, y_b) in zip(adversarial_chunks(model, a, cfg), adversarial_chunks(model, b, cfg), strict=True):
+        assert x_a.tobytes() == x_b.tobytes() and np.array_equal(y_a, y_b)
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp:8"])
+def test_labels_become_targets_once_per_run(monkeypatch, arch):
+    # pgd_attack converted its labels on every call: a learn made 1 + batches conversions,
+    # an attack pass 1 + chunks and adversarial training 1 + batches
+    factory = model_factory(arch, 21)
+    family, calls = type(factory(0)), []
+    targets = family.targets
+    monkeypatch.setattr(family, "targets", lambda self, labels: calls.append(1) or targets(self, labels))
+    train = sample(DistributionSpec(d=20, mu=0.4, p=0.9), 300, RngStream(4).child(1))
+    attack = AttackConfig(norm="linf", eps=0.8, steps=3)
+    learn_robust_dataset(train, factory, RobustLearnConfig(epochs=2, gamma=0.05, beta=0.01, attack=attack,
+                                                           batch_size=64), RngStream(9))
+    assert len(calls) == 1  # over 2 epochs of 5 batches
+    calls.clear()
+    adversarially_train_reference(factory, train, attack, TrainConfig(epochs=1, batch_size=64))
+    assert len(calls) == 1
+    monkeypatch.setattr(attacks, "CHUNK_BYTES", 64 * 8 * train.width)
+    for norm in ("linf", "l2"):
+        calls.clear()
+        chunks = list(adversarial_chunks(factory(0), train, AttackConfig(norm=norm, eps=0.3, steps=3)))
+        assert len(chunks) == 5 and len(calls) == 1
 
 
 def test_lemma1_regime_low_robust_accuracy():

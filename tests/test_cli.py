@@ -14,6 +14,8 @@ from robustdata.dataset import Dataset
 from robustdata.rng import RngStream
 from robustdata.theory import corner_oracle_gap, sample
 
+HUGE = 10**400  # a JSON integer float64 cannot hold: float() overflows on it
+
 SMALL_CONFIG = {
     "distribution": {"d": 20, "mu": 0.4, "p": 0.9, "n_train": 2000, "n_test": 2000},
     "train": {"lr": 0.002, "epochs": 40, "batch_size": 128},
@@ -192,9 +194,18 @@ def test_evaluate_fraction_out_of_range_exits_one_before_any_run(tmp_path, capsy
         ("eval", "seeds", [], "need at least one architecture, seed, and budget"),
         ("eval", "budgets", [0.4, 0.4], "repeated architecture, seed or budget"),
         ("eval", "subsample_fractions", [1.5], "eval.subsample_fractions [1.5] must each be in (0, 1]"),
+        # a float-kind integer float64 cannot hold ended in an OverflowError traceback, or in exit 0 from a
+        # command that never converted it (train.lr under learn, robust_learn.gamma under evaluate)
+        *((section, key, HUGE, f"config value {section}.{key} must be a number")
+          for section, key in [("attack", "eps"), ("attack", "alpha"), ("distribution", "mu"), ("train", "lr"),
+                               ("train", "weight_decay"), ("robust_learn", "gamma"), ("robust_learn", "beta"),
+                               ("robust_learn", "lam")]),
+        ("attack", "clamp", [0, HUGE], "config value attack.clamp must be a list of 2 numbers"),
+        ("eval", "budgets", [0.4, HUGE], "config value eval.budgets must be a list of numbers"),
     ],
     ids=["p", "n-train", "n-test", "lr", "steps", "learn-mode", "model-arch", "eval-arch", "no-seeds",
-         "repeated-budget", "fraction"],
+         "repeated-budget", "fraction", "huge-eps", "huge-alpha", "huge-mu", "huge-lr", "huge-weight-decay",
+         "huge-gamma", "huge-beta", "huge-lam", "huge-clamp", "huge-budgets"],
 )
 def test_every_subcommand_rejects_a_config_that_one_rejects(tmp_path, capsys, monkeypatch, command, section, key,
                                                            value, message):
@@ -258,8 +269,9 @@ def test_dataset_metadata_not_an_object_exits_one(tmp_path, capsys, config_path,
         (b'{"mu":"0.4"}', 'provenance mu must be a number, got "0.4"'),
         (b'{"p":true}', "provenance p must be a number, got true"),
         (b'{"law":3}', "provenance law must be a string or null, got 3"),
+        (b'{"mu":%d}' % HUGE, f"provenance mu must be a number, got {HUGE}"),  # float() overflowed on it
     ],
-    ids=["d-null", "d-float", "mu-string", "p-bool", "law-int"],
+    ids=["d-null", "d-float", "mu-string", "p-bool", "law-int", "mu-huge"],
 )
 def test_dataset_provenance_of_wrong_kind_exits_one(tmp_path, capsys, config_path, meta, message):
     # evaluate reads the generation parameters back from the file to sample its test set

@@ -11,7 +11,7 @@ from robustdata import learning, models
 from robustdata.attacks import AttackConfig
 from robustdata.autodiff import Tensor
 from robustdata.dataset import Dataset
-from robustdata.errors import ContractError, DataError, NonFiniteError, ParameterError
+from robustdata.errors import ContractError, DataError, NonFiniteError, ParameterError, check_finite
 from robustdata.learning import RobustLearnConfig
 from robustdata.models import (
     LinearClassifier, MlpClassifier, TrainConfig, accuracy, batch_loss_graph, flatten, hinge_parts, sgd_train, unflatten,
@@ -34,6 +34,37 @@ def training_loss(model, batch, lam=0.0):
 # ---------------------------------------------------------------------------
 # hinge objective
 # ---------------------------------------------------------------------------
+
+
+# finite values, signed zeros, each dtype's largest magnitudes, infinities and NaN
+finiteness_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, *(s * float(np.finfo(t).max) for s in (1, -1) for t in (np.float64, np.float32)),
+                     np.inf, -np.inf, np.nan]),
+)
+
+
+@st.composite
+def finiteness_inputs(draw):
+    """A Python float, an np.float64 or np.float32 scalar, a 0-d array or a small array."""
+    kind = draw(st.sampled_from([float, np.float64, np.float32, np.array, list]))
+    value = draw(st.lists(finiteness_values, max_size=4) if kind is list else finiteness_values)
+    with np.errstate(over="ignore"):  # a float64 past float32's range casts to +-inf
+        if kind is list:
+            return np.array(value, dtype=draw(st.sampled_from([np.float64, np.float32])))
+        return kind(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finiteness_inputs(), min_size=1, max_size=3), st.text(max_size=8))
+def test_check_finite_raises_exactly_on_a_non_finite_value(values, message):
+    # a float (np.float64 included) is checked as a scalar, anything else as an array; the outcome is np.isfinite's
+    if all(np.isfinite(np.asarray(a)).all() for a in values):
+        check_finite(*values, message=message)
+    else:
+        with pytest.raises(NonFiniteError) as raised:
+            check_finite(*values, message=message)
+        assert str(raised.value) == message
 
 
 def test_hinge_zero_weights_gives_one():

@@ -125,3 +125,18 @@ def test_only_learning_imports_the_tape():
                 if "autodiff" in {name.split(".")[-1] for name in names}:
                     importers.add(path.stem)
     assert importers == {"learning"}
+
+
+def test_labels_become_targets_only_where_a_dataset_enters():
+    # pgd_attack converted its `y` on every call, so the learner validated the same labels once per
+    # batch; a conversion that takes a Dataset's labels happens once per run or pass over it
+    src = Path(robustdata.__file__).resolve().parent
+    calls, elsewhere = 0, []
+    for path in sorted(src.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "targets":
+                calls += 1
+                (arg,) = node.args
+                if not (isinstance(arg, ast.Attribute) and arg.attr == "labels" and isinstance(arg.value, ast.Name)):
+                    elsewhere.append(f"{path.stem}.{scope}: {ast.unparse(node)}")
+    assert calls and elsewhere == []
